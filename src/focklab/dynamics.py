@@ -35,7 +35,7 @@ from .fock import (
 
 DENSE_DIM_CAP = 4000
 DEFAULT_KRYLOV_DIM = 60
-DEFAULT_KRYLOV_TOL = 1e-10
+DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest residual tolerance accepted
 
 
 @dataclass
@@ -55,8 +55,8 @@ def make_plan(H: SparseOperator, method="auto", krylov_dim=DEFAULT_KRYLOV_DIM,
     """Choose and prepare a propagation backend for the Hamiltonian."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
-    if tol > 1e-10:
-        raise ValueError("krylov residual tolerance must be <= 1e-10")
+    if tol > DEFAULT_KRYLOV_TOL:
+        raise ValueError(f"krylov residual tolerance must be <= {DEFAULT_KRYLOV_TOL}")
     dim = H.basis.dim
     if method == "auto":
         method = "dense_eig" if dim <= DENSE_DIM_CAP else "krylov"

@@ -32,10 +32,9 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import CapacityError, SectorError
-from .modes import ModeSystem
+from .modes import HERMITICITY_TOL, ModeSystem
 
 DEFAULT_STATE_CAP = 5_000_000
-HERMITICITY_TOL = 1e-12
 
 
 def fixed(n):
@@ -71,20 +70,42 @@ def _compositions(total, slots):
             yield (first,) + rest
 
 
+def rank(basis, occs):
+    """Index in ``basis`` of every row of the (m, d) occupation array ``occs``.
+
+    Closed form of the basis order (combinatorial number system): with the
+    suffix totals s_i = n_i + ... + n_{d-1}, the states before a row within
+    its sector number sum_{i=1}^{d-1} C(s_i + d-i-1, d-i), and on a truncated
+    basis the lower sectors add C(s_0 + d-1, d) more.  Rows must lie in the
+    basis; ``FockBasis.index_of`` is the checked single-state form.
+    """
+    d = basis.d
+    first = 0 if basis.sector[0] == "truncated" else 1
+    slots = np.arange(d, 0, -1)[first:]  # d - i
+    binom = np.array(
+        [[comb(s + k - 1, k) for k in range(1, d + 1)] for s in range(basis.n_max + 1)],
+        dtype=np.int64,
+    )
+    suffix = np.cumsum(occs[:, ::-1], axis=1)[:, ::-1]
+    return binom[suffix[:, first:], slots - 1].sum(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Occupation-number basis with a bijective tuple <-> index map."""
+    """Occupation-number basis; indices follow from ``rank``."""
 
     d: int
     sector: tuple
     occs: np.ndarray          # (dim, d) int array, row i = occupation tuple i
-    index: dict               # occupation tuple -> dense index
-    totals: np.ndarray        # (dim,) total occupation per state
-    sector_offsets: np.ndarray  # start offset of each total-occupation block
 
     @property
     def dim(self):
         return self.occs.shape[0]
+
+    @property
+    def totals(self):
+        """(dim,) total occupation per state."""
+        return self.occs.sum(axis=1)
 
     @property
     def n_max(self):
@@ -101,7 +122,13 @@ class FockBasis:
         return hash((self.d, self.sector))
 
     def index_of(self, occ):
-        return self.index[tuple(int(x) for x in occ)]
+        """Index of one occupation tuple; KeyError if it is not in the basis."""
+        row = np.asarray(occ, dtype=np.int64)
+        kind, n = self.sector
+        if (row.shape != (self.d,) or row.min() < 0
+                or row.sum() > n or (kind == "fixed" and row.sum() != n)):
+            raise KeyError(tuple(occ))
+        return int(rank(self, row[None, :])[0])
 
     def sector_slice(self, n):
         """Contiguous slice of the states with total occupation n."""
@@ -112,7 +139,7 @@ class FockBasis:
             return slice(0, self.dim)
         if not 0 <= n <= cap:
             raise SectorError(f"sector {n} outside truncation n_max={cap}")
-        return slice(int(self.sector_offsets[n]), int(self.sector_offsets[n + 1]))
+        return slice(comb(n + self.d - 1, self.d), comb(n + self.d, self.d))
 
 
 @lru_cache(maxsize=256)
@@ -123,26 +150,9 @@ def _enumerate_cached(d, sector, cap):
             f"basis (d={d}, sector={sector}) has {dim} states, cap is {cap}"
         )
     kind, n = sector
-    rows = []
-    offsets = [0]
-    if kind == "fixed":
-        rows.extend(_compositions(n, d))
-        offsets.append(len(rows))
-    else:
-        for k in range(n + 1):
-            rows.extend(_compositions(k, d))
-            offsets.append(len(rows))
-    occs = np.array(rows, dtype=np.int64)
-    index = {tuple(int(x) for x in row): i for i, row in enumerate(rows)}
-    totals = occs.sum(axis=1)
-    return FockBasis(
-        d=d,
-        sector=sector,
-        occs=occs,
-        index=index,
-        totals=totals,
-        sector_offsets=np.array(offsets, dtype=np.int64),
-    )
+    sectors = [n] if kind == "fixed" else range(n + 1)
+    rows = [occ for k in sectors for occ in _compositions(k, d)]
+    return FockBasis(d=d, sector=sector, occs=np.array(rows, dtype=np.int64))
 
 
 def enumerate_basis(d, sector, cap=DEFAULT_STATE_CAP):
@@ -285,31 +295,19 @@ def ladder_matrix(kind, p, basis):
     if not 0 <= p < basis.d:
         raise ValueError(f"mode index {p} out of range for d={basis.d}")
     out = _ladder_target_basis(kind, basis)
-    occs = basis.occs
-    rows, cols, vals = [], [], []
+    step = np.zeros(basis.d, dtype=np.int64)
+    step[p] = -1 if kind == "annihilate" else 1
     if kind == "annihilate":
-        src = np.nonzero(occs[:, p] > 0)[0]
-        for i in src:
-            occ = occs[i].copy()
-            amp = np.sqrt(occ[p])
-            occ[p] -= 1
-            rows.append(out.index_of(occ))
-            cols.append(i)
-            vals.append(amp)
+        cols = np.flatnonzero(basis.occs[:, p] > 0)
+    elif basis.sector[0] == "truncated":  # drop what would exceed n_max
+        cols = np.flatnonzero(basis.totals < basis.n_max)
     else:
-        cap = basis.n_max if basis.sector[0] == "truncated" else None
-        totals = basis.totals
-        for i in range(basis.dim):
-            if cap is not None and totals[i] + 1 > cap:
-                continue
-            occ = occs[i].copy()
-            amp = np.sqrt(occ[p] + 1.0)
-            occ[p] += 1
-            rows.append(out.index_of(occ))
-            cols.append(i)
-            vals.append(amp)
+        cols = np.arange(basis.dim)
+    src = basis.occs[cols]
+    tgt = src + step
+    amps = np.sqrt(np.maximum(src[:, p], tgt[:, p]))  # sqrt(n_p) or sqrt(n_p + 1)
     mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(out.dim, basis.dim), dtype=complex
+        (amps, (rank(out, tgt), cols)), shape=(out.dim, basis.dim), dtype=complex
     )
     return mat, out
 
@@ -325,18 +323,10 @@ def field_matrix(kind, f, basis):
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.d,):
         raise ValueError(f"smearing vector must have length d={basis.d}")
-    total = None
-    out = None
-    for p in range(basis.d):
-        if f[p] == 0:
-            continue
-        mat, out_p = ladder_matrix(kind, p, basis)
-        term = f[p] * mat
-        total = term if total is None else total + term
-        out = out_p
-    if total is None:  # f == 0
-        out = _ladder_target_basis(kind, basis)
-        total = sparse.csr_matrix((out.dim, basis.dim), dtype=complex)
+    out = _ladder_target_basis(kind, basis)
+    total = sparse.csr_matrix((out.dim, basis.dim), dtype=complex)
+    for p in np.flatnonzero(f):
+        total = total + f[p] * ladder_matrix(kind, p, basis)[0]
     return total, out
 
 
@@ -362,30 +352,25 @@ def second_quantize(A, basis):
         raise ValueError(f"one-particle matrix must be {d}x{d}")
     hermitian = bool(np.max(np.abs(A - A.conj().T)) <= HERMITICITY_TOL)
     occs = basis.occs
-    rows, cols, vals = [], [], []
-    for i in range(basis.dim):
-        occ = occs[i]
-        for q in range(d):
-            nq = occ[q]
-            if nq == 0:
-                continue
-            for p in range(d):
-                if A[p, q] == 0:
-                    continue
-                if p == q:
-                    rows.append(i)
-                    cols.append(i)
-                    vals.append(A[p, p] * nq)
-                else:
-                    amp = np.sqrt(nq * (occ[p] + 1.0))
-                    tgt = occ.copy()
-                    tgt[q] -= 1
-                    tgt[p] += 1
-                    rows.append(basis.index_of(tgt))
-                    cols.append(i)
-                    vals.append(A[p, q] * amp)
+    # mode by mode: a BLAS occs @ diag(A) may reorder the sum and move last bits
+    diag = sum(A[q, q] * occs[:, q] for q in range(d))
+    nz = np.flatnonzero(diag)
+    rows, cols, vals = [nz], [nz], [diag[nz]]
+    for p, q in zip(*np.nonzero(A)):
+        if p == q:
+            continue
+        src = np.flatnonzero(occs[:, q] > 0)
+        hop = occs[src]
+        amps = np.sqrt(hop[:, q] * (hop[:, p] + 1.0))
+        hop[:, q] -= 1
+        hop[:, p] += 1
+        rows.append(rank(basis, hop))
+        cols.append(src)
+        vals.append(A[p, q] * amps)
     mat = sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(basis.dim, basis.dim),
+        dtype=complex,
     )
     return SparseOperator(basis=basis, matrix=mat, hermitian=hermitian)
 
@@ -407,11 +392,9 @@ def build_hamiltonian(ms: ModeSystem, n_scale, basis):
         raise ValueError("mode system and basis disagree on d")
     if n_scale < 1:
         raise ValueError("n_scale must be >= 1")
-    H = second_quantize(ms.h, basis).matrix.tolil()
     occ = basis.occs.astype(float)
     quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)
-    diag = quad / (2.0 * n_scale)
-    H.setdiag(H.diagonal() + diag)
+    H = second_quantize(ms.h, basis).matrix + sparse.diags(quad / (2.0 * n_scale))
     return SparseOperator(basis=basis, matrix=H.tocsr(), hermitian=True)
 
 

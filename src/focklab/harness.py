@@ -19,12 +19,12 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
 from .combinatorics import admissible_m
-from .dynamics import evolve_fock, make_plan
+from .dynamics import DEFAULT_KRYLOV_TOL, evolve_fock, make_plan
 from .errors import ConfigError, ExactRegimeError
 from .fock import build_hamiltonian, enumerate_basis, fixed, truncated, weyl_headroom
 from .hartree import evolve_hartree
@@ -55,18 +55,17 @@ _SUPER_KINDS = ("product", "theta", "coherent")
 
 
 def _parse_complex(x, where):
-    if isinstance(x, (int, float)):
-        return complex(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2 and all(
-        isinstance(u, (int, float)) for u in x
+    pair = [x, 0] if isinstance(x, (int, float)) else x
+    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+        isinstance(u, (int, float)) and isfinite(u) for u in pair
     ):
-        return complex(x[0], x[1])
-    raise ConfigError(f"{where}: expected a number or [re, im] pair, got {x!r}")
+        return complex(pair[0], pair[1])
+    raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {x!r}")
 
 
-def _parse_cvector(xs, where):
-    if not isinstance(xs, list) or not xs:
-        raise ConfigError(f"{where}: expected a non-empty list")
+def _parse_cvector(xs, where, d):
+    if not isinstance(xs, list) or len(xs) != d:
+        raise ConfigError(f"{where}: expected a list of {d} entries, one per mode")
     return np.array([_parse_complex(x, where) for x in xs], dtype=complex)
 
 
@@ -128,18 +127,18 @@ class MSchedule:
 
 
 def _parse_m(x, where, a_cap):
-    if isinstance(x, int):
-        return MSchedule(kind="constant", m=x)
     if isinstance(x, dict):
         _require_keys(x, ("schedule", "a", "m"), ("schedule",), where)
-        if x["schedule"] == "constant":
-            return MSchedule(kind="constant", m=int(x.get("m", 0)))
         if x["schedule"] == "log":
             a = float(x["a"])
             if not 0 <= a < a_cap:
                 raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
             return MSchedule(kind="log", a=a)
-    raise ConfigError(f"{where}: expected an integer or a schedule object")
+        if x["schedule"] == "constant":
+            x = int(x.get("m", 0))
+    if isinstance(x, int) and x >= 0:
+        return MSchedule(kind="constant", m=x)
+    raise ConfigError(f"{where}: expected an integer m >= 0 or a schedule object")
 
 
 @dataclass
@@ -173,6 +172,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc, seed_override=None):
+        """Parse and validate ``doc``; every malformed value is a ConfigError,
+        including conversion failures and failed ModeSystem checks."""
+        try:
+            return ExperimentConfig._parse(doc, seed_override)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ConfigError(str(e)) from e
+
+    @staticmethod
+    def _parse(doc, seed_override):
         _require_keys(
             doc,
             allowed=("mode_system", "state", "n_list", "t_list",
@@ -208,7 +216,7 @@ class ExperimentConfig:
                     ("phi", "coeff"), f"state.components[{i}]",
                 )
                 cs = ComponentSpec(
-                    phi=_parse_cvector(comp["phi"], "component phi"),
+                    phi=_parse_cvector(comp["phi"], "component phi", ms.d),
                     coeff=_parse_complex(comp["coeff"], "component coeff"),
                     excitation_seed=int(comp.get("excitation_seed", i)),
                 )
@@ -221,7 +229,7 @@ class ExperimentConfig:
             _require_keys(
                 st, ("family", "phi", "m", "excitation_seed"), ("phi",), "state"
             )
-            cfg.phi = _parse_cvector(st["phi"], "state.phi")
+            cfg.phi = _parse_cvector(st["phi"], "state.phi", ms.d)
             if abs(np.linalg.norm(cfg.phi) - 1.0) > 1e-8:
                 raise ConfigError("state.phi must be normalized")
             if family == "theta":
@@ -240,13 +248,19 @@ class ExperimentConfig:
         if not isinstance(t_list, list) or not t_list:
             raise ConfigError("t_list must be a non-empty list of times")
         cfg.t_list = [float(t) for t in t_list]
-        if any(t < 0 for t in cfg.t_list):
-            raise ConfigError("t_list times must be >= 0")
+        if not all(0 <= t < inf for t in cfg.t_list):
+            raise ConfigError("t_list times must be finite and >= 0")
 
         tol = doc.get("tolerances", {})
         _require_keys(tol, ("hartree_tol", "krylov_tol"), (), "tolerances")
         cfg.hartree_tol = float(tol.get("hartree_tol", 1e-10))
-        cfg.krylov_tol = float(tol.get("krylov_tol", 1e-10))
+        cfg.krylov_tol = float(tol.get("krylov_tol", DEFAULT_KRYLOV_TOL))
+        if not 0 < cfg.hartree_tol < inf:
+            raise ConfigError("tolerances.hartree_tol must be finite and > 0")
+        if not 0 < cfg.krylov_tol <= DEFAULT_KRYLOV_TOL:
+            raise ConfigError(
+                f"tolerances.krylov_tol must lie in (0, {DEFAULT_KRYLOV_TOL}]"
+            )
         cfg.seed = int(doc.get("seed", 0))
         if seed_override is not None:
             cfg.seed = int(seed_override)
@@ -273,7 +287,8 @@ class ExperimentConfig:
                             f"component m exceeds admissible bound at n={n}"
                         )
 
-        doc_for_hash = dict(doc)
+        # the hash names the physics and the seed, not where results are written
+        doc_for_hash = {k: v for k, v in doc.items() if k != "output"}
         if seed_override is not None:
             doc_for_hash["seed"] = int(seed_override)
         canonical = json.dumps(doc_for_hash, sort_keys=True, separators=(",", ":"))

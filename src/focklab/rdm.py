@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockVector, ladder_matrix
+from .modes import HERMITICITY_TOL
 
-HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
 TRACE_TOL = 1e-10
 

@@ -112,6 +112,34 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["converge", "--config", str(bad)]) == 2
 
 
+_LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
+
+
+@pytest.mark.parametrize("keys, value", [
+    (["t_list"], ["a"]),
+    (["t_list"], [float("nan")]),
+    (["tolerances", "krylov_tol"], 1e-3),
+    (["tolerances", "hartree_tol"], -1),
+    (["mode_system"], dict(_LATTICE, sites=0)),
+    (["mode_system"], dict(_LATTICE, sites=float("inf"))),
+    (["state", "m"], -1),
+    (["state", "phi"], [[1, 0]]),
+    (["state", "phi"], [[float("nan"), 0], [1, 0]]),
+    (["mode_system", "h"], [[0, -1], [1, 0]]),
+], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
+        "negative-m", "phi-length", "phi-nan", "non-hermitian-h"])
+def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
+    path, doc, tmp = theta_config
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    assert main(["converge", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 def test_invalid_json_exit_code(tmp_path):
     bad = tmp_path / "nonjson.json"
     bad.write_text("{not json")

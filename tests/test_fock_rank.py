@@ -1,0 +1,133 @@
+"""Closed-form rank and vectorized ladder / dGamma assembly against a
+per-state oracle that looks every target up in a tuple -> index dict."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import focklab as fl
+from focklab.fock import rank
+
+
+def _lookup(basis):
+    return {tuple(int(x) for x in row): i for i, row in enumerate(basis.occs)}
+
+
+def _ref_ladder(kind, p, basis, out):
+    index = _lookup(out)
+    rows, cols, vals = [], [], []
+    for i, occ in enumerate(basis.occs):
+        occ = occ.copy()
+        if kind == "annihilate":
+            if occ[p] == 0:
+                continue
+            amp = np.sqrt(occ[p])
+            occ[p] -= 1
+        else:
+            if basis.sector[0] == "truncated" and occ.sum() + 1 > basis.n_max:
+                continue
+            amp = np.sqrt(occ[p] + 1.0)
+            occ[p] += 1
+        rows.append(index[tuple(int(x) for x in occ)])
+        cols.append(i)
+        vals.append(amp)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(out.dim, basis.dim), dtype=complex
+    )
+
+
+def _ref_second_quantize(A, basis):
+    index = _lookup(basis)
+    rows, cols, vals = [], [], []
+    for i, occ in enumerate(basis.occs):
+        for q in range(basis.d):
+            nq = occ[q]
+            if nq == 0:
+                continue
+            for p in range(basis.d):
+                if A[p, q] == 0:
+                    continue
+                if p == q:
+                    rows.append(i)
+                    cols.append(i)
+                    vals.append(A[p, p] * nq)
+                else:
+                    amp = np.sqrt(nq * (occ[p] + 1.0))
+                    tgt = occ.copy()
+                    tgt[q] -= 1
+                    tgt[p] += 1
+                    rows.append(index[tuple(int(x) for x in tgt)])
+                    cols.append(i)
+                    vals.append(A[p, q] * amp)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex
+    )
+
+
+def _same_entries(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.indptr, b.indptr)
+    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a.data, b.data)
+
+
+bases = st.builds(
+    lambda d, kind, n: fl.enumerate_basis(d, kind(n)),
+    st.integers(1, 5),
+    st.sampled_from([fl.fixed, fl.truncated]),
+    st.integers(0, 8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=bases)
+def test_rank_enumerates_the_basis(basis):
+    assert np.array_equal(rank(basis, basis.occs), np.arange(basis.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=bases, kind=st.sampled_from(["create", "annihilate"]), data=st.data())
+def test_ladder_matrix_matches_per_state_oracle(basis, kind, data):
+    if kind == "annihilate" and basis.sector == ("fixed", 0):
+        return
+    p = data.draw(st.integers(0, basis.d - 1))
+    mat, out = fl.ladder_matrix(kind, p, basis)
+    _same_entries(mat, _ref_ladder(kind, p, basis, out))
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=bases, seed=st.integers(0, 2**32 - 1))
+def test_second_quantize_matches_per_state_oracle(basis, seed):
+    rng = np.random.default_rng(seed)
+    d = basis.d
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    A[rng.random((d, d)) < 0.3] = 0.0
+    _same_entries(fl.second_quantize(A, basis).matrix, _ref_second_quantize(A, basis))
+    number = fl.second_quantize(np.eye(d), basis).matrix
+    assert (number - fl.number_operator(basis).matrix).count_nonzero() == 0
+
+
+@pytest.mark.parametrize(
+    "occ",
+    [(1, 1), (1, 1, 1, 0), (-1, 2, 1), (1, 1, 0), (3, 1, 0)],
+    ids=["short", "long", "negative", "total-below", "total-above"],
+)
+def test_index_of_rejects_occupations_outside_fixed_sector(occ):
+    b = fl.enumerate_basis(3, fl.fixed(3))
+    with pytest.raises(KeyError):
+        b.index_of(occ)
+    with pytest.raises(KeyError):
+        fl.basis_state(b, occ)
+
+
+@pytest.mark.parametrize(
+    "occ", [(1,), (-1, 2), (2, 2)], ids=["wrong-length", "negative", "total-above"]
+)
+def test_index_of_rejects_occupations_outside_truncation(occ):
+    b = fl.enumerate_basis(2, fl.truncated(3))
+    with pytest.raises(KeyError):
+        b.index_of(occ)
+    with pytest.raises(KeyError):
+        fl.basis_state(b, occ)

@@ -131,6 +131,15 @@ def test_seed_override_changes_hash():
     assert b.seed == 99
 
 
+def test_config_hash_ignores_output():
+    a, b = _theta_doc(), _theta_doc()
+    a["output"] = {"dir": "run1", "format": "csv"}
+    b["output"] = {"dir": "elsewhere/run2", "format": "json"}
+    hashes = {fl.ExperimentConfig.from_dict(doc).config_hash
+              for doc in (a, b, _theta_doc())}
+    assert len(hashes) == 1
+
+
 def test_config_capacity_guard():
     doc = _theta_doc()
     doc["state"] = {"family": "coherent", "phi": [[0.8, 0], [0.36, 0.48]]}
