@@ -1,14 +1,14 @@
 """Exact propagation U(t) = exp(-i t H) on truncated Fock bases.
 
-Two interchangeable backends:
-
-* dense_eig -- Hermitian eigendecomposition, done block-by-block over the
-  total-number sectors (H commutes with N, and sectors are contiguous index
-  ranges in this basis ordering), so factorizing a truncated basis costs the
-  sum of the cubes of the sector dimensions instead of the cube of the total.
-  Reusable for arbitrarily many times t.  Allowed up to dimension 4000.
-* krylov -- Lanczos approximation of the exponential action with full
-  reorthogonalization, residual-controlled, with automatic substepping.
+Every vector is propagated by scipy's ``expm_multiply``, the truncated
+Taylor method of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011).  It
+applies the exponential to the vector through sparse products with H and
+never forms or factorizes a matrix, so one code path serves every dimension.
+Long times are split into equal steps small enough that scipy chooses its
+Taylor degree from the exact 1-norm of H alone (see ``STEP_NORM``), which
+makes every result a function of (H, v, t) only.  The result is unitary and
+number-conserving up to rounding; ``evolve_fock`` checks the norm of each
+output against the plan's tolerance.
 
 The mean-field frame propagator
 
@@ -19,10 +19,12 @@ occupation basis and are never assembled as matrices.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import ceil, sqrt
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import norm as sparse_norm
 
 from .errors import KrylovError, SectorError
 from .fock import (
@@ -33,124 +35,69 @@ from .fock import (
     weyl_headroom,
 )
 
-DENSE_DIM_CAP = 4000
-DEFAULT_KRYLOV_DIM = 60
-DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest residual tolerance accepted
+DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
+
+# expm_multiply shifts A by mu = tr(A)/dim.  While ||A - mu||_1 is at most
+# 2 ell p_max (p_max + 3) theta_55 / 55 = 63.4 (condition (3.13) of Al-Mohy &
+# Higham, with scipy's ell = 2, p_max = 8), it picks its Taylor degree and
+# step count from that exact norm; above it, it estimates norms of powers of
+# A with probe vectors drawn from numpy's global random generator.  Steps
+# with ||t (H - mu)||_1 <= STEP_NORM stay on the exact side.
+STEP_NORM = 60.0
 
 
 @dataclass
 class PropagatorPlan:
-    """Factorized propagator; immutable after construction, safe to share."""
+    """The Hamiltonian and the norm-defect tolerance its propagation checks.
+
+    ``method`` is always "krylov" (the result is a polynomial in H applied to
+    the vector) and ``blocks`` is always empty: nothing is factorized.
+    """
 
     method: str
     basis: object
     H: SparseOperator
-    krylov_dim: int = DEFAULT_KRYLOV_DIM
     tol: float = DEFAULT_KRYLOV_TOL
-    blocks: list = field(default_factory=list)  # (slice, eigvals, eigvecs)
+    blocks: list = field(default_factory=list)
+    shifted_norm: float = 0.0  # ||H - tr(H)/dim||_1
 
 
-def make_plan(H: SparseOperator, method="auto", krylov_dim=DEFAULT_KRYLOV_DIM,
-              tol=DEFAULT_KRYLOV_TOL):
-    """Choose and prepare a propagation backend for the Hamiltonian."""
+def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
+    """Check the Hamiltonian and the tolerance for propagation with H."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
     if tol > DEFAULT_KRYLOV_TOL:
-        raise ValueError(f"krylov residual tolerance must be <= {DEFAULT_KRYLOV_TOL}")
+        raise ValueError(f"krylov tolerance must be <= {DEFAULT_KRYLOV_TOL}")
     dim = H.basis.dim
-    if method == "auto":
-        method = "dense_eig" if dim <= DENSE_DIM_CAP else "krylov"
-    if method == "dense_eig" and dim > DENSE_DIM_CAP:
-        raise ValueError(f"dense_eig only allowed up to dimension {DENSE_DIM_CAP}")
-    if method not in ("dense_eig", "krylov"):
-        raise ValueError(f"unknown propagation method {method!r}")
-    plan = PropagatorPlan(method=method, basis=H.basis, H=H,
-                          krylov_dim=krylov_dim, tol=tol)
-    if method == "dense_eig":
-        kind, cap = H.basis.sector
-        sectors = range(cap, cap + 1) if kind == "fixed" else range(cap + 1)
-        for nsec in sectors:
-            sl = H.basis.sector_slice(nsec)
-            block = H.matrix[sl, sl].toarray()
-            vals, vecs = np.linalg.eigh(block)
-            plan.blocks.append((sl, vals, vecs))
-    return plan
+    shift = H.matrix.diagonal().sum() / dim
+    shifted_norm = sparse_norm(H.matrix - shift * sp.identity(dim), 1)
+    return PropagatorPlan(method="krylov", basis=H.basis, H=H, tol=tol,
+                          shifted_norm=float(shifted_norm))
 
 
 def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
-    """U(t) v; unitary and number-conserving."""
+    """U(t) v; unitary and number-conserving.
+
+    Raises KrylovError when the result is not finite or its norm differs
+    from ||v|| by more than plan.tol * ||v||.
+    """
     if v.basis != plan.basis:
         raise SectorError("vector does not live on the plan's basis")
     if t == 0:
         return v.copy()
-    if plan.method == "dense_eig":
-        out = np.empty_like(v.coeffs)
-        for sl, vals, vecs in plan.blocks:
-            out[sl] = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ v.coeffs[sl]))
-        return FockVector(plan.basis, out)
-    return _krylov_expm(plan, v, t)
-
-
-def _lanczos_step(Hm, v0, t, m_max, tol):
-    """One Lanczos exponential application; returns (vector, converged)."""
-    dim = v0.shape[0]
-    beta0 = np.linalg.norm(v0)
-    if beta0 == 0.0:
-        return v0.copy(), True
-    m_max = min(m_max, dim)
-    V = np.zeros((dim, m_max), dtype=complex)
-    alphas = np.zeros(m_max)
-    betas = np.zeros(m_max)  # betas[j] couples V[:, j-1] and V[:, j]
-    V[:, 0] = v0 / beta0
-    result = None
-    j_used = 0
-    for j in range(m_max):
-        w = Hm @ V[:, j]
-        a = float(np.vdot(V[:, j], w).real)
-        alphas[j] = a
-        w = w - a * V[:, j]
-        if j > 0:
-            w = w - betas[j] * V[:, j - 1]
-        # full reorthogonalization: cheap at these dimensions, removes drift
-        w = w - V[:, : j + 1] @ (V[:, : j + 1].conj().T @ w)
-        b = np.linalg.norm(w)
-        j_used = j + 1
-        T_vals, T_vecs = sla.eigh_tridiagonal(alphas[: j + 1], betas[1 : j + 1])
-        small = T_vecs @ (np.exp(-1j * t * T_vals) * T_vecs[0, :].conj())
-        if b < 1e-14:  # happy breakdown: the Krylov space is invariant
-            result = beta0 * (V[:, : j + 1] @ small)
-            return result, True
-        err = abs(b * small[j]) * abs(t)
-        if err < tol:
-            result = beta0 * (V[:, : j + 1] @ small)
-            return result, True
-        if j + 1 < m_max:
-            betas[j + 1] = b
-            V[:, j + 1] = w / b
-    result = beta0 * (V[:, :j_used] @ small)
-    return result, False
-
-
-def _krylov_expm(plan, v, t, max_substeps=1024):
-    coeffs = v.coeffs
-    n_sub = 1
-    while n_sub <= max_substeps:
-        dt = t / n_sub
-        out = coeffs
-        ok = True
-        for _ in range(n_sub):
-            out, converged = _lanczos_step(plan.H.matrix, out, dt,
-                                           plan.krylov_dim, plan.tol / n_sub)
-            if not converged:
-                ok = False
-                break
-        if ok:
-            return FockVector(plan.basis, out)
-        n_sub *= 2
-    raise KrylovError(
-        f"no convergence with krylov_dim={plan.krylov_dim} and "
-        f"{max_substeps} substeps over t={t}"
-    )
+    steps = max(1, ceil(abs(t) * plan.shifted_norm / STEP_NORM))
+    step = -1j * (t / steps) * plan.H.matrix
+    out = v.coeffs
+    for _ in range(steps):
+        out = expm_multiply(step, out)
+    norm_in = np.linalg.norm(v.coeffs)
+    defect = abs(np.linalg.norm(out) - norm_in)
+    if not defect <= plan.tol * norm_in:  # also catches inf and nan entries
+        raise KrylovError(
+            f"propagation to t={t} broke unitarity: norm defect {defect:.3e} "
+            f"exceeds {plan.tol} * {norm_in:.3e}"
+        )
+    return FockVector(plan.basis, out)
 
 
 def number_moment(v: FockVector, delta):
@@ -167,7 +114,7 @@ def fluctuation_apply(ms, n, trajectory, v: FockVector, t, plan=None):
     Returns (vector, combined_truncation_loss).  The basis must be truncated
     with headroom for displacement size sqrt(n) and the trajectory must cover
     [0, t].  A prebuilt plan for the 1/n-scaled Hamiltonian on this basis can
-    be passed to amortize the factorization over many times.
+    be passed to reuse one Hamiltonian build over many times.
     """
     basis = v.basis
     if basis.sector[0] != "truncated":

@@ -29,7 +29,7 @@ class IntegrationError(FocklabError):
 
 
 class KrylovError(FocklabError):
-    """Krylov propagation did not converge within configured limits."""
+    """Propagation broke unitarity beyond the configured norm tolerance."""
 
 
 class ExactRegimeError(FocklabError):

@@ -27,16 +27,17 @@ from .combinatorics import admissible_m
 from .dynamics import DEFAULT_KRYLOV_TOL, evolve_fock, make_plan
 from .errors import ConfigError, ExactRegimeError
 from .fock import build_hamiltonian, enumerate_basis, fixed, truncated, weyl_headroom
+from .hartree import DEFAULT_TOL as DEFAULT_HARTREE_TOL
 from .hartree import evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, projector, reduced_dm
 from .states import (
     SuperpositionSpec,
+    _combine_components,
     coherent_state,
     component_states,
     product_state,
     random_excitation,
-    superposition,
     theta_state,
 )
 
@@ -162,8 +163,8 @@ class ExperimentConfig:
     components: list = field(default_factory=list)
     n_list: list = field(default_factory=list)
     t_list: list = field(default_factory=list)
-    hartree_tol: float = 1e-10
-    krylov_tol: float = 1e-10
+    hartree_tol: float = DEFAULT_HARTREE_TOL
+    krylov_tol: float = DEFAULT_KRYLOV_TOL
     seed: int = 0
     out_dir: str = "."
     out_format: str = "csv"
@@ -253,7 +254,7 @@ class ExperimentConfig:
 
         tol = doc.get("tolerances", {})
         _require_keys(tol, ("hartree_tol", "krylov_tol"), (), "tolerances")
-        cfg.hartree_tol = float(tol.get("hartree_tol", 1e-10))
+        cfg.hartree_tol = float(tol.get("hartree_tol", DEFAULT_HARTREE_TOL))
         cfg.krylov_tol = float(tol.get("krylov_tol", DEFAULT_KRYLOV_TOL))
         if not 0 < cfg.hartree_tol < inf:
             raise ConfigError("tolerances.hartree_tol must be finite and > 0")
@@ -471,12 +472,19 @@ def fit_rate(report, t, zero_floor=0.0):
 
 
 def _hartree_targets(config, phis):
-    """Mean-field states at every requested time, one trajectory per phi."""
+    """Mean-field states at every requested time, one trajectory per phi.
+
+    Each state is renormalized: the integrator's norm drift is allowed up to
+    hartree.NORM_DRIFT_TOL, far above the unit-trace check of the targets.
+    """
     grid = sorted(set([0.0] + list(config.t_list)))
     table = []
     for phi in phis:
         traj = evolve_hartree(config.ms, phi, np.array(grid), tol=config.hartree_tol)
-        lookup = {t: traj.states[grid.index(t)] for t in config.t_list}
+        lookup = {}
+        for t in config.t_list:
+            phi_t = traj.states[grid.index(t)]
+            lookup[t] = phi_t / np.linalg.norm(phi_t)
         table.append(lookup)
     return table
 
@@ -598,12 +606,12 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
         basis = _family_basis(config, n)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
-        state, coeffs_n = superposition(spec, n, basis)
+        members = component_states(spec, n, basis)
+        state, coeffs_n = _combine_components(spec, n, basis, members)
         m_col = max(spec.m_schedule) if config.super_kind == "theta" else 0
         # cross terms are logged as the numerically measured overlaps, so the
         # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
         # against them downstream
-        members = component_states(spec, n, basis)
         cross = 0.0
         k = len(comps)
         for i in range(k):

@@ -351,14 +351,19 @@ def superposition(spec, n, basis):
     components, so the returned state has unit norm; for the coherent family
     the closed-form Gram is used and cross-checked numerically.
     """
-    k = len(spec.phis)
     if spec.kind == "theta":
         for m in spec.m_schedule:
             if m > admissible_m(n):
                 raise ValueError(
                     f"excitation size {m} exceeds admissible bound {admissible_m(n)} at n={n}"
                 )
-    comps = component_states(spec, n, basis)
+    return _combine_components(spec, n, basis, component_states(spec, n, basis))
+
+
+def _combine_components(spec, n, basis, comps):
+    """The normalized superposition of prebuilt members ``comps`` (as given by
+    ``component_states(spec, n, basis)``); returns (state, coeffs_n)."""
+    k = len(spec.phis)
     G = np.eye(k, dtype=complex)
     for i in range(k):
         for j in range(i + 1, k):

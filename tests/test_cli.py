@@ -140,6 +140,27 @@ def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, valu
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+def test_default_hartree_tol_lattice_product_sweep_exits_0(tmp_path):
+    # the Hartree norm drift under the default tolerance used to trip the
+    # unit-trace check of the projector targets
+    doc = {
+        "mode_system": dict(_LATTICE, sites=3, hopping=1.0,
+                            potential={"kind": "contact", "g": 0.8993472865926964}),
+        "state": {"family": "product", "phi": [
+            [-0.24480093118271942, -0.09977235571864265],
+            [0.9402000481739062, -0.07958666342619151],
+            [0.06388342326581244, -0.1890151363693862],
+        ]},
+        "n_list": [2, 4, 6],
+        "t_list": [0.5, 1.0, 2.0],
+        "seed": 1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 10
+
+
 def test_invalid_json_exit_code(tmp_path):
     bad = tmp_path / "nonjson.json"
     bad.write_text("{not json")

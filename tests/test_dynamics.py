@@ -1,4 +1,4 @@
-"""Exact propagation, Krylov backend, fluctuation-frame propagator."""
+"""Exact propagation, its norm contract, fluctuation-frame propagator."""
 
 from math import sqrt
 
@@ -87,39 +87,73 @@ def test_energy_conserved_under_evolution(rng):
         assert abs(et - e0) < 1e-8
 
 
-def test_dense_and_krylov_agree(rng):
+@pytest.mark.parametrize("sector", [fl.fixed(6), fl.truncated(12)],
+                         ids=["fixed", "truncated"])
+def test_evolution_matches_dense_expm_oracle(rng, sector):
     ms = _contact_ms(2, g=0.8)
-    b = fl.enumerate_basis(2, fl.truncated(40))
+    b = fl.enumerate_basis(2, sector)
     H = fl.build_hamiltonian(ms, 4, b)
-    dense = fl.make_plan(H, method="dense_eig")
-    krylov = fl.make_plan(H, method="krylov")
+    plan = fl.make_plan(H)
+    assert plan.method == "krylov" and plan.blocks == []
     v = random_fock(b, rng)
     for t in (0.5, 1.9):
-        a = fl.evolve_fock(dense, v, t)
-        k = fl.evolve_fock(krylov, v, t)
-        assert (a - k).norm() < 1e-8
+        want = sla.expm(-1j * t * H.matrix.toarray()) @ v.coeffs
+        got = fl.evolve_fock(plan, v, t)
+        assert np.linalg.norm(got.coeffs - want) < 1e-12
 
 
-def test_krylov_nonconvergence_raises(rng):
+def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
+    # ||t (H - tr H / dim)||_1 is about 1500 here, where expm_multiply on the
+    # whole time would estimate norms with numpy's global generator; the
+    # stepped propagation must be exact and draw nothing from it
+    ms = _contact_ms(2, g=2.0)
+    b = fl.enumerate_basis(2, fl.truncated(30))
+    H = fl.build_hamiltonian(ms, 2, b)
+    plan = fl.make_plan(H)
+    dense = H.matrix.toarray()
+    shifted = dense - np.trace(dense) / b.dim * np.eye(b.dim)
+    assert plan.shifted_norm == pytest.approx(np.abs(shifted).sum(axis=0).max())
+    v = random_fock(b, rng)
+    t = 5.0
+    want = np.zeros(b.dim, dtype=complex)
+    for nsec in range(31):
+        sl = b.sector_slice(nsec)
+        vals, vecs = np.linalg.eigh(dense[sl, sl])
+        want[sl] = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ v.coeffs[sl]))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("propagation drew from numpy's global generator")
+
+    monkeypatch.setattr(np.random, "randint", no_draws)
+    got = fl.evolve_fock(plan, v, t)
+    assert np.linalg.norm(got.coeffs - want) < 1e-11
+
+
+def test_norm_defect_beyond_tol_raises(rng):
     ms = _contact_ms(2, g=2.0)
     b = fl.enumerate_basis(2, fl.truncated(20))
-    H = fl.build_hamiltonian(ms, 2, b)
-    plan = fl.make_plan(H, method="krylov", krylov_dim=2)
+    plan = fl.make_plan(fl.build_hamiltonian(ms, 2, b), tol=1e-300)
     v = random_fock(b, rng)
-    from focklab.dynamics import _krylov_expm
-
     with pytest.raises(fl.KrylovError):
-        _krylov_expm(plan, v, 50.0, max_substeps=2)
+        fl.evolve_fock(plan, v, 5.0)
 
 
-def test_dense_cap_enforced(rng):
-    ms = _contact_ms(2)
-    b = fl.enumerate_basis(2, fl.truncated(100))  # dim 5151 > 4000
-    H = fl.build_hamiltonian(ms, 4, b)
+def test_plan_rejects_loose_tol():
+    b = fl.enumerate_basis(2, fl.fixed(2))
+    H = fl.build_hamiltonian(_contact_ms(2), 2, b)
     with pytest.raises(ValueError):
-        fl.make_plan(H, method="dense_eig")
-    plan = fl.make_plan(H, method="auto")
-    assert plan.method == "krylov"
+        fl.make_plan(H, tol=1e-6)
+
+
+def test_large_basis_unitary_and_sector_conserving(rng):
+    ms = _contact_ms(2)
+    b = fl.enumerate_basis(2, fl.truncated(100))
+    assert b.dim == 5151  # above the size any dense factorization would take
+    plan = fl.make_plan(fl.build_hamiltonian(ms, 4, b))
+    v = random_fock(b, rng)
+    out = fl.evolve_fock(plan, v, 1.7)
+    assert abs(out.norm() - v.norm()) < 1e-10
+    assert np.max(np.abs(out.sector_norms() - v.sector_norms())) < 1e-10
 
 
 def test_plan_rejects_non_hermitian(rng):

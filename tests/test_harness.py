@@ -250,6 +250,27 @@ def test_json_report_embeds_config_hash(tmp_path):
     assert all(row["config_hash"] == cfg.config_hash for row in doc["rows"])
 
 
+def _distances(rep):
+    return {(r.n, r.t): (r.trace_dist, r.hs_dist, r.op_dist) for r in rep.rows}
+
+
+@pytest.mark.parametrize("family", ["theta", "superposition-coherent"])
+def test_results_ignore_threads_and_time_order(family):
+    times = [0.25, 0.5, 1.0]
+    if family == "theta":
+        doc, sweep = _theta_doc(t_list=times), fl.run_convergence_sweep
+    else:
+        doc, sweep = _superposition_doc(kind="coherent", n_list=(2, 3)), \
+            fl.run_superposition_sweep
+        doc["t_list"] = times
+    ref = _distances(sweep(fl.ExperimentConfig.from_dict(doc)))
+    assert len(ref) == 3 * len(doc["n_list"])
+    threaded = sweep(fl.ExperimentConfig.from_dict(doc), threads=2)
+    assert _distances(threaded) == ref
+    doc["t_list"] = times[::-1]
+    assert _distances(sweep(fl.ExperimentConfig.from_dict(doc))) == ref
+
+
 def test_free_potential_control_is_exact():
     doc = _theta_doc(v=[[0, 0], [0, 0]])
     doc["state"] = {"family": "product", "phi": [[0.8, 0], [0.36, 0.48]]}
