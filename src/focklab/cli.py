@@ -30,13 +30,10 @@ EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 
 
-def _add_common(p, need_config=True):
-    p.add_argument("--config", required=need_config, help="experiment config JSON")
+def _add_common(p):
+    p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="override output format")
 
 
 def build_parser():
@@ -51,13 +48,14 @@ def build_parser():
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
 
-    p = sub.add_parser("converge", help="single-family convergence sweep")
-    _add_common(p)
-
-    p = sub.add_parser("superpose", help="superposition (mixture) sweep")
-    _add_common(p)
+    for name, help_ in (("converge", "single-family convergence sweep"),
+                        ("superpose", "superposition (mixture) sweep")):
+        p = sub.add_parser(name, help=help_)
+        _add_common(p)
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="override output format")
 
     p = sub.add_parser("hartree", help="export a mean-field trajectory as CSV")
     _add_common(p)

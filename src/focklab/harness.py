@@ -1,10 +1,11 @@
 """Experiment driver: convergence sweeps in the particle number n, rate
 fitting, and result persistence.
 
-A sweep builds the requested initial-state family at each n, evolves it with
-the exact 1/n-scaled many-body propagator, evolves the mean-field equation
-once, and records the distance between the evolved one-particle reduced
-density matrix and its mean-field target, per (n, t).
+Both sweeps run one cell pipeline, ``_sweep``: at each n it builds the
+basis, the propagator plan and the initial state, evolves the state with the
+exact 1/n-scaled many-body propagator to every t, and records the distances
+between the one-particle reduced density matrix and its mean-field target, a
+projector for one state and a mixture of projectors for a superposition.
 
 The CSV schema is bit-exact: header
 ``n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s``,
@@ -19,6 +20,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
@@ -158,7 +160,6 @@ class ExperimentConfig:
     family: str
     phi: np.ndarray = None
     m_schedule: MSchedule = None
-    excitation_seed: int = 0
     super_kind: str = None
     components: list = field(default_factory=list)
     n_list: list = field(default_factory=list)
@@ -234,8 +235,9 @@ class ExperimentConfig:
             if abs(np.linalg.norm(cfg.phi) - 1.0) > 1e-8:
                 raise ConfigError("state.phi must be normalized")
             if family == "theta":
+                # excitation_seed is accepted and hashed, but the draw is
+                # keyed by (seed, m) alone
                 cfg.m_schedule = _parse_m(st.get("m", 1), "state.m", a_cap=1.0)
-                cfg.excitation_seed = int(st.get("excitation_seed", 0))
             elif "m" in st or "excitation_seed" in st:
                 raise ConfigError(f"family {family!r} takes no excitation data")
 
@@ -272,21 +274,15 @@ class ExperimentConfig:
         if cfg.out_format not in ("csv", "json"):
             raise ConfigError("output.format must be csv or json")
 
-        # validate m against the admissibility cap at every n
-        if family == "theta":
-            for n in cfg.n_list:
-                if cfg.m_schedule.value(n) > admissible_m(n):
-                    raise ConfigError(
-                        f"m={cfg.m_schedule.value(n)} exceeds admissible bound "
-                        f"{admissible_m(n)} at n={n}"
-                    )
-        if family == "superposition" and cfg.super_kind == "theta":
-            for comp in cfg.components:
-                for n in cfg.n_list:
-                    if comp.m_schedule.value(n) > admissible_m(n):
-                        raise ConfigError(
-                            f"component m exceeds admissible bound at n={n}"
-                        )
+        # log schedules clamp and admissible_m is nondecreasing, so an m
+        # admissible at the smallest n is admissible at every n
+        n = cfg.n_list[0]
+        for sched in [cfg.m_schedule] + [c.m_schedule for c in cfg.components]:
+            if sched is not None and sched.value(n) > admissible_m(n):
+                raise ConfigError(
+                    f"m={sched.value(n)} exceeds admissible bound "
+                    f"{admissible_m(n)} at n={n}"
+                )
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}
@@ -497,63 +493,58 @@ def _family_basis(config, n):
     return enumerate_basis(config.ms.d, fixed(n))
 
 
-def _excitation_for(config, m):
+def _excitation(config, phi, m, *key):
+    """Seeded random m-particle excitation orthogonal to ``phi``, drawn from
+    ``(config.seed, *key, m)``; None for m = 0."""
     if m == 0:
         return None
     basis = enumerate_basis(config.ms.d, fixed(m))
-    return random_excitation(config.phi, m, basis, seed=(config.seed, m))
+    return random_excitation(phi, m, basis, seed=(config.seed, *key, m))
 
 
 def _theta_envelope(trace_dist, n, m):
     return trace_dist * sqrt(n) * exp(-m / 2.0) / float((m + 1) ** 7)
 
 
-def run_convergence_sweep(config: ExperimentConfig, threads=1):
-    """Single-family sweep: distance of the evolved reduced density matrix to
-    the mean-field projector, per (n, t), plus the rate-envelope column."""
-    if config.family not in ("product", "coherent", "theta"):
-        raise ConfigError(
-            f"convergence sweep takes a single-state family, got {config.family!r}"
-        )
-    targets = _hartree_targets(config, [config.phi])[0]
+def _sweep(config, threads, family, phis, target, prepare):
+    """The cell pipeline both sweeps share.
+
+    At each n: the basis, the propagator plan, and ``prepare(n, basis)``,
+    which returns ``(state, m, score)``.  At each t: the evolved state, its
+    reduced density matrix rho, and the three distances from rho to
+    ``target(phi_ts)``, where ``phi_ts`` are the mean-field states of
+    ``phis`` at t.  ``score(rho, phi_ts, trace_dist)`` gives the sweep's own
+    row columns.
+    """
+    targets = _hartree_targets(config, phis)
 
     def cell(n):
-        t_start = time.perf_counter()
-        m = config.m_schedule.value(n) if config.family == "theta" else 0
         basis = _family_basis(config, n)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
-        if config.family == "product":
-            state = product_state(config.phi, n, basis)
-        elif config.family == "coherent":
-            state = coherent_state(config.phi, n, basis)
-        else:
-            state = theta_state(config.phi, _excitation_for(config, m), n,
-                                "creation_polynomial", basis)
+        state, m, score = prepare(n, basis)
         out = []
         for t in config.t_list:
             cell_start = time.perf_counter()
-            evolved = evolve_fock(plan, state, t)
-            rho = reduced_dm(evolved)
-            target = projector(targets[t])
-            td = distance(rho, target, "trace")
-            hd = distance(rho, target, "hilbert_schmidt")
-            od = distance(rho, target, "operator")
+            rho = reduced_dm(evolve_fock(plan, state, t))
+            phi_ts = [lookup[t] for lookup in targets]
+            rho_target = target(phi_ts)
+            td, hd, od = (distance(rho, rho_target, kind)
+                          for kind in ("trace", "hilbert_schmidt", "operator"))
+            columns = score(rho, phi_ts, td)
             out.append(SweepRow(
                 n=n, m=m, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
-                cross_term=None, bound_envelope=_theta_envelope(td, n, m),
-                runtime_s=time.perf_counter() - cell_start,
+                runtime_s=time.perf_counter() - cell_start, **columns,
             ))
         return out
 
     sweep_start = time.perf_counter()
     rows = _run_cells(cell, config.n_list, threads)
-    report = ConvergenceReport(
-        config_hash=config.config_hash, family=config.family, seed=config.seed,
+    return ConvergenceReport(
+        config_hash=config.config_hash, family=family, seed=config.seed,
         rows=rows, reproducible=(threads == 1),
         metadata=_metadata(config, threads, time.perf_counter() - sweep_start),
     )
-    return report.attach_fits()
 
 
 def _metadata(config, threads, total_runtime_s):
@@ -571,82 +562,66 @@ def _metadata(config, threads, total_runtime_s):
     }
 
 
+def run_convergence_sweep(config: ExperimentConfig, threads=1):
+    """Single-family sweep: distance of the evolved reduced density matrix to
+    the mean-field projector, per (n, t), plus the rate-envelope column."""
+    if config.family not in ("product", "coherent", "theta"):
+        raise ConfigError(
+            f"convergence sweep takes a single-state family, got {config.family!r}"
+        )
+
+    def prepare(n, basis):
+        m = config.m_schedule.value(n) if config.family == "theta" else 0
+        if config.family == "product":
+            state = product_state(config.phi, n, basis)
+        elif config.family == "coherent":
+            state = coherent_state(config.phi, n, basis)
+        else:
+            state = theta_state(config.phi, _excitation(config, config.phi, m), n,
+                                "creation_polynomial", basis)
+        return state, m, lambda rho, phi_ts, td: {
+            "bound_envelope": _theta_envelope(td, n, m)
+        }
+
+    report = _sweep(config, threads, config.family, [config.phi],
+                    lambda phi_ts: projector(phi_ts[0]), prepare)
+    return report.attach_fits()
+
+
 def run_superposition_sweep(config: ExperimentConfig, threads=1):
     """Mixture sweep: distance of the evolved reduced density matrix to the
     weighted mixture of mean-field projectors, with cross-term logging."""
     if config.family != "superposition":
         raise ConfigError("superposition sweep needs family=superposition")
     comps = config.components
+    phis = [c.phi for c in comps]
     coeffs = np.array([c.coeff for c in comps], dtype=complex)
     weights = np.abs(coeffs) ** 2 / float(np.sum(np.abs(coeffs) ** 2))
-    targets = _hartree_targets(config, [c.phi for c in comps])
+    theta = config.super_kind == "theta"
 
-    def spec_for(n):
-        if config.super_kind != "theta":
-            return SuperpositionSpec(
-                kind=config.super_kind, coeffs=coeffs, phis=[c.phi for c in comps]
-            )
-        excs = []
-        for c in comps:
-            m = c.m_schedule.value(n)
-            if m == 0:
-                excs.append(None)
-            else:
-                basis = enumerate_basis(config.ms.d, fixed(m))
-                excs.append(random_excitation(
-                    c.phi, m, basis, seed=(config.seed, c.excitation_seed, m)
-                ))
-        return SuperpositionSpec(
-            kind="theta", coeffs=coeffs, phis=[c.phi for c in comps],
-            excitations=excs,
-        )
-
-    def cell(n):
-        spec = spec_for(n)
-        basis = _family_basis(config, n)
-        plan = make_plan(build_hamiltonian(config.ms, n, basis),
-                         tol=config.krylov_tol)
+    def prepare(n, basis):
+        excs = [_excitation(config, c.phi, c.m_schedule.value(n), c.excitation_seed)
+                for c in comps] if theta else []
+        spec = SuperpositionSpec(kind=config.super_kind, coeffs=coeffs, phis=phis,
+                                 excitations=excs)
         members = component_states(spec, n, basis)
         state, coeffs_n = _combine_components(spec, n, basis, members)
-        m_col = max(spec.m_schedule) if config.super_kind == "theta" else 0
         # cross terms are logged as the numerically measured overlaps, so the
         # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
         # against them downstream
-        cross = 0.0
-        k = len(comps)
-        for i in range(k):
-            for j in range(i + 1, k):
-                cross = max(cross, abs(members[i].inner(members[j])))
-        out = []
-        for t in config.t_list:
-            cell_start = time.perf_counter()
-            evolved = evolve_fock(plan, state, t)
-            rho = reduced_dm(evolved)
-            phi_ts = [targets[i][t] for i in range(k)]
-            target = mixed_target(weights, phi_ts)
-            td = distance(rho, target, "trace")
-            hd = distance(rho, target, "hilbert_schmidt")
-            od = distance(rho, target, "operator")
-            fitted = _fit_mixture_weights(rho.rho, phi_ts)
-            out.append(SweepRow(
-                n=n, m=m_col, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
-                cross_term=cross, bound_envelope=None,
-                runtime_s=time.perf_counter() - cell_start,
-                extras={
-                    "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
-                    "fitted_weights": fitted,
-                    "target_weights": [float(w) for w in weights],
-                },
-            ))
-        return out
+        cross = max(abs(a.inner(b)) for a, b in combinations(members, 2))
 
-    sweep_start = time.perf_counter()
-    rows = _run_cells(cell, config.n_list, threads)
-    return ConvergenceReport(
-        config_hash=config.config_hash, family="superposition:" + config.super_kind,
-        seed=config.seed, rows=rows, reproducible=(threads == 1),
-        metadata=_metadata(config, threads, time.perf_counter() - sweep_start),
-    )
+        def score(rho, phi_ts, td):
+            return {"cross_term": cross, "extras": {
+                "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
+                "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
+                "target_weights": [float(w) for w in weights],
+            }}
+
+        return state, max(spec.m_schedule) if theta else 0, score
+
+    return _sweep(config, threads, "superposition:" + config.super_kind, phis,
+                  lambda phi_ts: mixed_target(weights, phi_ts), prepare)
 
 
 def _fit_mixture_weights(rho, phi_ts):

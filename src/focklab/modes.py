@@ -32,12 +32,12 @@ class ModeSystem:
             raise ValueError("mode count must be >= 1")
         if h.shape != (self.d, self.d) or v.shape != (self.d, self.d):
             raise ValueError(f"h and v must be {self.d}x{self.d}")
+        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
+            raise ValueError("h and v must have finite entries")
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
             raise ValueError("h is not Hermitian to 1e-12")
         if not np.array_equal(v, v.T):
             raise ValueError("v must be exactly symmetric")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("v has non-finite entries")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
 

@@ -126,8 +126,11 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["state", "phi"], [[1, 0]]),
     (["state", "phi"], [[float("nan"), 0], [1, 0]]),
     (["mode_system", "h"], [[0, -1], [1, 0]]),
+    (["mode_system"], dict(_LATTICE, sites=2, hopping=float("nan"))),
+    (["mode_system"], dict(_LATTICE, sites=2, hopping=float("inf"))),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
-        "negative-m", "phi-length", "phi-nan", "non-hermitian-h"])
+        "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
+        "inf-hopping"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -138,6 +141,18 @@ def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, valu
     assert main(["converge", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["hartree", "--config", "CFG", "--format", "json"],
+    ["hartree", "--config", "CFG", "--threads", "2"],
+    ["check", "--format", "json"],
+], ids=["hartree-format", "hartree-threads", "check-format"])
+def test_flags_without_effect_are_rejected(theta_config, argv):
+    path, doc, tmp = theta_config
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "CFG" else a for a in argv])
+    assert exc.value.code == 2
 
 
 def test_default_hartree_tol_lattice_product_sweep_exits_0(tmp_path):

@@ -81,9 +81,12 @@ def test_n_list_must_increase():
 
 
 def test_theta_m_admissibility_checked():
-    doc = _theta_doc(n_list=(4, 6), m=3)  # admissible_m(4) = 1
-    with pytest.raises(fl.ConfigError):
-        fl.ExperimentConfig.from_dict(doc)
+    component = _superposition_doc(kind="theta", n_list=(4, 6))
+    for comp, m in zip(component["state"]["components"], (0, 3)):
+        comp["m"] = m
+    for doc in (_theta_doc(n_list=(4, 6), m=3), component):  # admissible_m(4) = 1
+        with pytest.raises(fl.ConfigError):
+            fl.ExperimentConfig.from_dict(doc)
 
 
 def test_log_schedule_exponent_caps():
@@ -269,6 +272,32 @@ def test_results_ignore_threads_and_time_order(family):
     assert _distances(threaded) == ref
     doc["t_list"] = times[::-1]
     assert _distances(sweep(fl.ExperimentConfig.from_dict(doc))) == ref
+
+
+def test_single_family_excitation_ignores_excitation_seed():
+    # the key is hashed, but the draw is keyed by (seed, m) alone
+    a, b = _theta_doc(), _theta_doc()
+    b["state"]["excitation_seed"] = 12345
+    cfg_a, cfg_b = (fl.ExperimentConfig.from_dict(doc) for doc in (a, b))
+    assert cfg_a.config_hash != cfg_b.config_hash
+    assert _distances(fl.run_convergence_sweep(cfg_a)) == \
+        _distances(fl.run_convergence_sweep(cfg_b))
+
+
+def test_each_sweep_fills_only_its_own_columns():
+    single = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(_theta_doc()))
+    for row in single.to_json()["rows"]:
+        assert row["extras"] == {} and row["cross_term"] is None
+        assert row["bound_envelope"] is not None
+    assert set(single.fits) == {0.5}
+    mixture = fl.run_superposition_sweep(
+        fl.ExperimentConfig.from_dict(_superposition_doc()))
+    doc = mixture.to_json()
+    assert doc["fits"] == {} and mixture.fits == {}
+    for row in doc["rows"]:
+        assert row["bound_envelope"] is None and row["cross_term"] is not None
+        assert set(row["extras"]) == {"coeff_weights", "fitted_weights",
+                                      "target_weights"}
 
 
 def test_free_potential_control_is_exact():
