@@ -1,14 +1,21 @@
 """Exact propagation U(t) = exp(-i t H) on truncated Fock bases.
 
-Every vector is propagated by scipy's ``expm_multiply``, the truncated
-Taylor method of Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011).  It
-applies the exponential to the vector through sparse products with H and
-never forms or factorizes a matrix, so one code path serves every dimension.
-Long times are split into equal steps small enough that scipy chooses its
-Taylor degree from the exact 1-norm of H alone (see ``STEP_NORM``), which
-makes every result a function of (H, v, t) only.  The result is unitary and
-number-conserving up to rounding; ``evolve_fock`` checks the norm of each
-output against the plan's tolerance.
+H commutes with the number operator N, so it commutes with the diagonal D
+that gives each state the mean of H's diagonal over its number sector, and
+
+    exp(-i t H) = exp(-i t D) exp(-i t (H - D))
+
+exactly.  The first factor is a phase per state.  The second is applied by
+scipy's ``expm_multiply``, the truncated Taylor method of Al-Mohy & Higham,
+SIAM J. Sci. Comput. 33 (2011), through sparse products with H - D; it never
+forms or factorizes a matrix, so one code path serves every dimension.  Its
+cost grows with |t| ||H - D||_1, and on truncated bases removing the sector
+means takes out most of the interaction diagonal of the high sectors, which
+sets that norm.  Long times are split into equal steps small enough that
+scipy chooses its Taylor degree from the exact 1-norm alone (see
+``STEP_NORM``), which makes every result a function of (H, v, t) only.  The
+result is unitary and number-conserving up to rounding; ``evolve_fock``
+checks the norm of each output against the plan's tolerance.
 
 The mean-field frame propagator
 
@@ -42,16 +49,22 @@ DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
 # Higham, with scipy's ell = 2, p_max = 8), it picks its Taylor degree and
 # step count from that exact norm; above it, it estimates norms of powers of
 # A with probe vectors drawn from numpy's global random generator.  Steps
-# with ||t (H - mu)||_1 <= STEP_NORM stay on the exact side.
+# with t * plan.shifted_norm <= STEP_NORM stay on the exact side.
 STEP_NORM = 60.0
 
 
 @dataclass
 class PropagatorPlan:
-    """The Hamiltonian and the norm-defect tolerance its propagation checks.
+    """The Hamiltonian split as D + (H - D), and the norm-defect tolerance
+    its propagation checks.
 
-    ``method`` is always "krylov" (the result is a polynomial in H applied to
-    the vector) and ``blocks`` is always empty: nothing is factorized.
+    ``phase`` holds D, the mean of H's diagonal over each state's number
+    sector, and ``shifted`` the CSR matrix H - D.  ``shifted_norm`` is
+    ||(H - D) - tr(H - D)/dim||_1, the exact 1-norm that ``expm_multiply``
+    sees once it removes its own trace shift; on a fixed basis D is the
+    constant tr(H)/dim.  ``method`` is always "krylov" (the result is a
+    polynomial in H applied to the vector) and ``blocks`` is always empty:
+    nothing is factorized.
     """
 
     method: str
@@ -59,20 +72,30 @@ class PropagatorPlan:
     H: SparseOperator
     tol: float = DEFAULT_KRYLOV_TOL
     blocks: list = field(default_factory=list)
-    shifted_norm: float = 0.0  # ||H - tr(H)/dim||_1
+    shifted_norm: float = 0.0
+    phase: np.ndarray = None
+    shifted: sp.csr_matrix = None
 
 
 def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
-    """Check the Hamiltonian and the tolerance for propagation with H."""
+    """Check the Hamiltonian and the tolerance, and split off the sector
+    means of H's diagonal."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
     if tol > DEFAULT_KRYLOV_TOL:
         raise ValueError(f"krylov tolerance must be <= {DEFAULT_KRYLOV_TOL}")
     dim = H.basis.dim
-    shift = H.matrix.diagonal().sum() / dim
-    shifted_norm = sparse_norm(H.matrix - shift * sp.identity(dim), 1)
+    totals = H.basis.totals
+    diag = H.matrix.diagonal().real
+    # a fixed(n) basis leaves the sectors below n empty; they are never indexed
+    means = np.bincount(totals, weights=diag) / np.maximum(np.bincount(totals), 1)
+    phase = means[totals]
+    shifted = (H.matrix - sp.diags(phase)).tocsr()
+    shift = shifted.diagonal().sum() / dim
+    shifted_norm = sparse_norm(shifted - shift * sp.identity(dim), 1)
     return PropagatorPlan(method="krylov", basis=H.basis, H=H, tol=tol,
-                          shifted_norm=float(shifted_norm))
+                          shifted_norm=float(shifted_norm), phase=phase,
+                          shifted=shifted)
 
 
 def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
@@ -86,8 +109,8 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
     if t == 0:
         return v.copy()
     steps = max(1, ceil(abs(t) * plan.shifted_norm / STEP_NORM))
-    step = -1j * (t / steps) * plan.H.matrix
-    out = v.coeffs
+    step = -1j * (t / steps) * plan.shifted
+    out = np.exp(-1j * t * plan.phase) * v.coeffs
     for _ in range(steps):
         out = expm_multiply(step, out)
     norm_in = np.linalg.norm(v.coeffs)

@@ -3,7 +3,8 @@ fitting, and result persistence.
 
 Both sweeps run one cell pipeline, ``_sweep``: at each n it builds the
 basis, the propagator plan and the initial state, evolves the state with the
-exact 1/n-scaled many-body propagator to every t, and records the distances
+exact 1/n-scaled many-body propagator through the times in increasing order,
+each from the previous one, and records at each time the distances
 between the one-particle reduced density matrix and its mean-field target, a
 projector for one state and a mixture of projectors for a superposition.
 
@@ -35,6 +36,8 @@ from .modes import ModeSystem
 from .rdm import distance, mixed_target, projector, reduced_dm
 from .states import (
     SuperpositionSpec,
+    _check_components,
+    _check_unit,
     _combine_components,
     coherent_state,
     component_states,
@@ -70,6 +73,13 @@ def _parse_cvector(xs, where, d):
     if not isinstance(xs, list) or len(xs) != d:
         raise ConfigError(f"{where}: expected a list of {d} entries, one per mode")
     return np.array([_parse_complex(x, where) for x in xs], dtype=complex)
+
+
+def _parse_seed(x, where):
+    seed = int(x)
+    if seed < 0:
+        raise ConfigError(f"{where}: expected a seed >= 0, got {x!r}")
+    return seed
 
 
 def _require_keys(d, allowed, required, where):
@@ -133,6 +143,7 @@ def _parse_m(x, where, a_cap):
     if isinstance(x, dict):
         _require_keys(x, ("schedule", "a", "m"), ("schedule",), where)
         if x["schedule"] == "log":
+            _require_keys(x, ("schedule", "a"), ("schedule", "a"), where)
             a = float(x["a"])
             if not 0 <= a < a_cap:
                 raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
@@ -175,9 +186,11 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc, seed_override=None):
         """Parse and validate ``doc``; every malformed value is a ConfigError,
-        including conversion failures and failed ModeSystem checks."""
+        including conversion failures and failed ModeSystem checks.  Numpy
+        warnings on extreme values are silenced: such values fail a check."""
         try:
-            return ExperimentConfig._parse(doc, seed_override)
+            with np.errstate(all="ignore"):
+                return ExperimentConfig._parse(doc, seed_override)
         except (TypeError, ValueError, OverflowError) as e:
             raise ConfigError(str(e)) from e
 
@@ -218,9 +231,11 @@ class ExperimentConfig:
                     ("phi", "coeff"), f"state.components[{i}]",
                 )
                 cs = ComponentSpec(
-                    phi=_parse_cvector(comp["phi"], "component phi", ms.d),
+                    phi=_check_unit(_parse_cvector(comp["phi"], "component phi", ms.d),
+                                    f"state.components[{i}].phi"),
                     coeff=_parse_complex(comp["coeff"], "component coeff"),
-                    excitation_seed=int(comp.get("excitation_seed", i)),
+                    excitation_seed=_parse_seed(comp.get("excitation_seed", i),
+                                                f"state.components[{i}].excitation_seed"),
                 )
                 if st["kind"] == "theta":
                     cs.m_schedule = _parse_m(
@@ -231,9 +246,8 @@ class ExperimentConfig:
             _require_keys(
                 st, ("family", "phi", "m", "excitation_seed"), ("phi",), "state"
             )
-            cfg.phi = _parse_cvector(st["phi"], "state.phi", ms.d)
-            if abs(np.linalg.norm(cfg.phi) - 1.0) > 1e-8:
-                raise ConfigError("state.phi must be normalized")
+            cfg.phi = _check_unit(_parse_cvector(st["phi"], "state.phi", ms.d),
+                                  "state.phi")
             if family == "theta":
                 # excitation_seed is accepted and hashed, but the draw is
                 # keyed by (seed, m) alone
@@ -264,9 +278,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"tolerances.krylov_tol must lie in (0, {DEFAULT_KRYLOV_TOL}]"
             )
-        cfg.seed = int(doc.get("seed", 0))
-        if seed_override is not None:
-            cfg.seed = int(seed_override)
+        cfg.seed = _parse_seed(doc.get("seed", 0) if seed_override is None
+                               else seed_override, "seed")
         out = doc.get("output", {})
         _require_keys(out, ("dir", "format"), (), "output")
         cfg.out_dir = str(out.get("dir", "."))
@@ -283,6 +296,19 @@ class ExperimentConfig:
                     f"m={sched.value(n)} exceeds admissible bound "
                     f"{admissible_m(n)} at n={n}"
                 )
+        if family == "theta" and ms.d < 2 and any(
+                cfg.m_schedule.value(n) > 0 for n in cfg.n_list):
+            raise ConfigError("an excitation (m > 0) needs at least 2 modes")
+        if family == "superposition":
+            coeffs = np.array([c.coeff for c in cfg.components])
+            phis = [c.phi for c in cfg.components]
+            theta = cfg.super_kind == "theta"
+            for n in cfg.n_list:
+                m_n = [c.m_schedule.value(n) for c in cfg.components] if theta else []
+                try:
+                    _check_components(cfg.super_kind, coeffs, phis, m_n)
+                except ValueError as e:
+                    raise ConfigError(f"state.components at n={n}: {e}") from e
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}
@@ -502,6 +528,16 @@ def _excitation(config, phi, m, *key):
     return random_excitation(phi, m, basis, seed=(config.seed, *key, m))
 
 
+def _superposition_spec(config, n):
+    """The superposition's components at particle number n."""
+    comps = config.components
+    excs = [_excitation(config, c.phi, c.m_schedule.value(n), c.excitation_seed)
+            for c in comps] if config.super_kind == "theta" else []
+    return SuperpositionSpec(kind=config.super_kind,
+                             coeffs=[c.coeff for c in comps],
+                             phis=[c.phi for c in comps], excitations=excs)
+
+
 def _theta_envelope(trace_dist, n, m):
     return trace_dist * sqrt(n) * exp(-m / 2.0) / float((m + 1) ** 7)
 
@@ -510,11 +546,11 @@ def _sweep(config, threads, family, phis, target, prepare):
     """The cell pipeline both sweeps share.
 
     At each n: the basis, the propagator plan, and ``prepare(n, basis)``,
-    which returns ``(state, m, score)``.  At each t: the evolved state, its
-    reduced density matrix rho, and the three distances from rho to
-    ``target(phi_ts)``, where ``phi_ts`` are the mean-field states of
-    ``phis`` at t.  ``score(rho, phi_ts, trace_dist)`` gives the sweep's own
-    row columns.
+    which returns ``(state, m, score)``.  At each t, in increasing order: the
+    state evolved on from the previous time, its reduced density matrix rho,
+    and the three distances from rho to ``target(phi_ts)``, where ``phi_ts``
+    are the mean-field states of ``phis`` at t.  ``score(rho, phi_ts,
+    trace_dist)`` gives the sweep's own row columns.
     """
     targets = _hartree_targets(config, phis)
 
@@ -524,9 +560,13 @@ def _sweep(config, threads, family, phis, target, prepare):
                          tol=config.krylov_tol)
         state, m, score = prepare(n, basis)
         out = []
-        for t in config.t_list:
+        t_prev = 0.0
+        # each time evolves on from the previous one (a repeated time by 0)
+        for t in sorted(config.t_list):
             cell_start = time.perf_counter()
-            rho = reduced_dm(evolve_fock(plan, state, t))
+            state = evolve_fock(plan, state, t - t_prev)
+            t_prev = t
+            rho = reduced_dm(state)
             phi_ts = [lookup[t] for lookup in targets]
             rho_target = target(phi_ts)
             td, hd, od = (distance(rho, rho_target, kind)
@@ -593,17 +633,12 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
     weighted mixture of mean-field projectors, with cross-term logging."""
     if config.family != "superposition":
         raise ConfigError("superposition sweep needs family=superposition")
-    comps = config.components
-    phis = [c.phi for c in comps]
-    coeffs = np.array([c.coeff for c in comps], dtype=complex)
+    phis = [c.phi for c in config.components]
+    coeffs = np.array([c.coeff for c in config.components], dtype=complex)
     weights = np.abs(coeffs) ** 2 / float(np.sum(np.abs(coeffs) ** 2))
-    theta = config.super_kind == "theta"
 
     def prepare(n, basis):
-        excs = [_excitation(config, c.phi, c.m_schedule.value(n), c.excitation_seed)
-                for c in comps] if theta else []
-        spec = SuperpositionSpec(kind=config.super_kind, coeffs=coeffs, phis=phis,
-                                 excitations=excs)
+        spec = _superposition_spec(config, n)
         members = component_states(spec, n, basis)
         state, coeffs_n = _combine_components(spec, n, basis, members)
         # cross terms are logged as the numerically measured overlaps, so the
@@ -618,7 +653,7 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
                 "target_weights": [float(w) for w in weights],
             }}
 
-        return state, max(spec.m_schedule) if theta else 0, score
+        return state, max(spec.m_schedule or [0]), score
 
     return _sweep(config, threads, "superposition:" + config.super_kind, phis,
                   lambda phi_ts: mixed_target(weights, phi_ts), prepare)

@@ -15,7 +15,7 @@ excitation scaled by d_{n,m}.
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, exp, lgamma, sqrt
+from math import comb, exp, inf, lgamma, sqrt
 
 import numpy as np
 
@@ -269,22 +269,9 @@ class SuperpositionSpec:
         self.phis = [np.asarray(p, dtype=complex) for p in self.phis]
         if len(self.coeffs) != len(self.phis) or len(self.phis) == 0:
             raise ValueError("need one coefficient per component")
-        if self.kind == "theta":
-            if len(self.excitations) != len(self.phis):
-                raise ValueError("theta superposition needs one excitation per component")
-            ms = [0 if e is None else e.m for e in self.excitations]
-            if any(a > b for a, b in zip(ms, ms[1:])):
-                raise ValueError("excitation sizes must be nondecreasing")
-        if self.kind in ("product", "theta"):
-            for p in self.phis:
-                _check_unit(p)
-            for i, j in itertools.combinations(range(len(self.phis)), 2):
-                if abs(np.vdot(self.phis[i], self.phis[j])) >= 1.0 - 1e-12:
-                    raise ValueError("components must be linearly independent")
-        else:
-            for i, j in itertools.combinations(range(len(self.phis)), 2):
-                if np.linalg.norm(self.phis[i] - self.phis[j]) <= 1e-12:
-                    raise ValueError("coherent components must be distinct")
+        if self.kind == "theta" and len(self.excitations) != len(self.phis):
+            raise ValueError("theta superposition needs one excitation per component")
+        _check_components(self.kind, self.coeffs, self.phis, self.m_schedule or [])
 
     @property
     def m_schedule(self):
@@ -296,6 +283,25 @@ class SuperpositionSpec:
     def sup_norm(self):
         """M = sup_i ||phi_i||."""
         return max(float(np.linalg.norm(p)) for p in self.phis)
+
+
+def _check_components(kind, coeffs, phis, ms):
+    """Raise ValueError unless ``coeffs`` and ``phis`` (and for the theta
+    family the excitation sizes ``ms``) make a superposition of ``kind``."""
+    if not 0 < float(np.sum(np.abs(coeffs) ** 2)) < inf:
+        raise ValueError("coefficients must have a finite, nonzero norm")
+    if any(a > b for a, b in zip(ms, ms[1:])):
+        raise ValueError(f"excitation sizes {list(ms)} must be nondecreasing")
+    if kind in ("product", "theta"):
+        for p in phis:
+            _check_unit(p)
+        for i, j in itertools.combinations(range(len(phis)), 2):
+            if abs(np.vdot(phis[i], phis[j])) >= 1.0 - 1e-12:
+                raise ValueError("components must be linearly independent")
+    else:
+        for i, j in itertools.combinations(range(len(phis)), 2):
+            if np.linalg.norm(phis[i] - phis[j]) <= 1e-12:
+                raise ValueError("coherent components must be distinct")
 
 
 def gram_overlap(kind, item_i, item_j, n):

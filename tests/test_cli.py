@@ -143,6 +143,58 @@ def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, valu
     assert len(err) == 1 and err[0].startswith("config error:")
 
 
+def _superposition_doc(kind, phis, coeffs=(1, 1), ms=None):
+    comps = [{"phi": phi, "coeff": c} for phi, c in zip(phis, coeffs)]
+    for comp, m in zip(comps, ms or ()):
+        comp["m"] = m
+    return {
+        "mode_system": {"geometry": "dense", "h": [[0, -1], [-1, 0]],
+                        "v": [[1, 0], [0, 1]]},
+        "state": {"family": "superposition", "kind": kind, "components": comps},
+        "n_list": [10, 12], "t_list": [0.5], "seed": 1,
+    }
+
+
+_E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("doc", [
+    _superposition_doc("theta", [_E0, _E1], ms=[1, 0]),
+    dict(_superposition_doc("theta", [_E0, _E1], ms=[{"schedule": "log", "a": 0.45}, 1]),
+         n_list=[10, 50]),
+    _superposition_doc("product", [[[0.5, 0], [0, 0]], _E1]),
+    _superposition_doc("theta", [_E0, [[0, 0], [2, 0]]]),
+    _superposition_doc("coherent", [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]),
+    _superposition_doc("product", [_E0, [[0, 1], [0, 0]]]),
+    _superposition_doc("theta", [_E0, _E0]),
+    _superposition_doc("coherent", [_E1, _E1]),
+    _superposition_doc("product", [_E0, _E1], coeffs=[0, [0, 0]]),
+    dict(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]), seed=-1),
+], ids=["theta-m-decreasing", "theta-m-decreasing-at-last-n", "product-non-unit",
+        "theta-non-unit", "coherent-non-unit", "product-parallel", "theta-parallel",
+        "coherent-equal", "zero-coeffs", "negative-seed"])
+def test_malformed_superposition_config_exits_2_with_one_line(tmp_path, capsys, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["superpose", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("case", ["negative-seed", "one-mode-excitation"])
+def test_malformed_theta_config_exits_2_with_one_line(theta_config, capsys, case):
+    path, doc, tmp = theta_config
+    if case == "negative-seed":
+        doc["seed"] = -1
+    else:
+        doc["mode_system"] = {"geometry": "dense", "h": [[0]], "v": [[1]]}
+        doc["state"]["phi"] = [[1, 0]]
+    path.write_text(json.dumps(doc))
+    assert main(["converge", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["hartree", "--config", "CFG", "--format", "json"],
     ["hartree", "--config", "CFG", "--threads", "2"],

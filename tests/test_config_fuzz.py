@@ -1,0 +1,104 @@
+"""Fuzzing of experiment configs: a mutated config is either rejected with a
+ConfigError or describes a run whose superposition components can be built."""
+
+import copy
+from math import sqrt
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import focklab as fl
+from focklab.harness import _superposition_spec
+
+_C = 1 / sqrt(2)
+_E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
+_PHI3 = [[0.6, 0], [0, 0.8], [0, 0]]
+_DENSE = {"geometry": "dense", "h": [[0, -1], [-1, 0]], "v": [[1, 0], [0, 1]]}
+_LATTICE = {"geometry": "lattice", "sites": 3, "hopping": 1.0,
+            "potential": {"kind": "gaussian", "g": 1.0, "sigma": 0.5}}
+
+
+def _doc(mode_system, state, n_list=(4, 6)):
+    return {"mode_system": mode_system, "state": state, "n_list": list(n_list),
+            "t_list": [0.0, 0.5], "tolerances": {"hartree_tol": 1e-12},
+            "seed": 3, "output": {"dir": "out", "format": "csv"}}
+
+
+def _components(phis, ms=None):
+    comps = [{"phi": phi, "coeff": [_C, 0]} for phi in phis]
+    for i, (comp, m) in enumerate(zip(comps, ms or ())):
+        comp.update(m=m, excitation_seed=i)
+    return comps
+
+
+VALID = [
+    _doc(_DENSE, {"family": "theta", "phi": _E0, "m": 1, "excitation_seed": 0}),
+    _doc(_LATTICE, {"family": "coherent", "phi": _PHI3}),
+    _doc(_DENSE, {"family": "superposition", "kind": "product",
+                  "components": _components([_E0, [[_C, 0], [_C, 0]]])}),
+    _doc(_DENSE, {"family": "superposition", "kind": "theta",
+                  "components": _components([_E0, _E1],
+                                            [0, {"schedule": "log", "a": 0.4}])},
+         n_list=(6, 20)),
+    _doc(_LATTICE, {"family": "superposition", "kind": "coherent",
+                    "components": _components([_PHI3, [[0, 0], [0.6, 0], [0, 0.8]]])}),
+]
+
+scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+           | st.sampled_from([0.0, 0.5, 1.0, -1.0, 1e-300, 1e300])
+           | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4))
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(node, prefix=()):
+    """Every (container path, key) in the document below the root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix, key
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        prefix, key = draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for k in prefix:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=6))] = draw(values)
+        elif action == "add":
+            parent.append(draw(values))
+        else:
+            parent[key] = draw(values)
+        if not doc:
+            break
+    return doc
+
+
+@pytest.mark.parametrize("doc", VALID)
+def test_unmutated_configs_are_valid(doc):
+    fl.ExperimentConfig.from_dict(copy.deepcopy(doc))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_configs())
+def test_mutated_config_is_rejected_or_buildable(doc):
+    try:
+        cfg = fl.ExperimentConfig.from_dict(doc)
+    except fl.ConfigError:
+        return
+    if cfg.family == "superposition":
+        _superposition_spec(cfg, cfg.n_list[0])

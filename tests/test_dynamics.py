@@ -5,6 +5,8 @@ from math import sqrt
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focklab as fl
 
@@ -103,16 +105,21 @@ def test_evolution_matches_dense_expm_oracle(rng, sector):
 
 
 def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
-    # ||t (H - tr H / dim)||_1 is about 1500 here, where expm_multiply on the
-    # whole time would estimate norms with numpy's global generator; the
-    # stepped propagation must be exact and draw nothing from it
+    # ||t (H - D)||_1 is about 780 here (D: the sector means of H's
+    # diagonal), where expm_multiply on the whole time would estimate norms
+    # with numpy's global generator; the stepped propagation must be exact
+    # and draw nothing from it
     ms = _contact_ms(2, g=2.0)
     b = fl.enumerate_basis(2, fl.truncated(30))
     H = fl.build_hamiltonian(ms, 2, b)
     plan = fl.make_plan(H)
     dense = H.matrix.toarray()
-    shifted = dense - np.trace(dense) / b.dim * np.eye(b.dim)
+    totals = b.totals
+    sector_mean = np.array([dense.diagonal()[totals == k].real.mean() for k in totals])
+    shifted = dense - np.diag(sector_mean)
+    shifted -= np.trace(shifted) / b.dim * np.eye(b.dim)
     assert plan.shifted_norm == pytest.approx(np.abs(shifted).sum(axis=0).max())
+    assert plan.shifted_norm == pytest.approx(156.0, abs=0.1)
     v = random_fock(b, rng)
     t = 5.0
     want = np.zeros(b.dim, dtype=complex)
@@ -127,6 +134,43 @@ def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
     monkeypatch.setattr(np.random, "randint", no_draws)
     got = fl.evolve_fock(plan, v, t)
     assert np.linalg.norm(got.coeffs - want) < 1e-11
+
+
+def _sector_eigh_oracle(H, v, t):
+    """exp(-itH) v by a dense eigendecomposition of each number sector."""
+    dense = H.matrix.toarray()
+    want = np.zeros(H.basis.dim, dtype=complex)
+    for nsec in np.unique(H.basis.totals):
+        sl = H.basis.sector_slice(int(nsec))
+        vals, vecs = np.linalg.eigh(dense[sl, sl])
+        want[sl] = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ v.coeffs[sl]))
+    return want
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), kind=st.sampled_from([fl.fixed, fl.truncated]),
+       cap=st.integers(0, 8), n=st.integers(1, 6), t=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolution_matches_sector_eigh_on_random_systems(d, kind, cap, n, t, seed):
+    # the per-sector phase must be exact on bases with one or many sectors
+    rng = np.random.default_rng(seed)
+    v_kernel = rng.standard_normal((d, d))
+    ms = fl.ModeSystem.dense(random_hermitian(d, rng), v_kernel + v_kernel.T)
+    b = fl.enumerate_basis(d, kind(cap))
+    H = fl.build_hamiltonian(ms, n, b)
+    v = random_fock(b, rng)
+    got = fl.evolve_fock(fl.make_plan(H), v, t)
+    assert np.linalg.norm(got.coeffs - _sector_eigh_oracle(H, v, t)) < 1e-11
+
+
+def test_chained_times_match_one_call(rng):
+    ms = fl.ModeSystem.lattice(3, potential=("contact", 1.0))
+    b = fl.enumerate_basis(3, fl.truncated(10))
+    plan = fl.make_plan(fl.build_hamiltonian(ms, 2, b))
+    v = random_fock(b, rng)
+    t1, t2 = 0.7, 1.9
+    chained = fl.evolve_fock(plan, fl.evolve_fock(plan, v, t1), t2 - t1)
+    assert np.linalg.norm(chained.coeffs - fl.evolve_fock(plan, v, t2).coeffs) < 1e-12
 
 
 def test_norm_defect_beyond_tol_raises(rng):

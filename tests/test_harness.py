@@ -274,6 +274,18 @@ def test_results_ignore_threads_and_time_order(family):
     assert _distances(sweep(fl.ExperimentConfig.from_dict(doc))) == ref
 
 
+def test_repeated_zero_and_unordered_times_match_each_time_once():
+    # the sweep evolves each time on from the previous one; a repeated time
+    # is a step of 0 and the order of t_list does not matter
+    doc = _superposition_doc(kind="coherent", n_list=(2, 3))
+    doc["t_list"] = [0.0, 0.5, 1.0]
+    ref = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(doc))
+    doc["t_list"] = [1.0, 0.5, 0.0, 1.0, 0.5]
+    got = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(doc))
+    assert len(got.rows) == 10
+    assert _distances(got) == _distances(ref)
+
+
 def test_single_family_excitation_ignores_excitation_seed():
     # the key is hashed, but the draw is keyed by (seed, m) alone
     a, b = _theta_doc(), _theta_doc()
