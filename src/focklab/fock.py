@@ -272,17 +272,6 @@ class SparseOperator:
 # ladder operators
 
 
-def _ladder_target_basis(kind, basis):
-    bkind, n = basis.sector
-    if bkind == "truncated":
-        return basis
-    if kind == "annihilate":
-        if n == 0:
-            raise SectorError("cannot annihilate on the fixed(0) sector")
-        return enumerate_basis(basis.d, fixed(n - 1))
-    return enumerate_basis(basis.d, fixed(n + 1))
-
-
 def ladder_matrix(kind, p, basis):
     """Sparse matrix of a_p or a+_p; returns (matrix, output_basis).
 
@@ -290,26 +279,9 @@ def ladder_matrix(kind, p, basis):
     On a truncated basis the creation operator drops amplitudes that would
     exceed n_max; on a fixed sector the output lives in the adjacent sector.
     """
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"ladder kind must be create|annihilate, got {kind!r}")
     if not 0 <= p < basis.d:
         raise ValueError(f"mode index {p} out of range for d={basis.d}")
-    out = _ladder_target_basis(kind, basis)
-    step = np.zeros(basis.d, dtype=np.int64)
-    step[p] = -1 if kind == "annihilate" else 1
-    if kind == "annihilate":
-        cols = np.flatnonzero(basis.occs[:, p] > 0)
-    elif basis.sector[0] == "truncated":  # drop what would exceed n_max
-        cols = np.flatnonzero(basis.totals < basis.n_max)
-    else:
-        cols = np.arange(basis.dim)
-    src = basis.occs[cols]
-    tgt = src + step
-    amps = np.sqrt(np.maximum(src[:, p], tgt[:, p]))  # sqrt(n_p) or sqrt(n_p + 1)
-    mat = sparse.csr_matrix(
-        (amps, (rank(out, tgt), cols)), shape=(out.dim, basis.dim), dtype=complex
-    )
-    return mat, out
+    return field_matrix(kind, np.eye(basis.d)[p], basis)
 
 
 def ladder_apply(kind, p, v):
@@ -319,15 +291,37 @@ def ladder_apply(kind, p, v):
 
 
 def field_matrix(kind, f, basis):
-    """Matrix of a(f) = sum_p f_p a_p or a*(f) = sum_p f_p a+_p (linear in f)."""
+    """Matrix of a(f) = sum_p f_p a_p or a*(f) = sum_p f_p a+_p (linear in f).
+
+    Each entry comes from one mode p: a pass over the nonzero f_p shifts column
+    p, ranks the targets and writes f_p sqrt(.) into preallocated triplets."""
+    if kind not in ("create", "annihilate"):
+        raise ValueError(f"ladder kind must be create|annihilate, got {kind!r}")
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.d,):
         raise ValueError(f"smearing vector must have length d={basis.d}")
-    out = _ladder_target_basis(kind, basis)
-    total = sparse.csr_matrix((out.dim, basis.dim), dtype=complex)
-    for p in np.flatnonzero(f):
-        total = total + f[p] * ladder_matrix(kind, p, basis)[0]
-    return total, out
+    step = 1 if kind == "create" else -1
+    out = basis  # a truncated basis maps to itself, a fixed sector to the next
+    if basis.sector[0] == "fixed":
+        if basis.n_max + step < 0:
+            raise SectorError("cannot annihilate on the fixed(0) sector")
+        out = enumerate_basis(basis.d, fixed(basis.n_max + step))
+    occs, modes = basis.occs, np.flatnonzero(f)
+    fits = (basis.totals < basis.n_max) | (basis.sector[0] == "fixed")  # a* stays <= n_max
+    keep = occs[:, modes] > 0 if step < 0 else np.repeat(fits[:, None], len(modes), 1)
+    nnz = np.count_nonzero(keep)
+    rows, cols = np.empty(nnz, np.int32), np.empty(nnz, np.int32)
+    vals, stop = np.empty(nnz, complex), 0
+    for c, p in enumerate(modes):
+        src = np.flatnonzero(keep[:, c])
+        sl = slice(stop, stop + len(src))
+        stop = sl.stop
+        tgt = occs[src]
+        tgt[:, p] += step
+        rows[sl], cols[sl] = rank(out, tgt), src
+        # sqrt(n_p) or sqrt(n_p + 1); "+ 0" turns -0.0 parts into 0.0
+        vals[sl] = f[p] * np.sqrt(np.maximum(tgt[:, p], tgt[:, p] - step)) + 0
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(out.dim, basis.dim)), out
 
 
 def field_apply(kind, f, v):

@@ -76,10 +76,9 @@ def _parse_cvector(xs, where, d):
 
 
 def _parse_seed(x, where):
-    seed = int(x)
-    if seed < 0:
-        raise ConfigError(f"{where}: expected a seed >= 0, got {x!r}")
-    return seed
+    if type(x) is not int or x < 0:  # not bool, not float
+        raise ConfigError(f"{where}: expected an integer seed >= 0, got {x!r}")
+    return x
 
 
 def _require_keys(d, allowed, required, where):
@@ -149,8 +148,8 @@ def _parse_m(x, where, a_cap):
                 raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
             return MSchedule(kind="log", a=a)
         if x["schedule"] == "constant":
-            x = int(x.get("m", 0))
-    if isinstance(x, int) and x >= 0:
+            x = x.get("m", 0)
+    if type(x) is int and x >= 0:
         return MSchedule(kind="constant", m=x)
     raise ConfigError(f"{where}: expected an integer m >= 0 or a schedule object")
 
@@ -224,12 +223,10 @@ class ExperimentConfig:
             cfg.super_kind = st["kind"]
             if not isinstance(st["components"], list) or len(st["components"]) < 2:
                 raise ConfigError("superposition needs at least 2 components")
-            a_cap = 0.5 if st["kind"] == "theta" else 1.0
+            theta = st["kind"] == "theta"
+            keys = ("phi", "coeff") + (("m", "excitation_seed") if theta else ())
             for i, comp in enumerate(st["components"]):
-                _require_keys(
-                    comp, ("phi", "coeff", "m", "excitation_seed"),
-                    ("phi", "coeff"), f"state.components[{i}]",
-                )
+                _require_keys(comp, keys, ("phi", "coeff"), f"state.components[{i}]")
                 cs = ComponentSpec(
                     phi=_check_unit(_parse_cvector(comp["phi"], "component phi", ms.d),
                                     f"state.components[{i}].phi"),
@@ -237,7 +234,7 @@ class ExperimentConfig:
                     excitation_seed=_parse_seed(comp.get("excitation_seed", i),
                                                 f"state.components[{i}].excitation_seed"),
                 )
-                if st["kind"] == "theta":
+                if theta:
                     cs.m_schedule = _parse_m(
                         comp.get("m", 0), f"state.components[{i}].m", a_cap=0.5
                     )
@@ -257,13 +254,14 @@ class ExperimentConfig:
 
         n_list = doc["n_list"]
         if (not isinstance(n_list, list) or len(n_list) < 1
-                or any(not isinstance(n, int) or n < 1 for n in n_list)
+                or any(type(n) is not int or n < 1 for n in n_list)
                 or any(b <= a for a, b in zip(n_list, n_list[1:]))):
             raise ConfigError("n_list must be a strictly increasing list of positive ints")
         cfg.n_list = list(n_list)
         t_list = doc["t_list"]
-        if not isinstance(t_list, list) or not t_list:
-            raise ConfigError("t_list must be a non-empty list of times")
+        if (not isinstance(t_list, list) or not t_list
+                or any(type(t) not in (int, float) for t in t_list)):
+            raise ConfigError("t_list must be a non-empty list of numeric times")
         cfg.t_list = [float(t) for t in t_list]
         if not all(0 <= t < inf for t in cfg.t_list):
             raise ConfigError("t_list times must be finite and >= 0")

@@ -5,12 +5,14 @@ A partially factorized state theta_{n,m} puts n - m particles in a common
 one-particle state phi and m particles in an excitation psi_m whose first
 variable is orthogonal to phi.  With c_{n,m} = binom(n, m)^{1/2},
 
-    theta_{n,m} = c_{n,m} S_n(phi^(n-m) (x) psi_m),   ||theta_{n,m}|| = 1.
+    theta_{n,m} = c_{n,m} S_n(phi^(n-m) (x) psi_m)
+                = a*(phi)^(n-m) psi_m / sqrt((n-m)!),   ||theta_{n,m}|| = 1.
 
-Three equivalent constructions are provided and cross-checked in the tests:
-explicit tensor symmetrization (small-instance oracle), repeated smeared
-creation on the excitation, and number-sector projection of the displaced
-excitation scaled by d_{n,m}.
+States are built in closed form: ``_create_power`` writes the amplitudes of
+a*(f)^k v / sqrt(k!) (theta: v = psi_m; product: v = vacuum; excitation: one
+power per complement mode); a coherent state is a per-mode Poisson product.
+Tensor symmetrization and the d_{n,m}-scaled sector projection of the
+Weyl-displaced excitation stay as independent theta oracles.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from math import comb, exp, inf, lgamma, sqrt
 
 import numpy as np
+from scipy.special import gammaln
 
 from .combinatorics import admissible_m, log_dnm
 from .errors import DegeneracyError, FocklabError, SectorError
@@ -55,20 +58,35 @@ def _embed_sector(coeffs_fixed, n, basis):
     raise SectorError(f"basis {basis.sector} does not contain sector {n}")
 
 
+def _create_power(f, k, v):
+    """a*(f)^k v / sqrt(k!) for v on a fixed(m) sector, in closed form: at an
+    occupation N of fixed(m + k), with j = N - o >= 0, the sum over the support
+    of v of v(o) sqrt(k!) prod_p f_p^j_p / j_p! sqrt(N_p! / o_p!)."""
+    out = enumerate_basis(v.basis.d, fixed(v.basis.n_max + k))
+    powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]  # f_p^j
+    log_fact = gammaln(np.arange(out.n_max + 1) + 1.0)  # log j!
+    log_target = 0.5 * log_fact[out.occs].sum(axis=1) + 0.5 * log_fact[k]
+    coeffs, modes = np.zeros(out.dim, dtype=complex), np.arange(v.basis.d)
+    for i in np.flatnonzero(v.coeffs):  # one vectorized pass per occupation o
+        o = v.basis.occs[i]
+        hit = np.all(out.occs >= o, axis=1)
+        j = out.occs[hit] - o
+        log_amp = log_target[hit] - log_fact[j].sum(axis=1) - 0.5 * log_fact[o].sum()
+        coeffs[hit] += v.coeffs[i] * np.exp(log_amp) * powers[j, modes].prod(axis=1)
+    return FockVector(out, coeffs)
+
+
 def product_state(phi, n, basis):
-    """phi^(x)n with multinomial occupation amplitudes sqrt(n!/prod occ!) prod phi^occ."""
+    """phi^(x)n = a*(phi)^n |0> / sqrt(n!): amplitudes sqrt(n!/prod occ!) prod phi^occ."""
     phi = _check_unit(phi)
-    fb = enumerate_basis(len(phi), fixed(n))
-    occ = fb.occs
-    lg = np.vectorize(lgamma)
-    log_amp = 0.5 * (lgamma(n + 1) - np.sum(lg(occ + 1.0), axis=1))
-    mode_part = np.prod(np.power(phi[None, :], occ), axis=1)
-    coeffs = np.exp(log_amp) * mode_part
-    return _embed_sector(coeffs, n, basis)
+    vac = vacuum(enumerate_basis(len(phi), fixed(0)))
+    return _embed_sector(_create_power(phi, n, vac).coeffs, n, basis)
 
 
 def coherent_state(phi, n, basis):
-    """C(sqrt(n) phi) applied to the vacuum; mean particle number n."""
+    """C(sqrt(n) phi)|0>, mean particle number n: the per-mode Poisson product
+    prod_p e^{-|a_p|^2/2} a_p^o_p / sqrt(o_p!), a = sqrt(n) phi, magnitudes in
+    log space so that no power overflows at large n."""
     phi = _check_unit(phi)
     if basis.sector[0] != "truncated":
         raise SectorError("coherent states need a truncated basis")
@@ -77,8 +95,12 @@ def coherent_state(phi, n, basis):
         raise SectorError(
             f"truncation n_max={basis.n_max} below headroom {need} for mean number {n}"
         )
-    out, _loss = weyl_apply(sqrt(n) * phi, vacuum(basis))
-    return out
+    a, o = sqrt(n) * phi, np.arange(basis.n_max + 1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where a_p = 0
+        log_pow = np.where(o > 0, o * np.log(np.abs(a)), 0.0)
+    log_mag = log_pow - 0.5 * gammaln(o + 1.0) - np.abs(a) ** 2 / 2
+    factor = np.exp(log_mag) * np.exp(1j * np.angle(a)) ** o  # mode p, occupation o
+    return FockVector(basis, factor[basis.occs, np.arange(basis.d)].prod(axis=1))
 
 
 @dataclass
@@ -132,17 +154,15 @@ def random_excitation(phi, m, basis, seed):
     psi = np.zeros(basis.dim, dtype=complex)
     for c, occ in zip(coeff, virt.occs):
         w = vacuum(enumerate_basis(d, fixed(0)))
-        for i, reps in enumerate(occ):
-            for _ in range(int(reps)):
-                w = field_apply("create", complement[i], w)
-        scale = exp(-0.5 * sum(lgamma(int(r) + 1) for r in occ))
-        psi += c * scale * w.coeffs
+        for g, reps in zip(complement, occ):
+            w = _create_power(g, reps, w)
+        psi += c * w.coeffs
     vec = FockVector(basis, psi).normalized()
     return ExcitationState(m=m, psi=vec, orthogonal_to=phi)
 
 
 # ---------------------------------------------------------------------------
-# the three constructions of theta_{n,m}
+# the oracle constructions of theta_{n,m}
 
 
 def _tensor_from_fixed(v):
@@ -150,8 +170,6 @@ def _tensor_from_fixed(v):
     basis = v.basis
     n = basis.sector[1]
     d = basis.d
-    if n == 0:
-        return complex(v.coeffs[0])
     T = np.zeros((d,) * n, dtype=complex)
     for idx in np.ndindex(*[d] * n):
         occ = np.bincount(idx, minlength=d)
@@ -176,12 +194,7 @@ def _fixed_from_tensor(T, d, n):
 def _theta_symmetrize(phi, excitation, n, m):
     """Explicit symmetrization: binom(n,m)^{-1/2} sum over excitation placements."""
     d = len(phi)
-    if m == 0:
-        T = np.ones((), dtype=complex)
-        for _ in range(n):
-            T = np.multiply.outer(T, phi)
-        return _fixed_from_tensor(T, d, n) if n > 0 else np.array([1.0 + 0j])
-    psi_T = _tensor_from_fixed(excitation.psi)
+    psi_T = np.ones((), dtype=complex) if m == 0 else _tensor_from_fixed(excitation.psi)
     letters = "abcdefghijklmnop"[:n]
     total = np.zeros((d,) * n, dtype=complex)
     for J in itertools.combinations(range(n), m):
@@ -195,15 +208,6 @@ def _theta_symmetrize(phi, excitation, n, m):
         operands.append(psi_T)
         total += np.einsum(",".join(subs) + "->" + letters, *operands)
     return _fixed_from_tensor(total / sqrt(comb(n, m)), d, n)
-
-
-def _theta_creation(phi, excitation, n, m):
-    """(n-m)-fold smeared creation on the excitation, scaled by 1/sqrt((n-m)!)."""
-    d = len(phi)
-    w = vacuum(enumerate_basis(d, fixed(0))) if m == 0 else excitation.psi
-    for _ in range(n - m):
-        w = field_apply("create", phi, w)
-    return w.coeffs * exp(-0.5 * lgamma(n - m + 1))
 
 
 def _theta_weyl(phi, excitation, n, m):
@@ -220,9 +224,9 @@ def _theta_weyl(phi, excitation, n, m):
 def theta_state(phi, excitation, n, method, basis):
     """Partially factorized n-particle state; excitation=None means m = 0.
 
-    method: "symmetrize" | "creation_polynomial" | "weyl_projection"; the
-    three agree to 1e-8 and all return a unit vector (the weyl route up to
-    its reported truncation loss, < 1e-10 under the headroom rule).
+    method: "creation_polynomial" (the closed form sweeps use) or the oracles
+    "symmetrize" and "weyl_projection"; all return a unit vector (the weyl
+    route up to its truncation loss, < 1e-10 under the headroom rule).
     """
     phi = _check_unit(phi)
     m = 0 if excitation is None else excitation.m
@@ -236,8 +240,9 @@ def theta_state(phi, excitation, n, method, basis):
             )
     if method == "symmetrize":
         coeffs = _theta_symmetrize(phi, excitation, n, m)
-    elif method == "creation_polynomial":
-        coeffs = _theta_creation(phi, excitation, n, m)
+    elif method == "creation_polynomial":  # a*(phi)^(n-m) psi_m / sqrt((n-m)!)
+        psi = vacuum(enumerate_basis(len(phi), fixed(0))) if m == 0 else excitation.psi
+        coeffs = _create_power(phi, n - m, psi).coeffs
     elif method == "weyl_projection":
         coeffs = _theta_weyl(phi, excitation, n, m)
     else:

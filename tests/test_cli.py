@@ -128,9 +128,17 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["mode_system", "h"], [[0, -1], [1, 0]]),
     (["mode_system"], dict(_LATTICE, sites=2, hopping=float("nan"))),
     (["mode_system"], dict(_LATTICE, sites=2, hopping=float("inf"))),
+    (["t_list"], ["0.5"]),
+    (["t_list"], [True]),
+    (["seed"], 1.7),
+    (["seed"], "5"),
+    (["seed"], True),
+    (["state", "m"], True),
+    (["state", "m"], {"schedule": "constant", "m": 1.5}),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
-        "inf-hopping"])
+        "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
+        "seed-string", "seed-bool", "m-bool", "m-constant-float"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -158,6 +166,11 @@ def _superposition_doc(kind, phis, coeffs=(1, 1), ms=None):
 _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
 
 
+def _with_component_key(doc, key, value):
+    doc["state"]["components"][0][key] = value
+    return doc
+
+
 @pytest.mark.parametrize("doc", [
     _superposition_doc("theta", [_E0, _E1], ms=[1, 0]),
     dict(_superposition_doc("theta", [_E0, _E1], ms=[{"schedule": "log", "a": 0.45}, 1]),
@@ -170,9 +183,20 @@ _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
     _superposition_doc("coherent", [_E1, _E1]),
     _superposition_doc("product", [_E0, _E1], coeffs=[0, [0, 0]]),
     dict(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]), seed=-1),
+    dict(_superposition_doc("product", [_E0, _E1]), n_list=[True, 2]),
+    _superposition_doc("product", [_E0, _E1], ms=[7, 0]),
+    _superposition_doc("coherent", [_E0, _E1], ms=[1, 1]),
+    _with_component_key(_superposition_doc("product", [_E0, _E1]), "excitation_seed", 3),
+    _with_component_key(_superposition_doc("coherent", [_E0, _E1]), "excitation_seed", 3),
+    _with_component_key(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]),
+                        "excitation_seed", 1.7),
+    _with_component_key(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]),
+                        "excitation_seed", "5"),
 ], ids=["theta-m-decreasing", "theta-m-decreasing-at-last-n", "product-non-unit",
         "theta-non-unit", "coherent-non-unit", "product-parallel", "theta-parallel",
-        "coherent-equal", "zero-coeffs", "negative-seed"])
+        "coherent-equal", "zero-coeffs", "negative-seed", "n-bool", "product-m", "coherent-m",
+        "product-excitation-seed", "coherent-excitation-seed",
+        "component-seed-float", "component-seed-string"])
 def test_malformed_superposition_config_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

@@ -1,4 +1,4 @@
-"""Closed-form rank and vectorized ladder / dGamma assembly against a
+"""Closed-form rank and vectorized ladder / field / dGamma assembly against a
 per-state oracle that looks every target up in a tuple -> index dict."""
 
 import numpy as np
@@ -38,6 +38,14 @@ def _ref_ladder(kind, p, basis, out):
     )
 
 
+def _ref_field(kind, f, basis, out):
+    """a(f) or a*(f) as the sum of f_p times the per-state ladder matrices."""
+    total = sparse.csr_matrix((out.dim, basis.dim), dtype=complex)
+    for p in np.flatnonzero(f):
+        total = total + f[p] * _ref_ladder(kind, p, basis, out)
+    return total
+
+
 def _ref_second_quantize(A, basis):
     index = _lookup(basis)
     rows, cols, vals = [], [], []
@@ -73,6 +81,14 @@ def _same_entries(a, b):
     assert np.array_equal(a.data, b.data)
 
 
+def _same_bytes(a, b):
+    assert a.shape == b.shape
+    a.sort_indices()
+    b.sort_indices()
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 bases = st.builds(
     lambda d, kind, n: fl.enumerate_basis(d, kind(n)),
     st.integers(1, 5),
@@ -95,6 +111,55 @@ def test_ladder_matrix_matches_per_state_oracle(basis, kind, data):
     p = data.draw(st.integers(0, basis.d - 1))
     mat, out = fl.ladder_matrix(kind, p, basis)
     _same_entries(mat, _ref_ladder(kind, p, basis, out))
+
+
+def _smearing(rng, d, conj_real):
+    f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    if conj_real:  # conj of a real vector: imaginary parts are -0.0
+        f = np.conj(f.real + 0j)
+    f[rng.random(d) < 0.3] = 0.0
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis=bases, kind=st.sampled_from(["create", "annihilate"]),
+       seed=st.integers(0, 2**32 - 1), conj_real=st.booleans())
+def test_field_matrix_matches_sum_of_ladders(basis, kind, seed, conj_real):
+    if kind == "annihilate" and basis.sector == ("fixed", 0):
+        return
+    f = _smearing(np.random.default_rng(seed), basis.d, conj_real)
+    mat, out = fl.field_matrix(kind, f, basis)
+    _same_bytes(mat, _ref_field(kind, f, basis, out))
+    zero, _ = fl.field_matrix(kind, np.zeros(basis.d), basis)
+    _same_bytes(zero, _ref_field(kind, np.zeros(basis.d), basis, out))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", ["create", "annihilate"])
+def test_field_matrix_top_truncated_sector(d, kind):
+    basis = fl.enumerate_basis(d, fl.truncated(4))
+    f = _smearing(np.random.default_rng(d), d, conj_real=False)
+    f[0] = 0.5 - 0.25j
+    mat, out = fl.field_matrix(kind, f, basis)
+    _same_bytes(mat, _ref_field(kind, f, basis, out))
+    top = basis.sector_slice(4)
+    reached = mat[:, top].tocoo().row
+    if kind == "create":  # nothing above n_max
+        assert reached.size == 0
+    else:  # a(f) lowers the top sector into sector 3
+        assert set(basis.totals[reached]) == {3}
+
+
+@settings(max_examples=40, deadline=None)
+@given(basis=bases, kind=st.sampled_from(["create", "annihilate"]), data=st.data())
+def test_ladder_matrix_is_field_matrix_of_unit_vector(basis, kind, data):
+    if kind == "annihilate" and basis.sector == ("fixed", 0):
+        return
+    p = data.draw(st.integers(0, basis.d - 1))
+    ladder, out = fl.ladder_matrix(kind, p, basis)
+    field, out2 = fl.field_matrix(kind, np.eye(basis.d)[p], basis)
+    assert out == out2
+    _same_bytes(ladder, field)
 
 
 @settings(max_examples=60, deadline=None)

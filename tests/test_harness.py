@@ -355,6 +355,29 @@ def test_theta_superposition_sweep_runs():
     assert all(np.isfinite(r.hs_dist) for r in rep.rows)
 
 
+def test_sweeps_build_states_without_ladder_or_weyl_routines(monkeypatch):
+    # states come in closed form; a ladder_matrix or weyl_apply call on the
+    # sweep path would bring back the per-mode assembly they replaced
+    from focklab import dynamics, fock, states
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep called ladder_matrix or weyl_apply")
+
+    for mod in (fock, states, dynamics):
+        for name in ("ladder_matrix", "weyl_apply"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    phi = [[0.8, 0], [0.36, 0.48]]
+    for family in ("theta", "product", "coherent"):
+        doc = _theta_doc(n_list=(4, 6))
+        doc["state"] = {"family": family, "phi": phi}
+        rep = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(doc))
+        assert len(rep.rows) == 2
+    doc = _superposition_doc(kind="coherent", n_list=(4, 6))
+    rep = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(doc))
+    assert len(rep.rows) == 2
+
+
 def test_single_family_sweep_rejects_superposition_config():
     cfg = fl.ExperimentConfig.from_dict(_superposition_doc())
     with pytest.raises(fl.ConfigError):
