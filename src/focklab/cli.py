@@ -95,24 +95,22 @@ def _cmd_check(args):
     return EXIT_OK if report.passed else EXIT_INVARIANT
 
 
-def _cmd_converge(args):
+def _cmd_sweep(args):
+    """converge or superpose: run the sweep, write its report, print its fits."""
+    if args.command == "converge":
+        run, stem = run_convergence_sweep, "convergence"
+    else:
+        run, stem = run_superposition_sweep, "superposition"
     config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
-    report = run_convergence_sweep(config, threads=args.threads)
-    _write_report(report, args, config, "convergence")
-    for t, fit in report.fits.items():
+    report = run(config, threads=args.threads)
+    _write_report(report, args, config, stem)
+    for t, fit in report.fits.items():  # superposition reports carry no fits
         if fit == "exact":
             print(f"t={t}: exact regime (zero distances), no rate to fit")
         elif fit is None:
             print(f"t={t}: not enough rows to fit")
         else:
             print(f"t={t}: slope {fit.slope:+.4f}  r2 {fit.r2:.4f}")
-    return EXIT_OK
-
-
-def _cmd_superpose(args):
-    config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
-    report = run_superposition_sweep(config, threads=args.threads)
-    _write_report(report, args, config, "superposition")
     return EXIT_OK
 
 
@@ -152,8 +150,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     handlers = {
         "check": _cmd_check,
-        "converge": _cmd_converge,
-        "superpose": _cmd_superpose,
+        "converge": _cmd_sweep,
+        "superpose": _cmd_sweep,
         "hartree": _cmd_hartree,
         "fit": _cmd_fit,
     }

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from math import exp, isqrt, lgamma, log, sqrt
 
 import numpy as np
+from scipy import special
 
 
 def laguerre(k, alpha, x):
@@ -139,16 +140,11 @@ def harmonic_number(s, N):
     return float(np.sum(j**-s))
 
 
-def zeta(s, n_terms=10**6):
-    """Riemann zeta for s > 1 by partial sum plus integral tail correction.
-
-    zeta(s) = H_s(N) + N^{1-s}/(s-1) - N^{-s}/2 + O(s N^{-s-1}); documented
-    accuracy 1e-6 or better for s >= 1.1 at the default N.
-    """
+def zeta(s):
+    """Riemann zeta for s > 1, from ``scipy.special.zeta``."""
     if s <= 1:
-        raise ValueError("series representation needs s > 1")
-    N = int(n_terms)
-    return harmonic_number(s, N) + N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** (-s)
+        raise ValueError("zeta needs s > 1")
+    return float(special.zeta(s))
 
 
 @dataclass(frozen=True)

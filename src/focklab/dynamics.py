@@ -56,7 +56,7 @@ STEP_NORM = 60.0
 @dataclass
 class PropagatorPlan:
     """The Hamiltonian split as D + (H - D), and the norm-defect tolerance
-    its propagation checks.
+    its propagation checks; H itself is not kept.
 
     ``phase`` holds D, the mean of H's diagonal over each state's number
     sector, and ``shifted`` the CSR matrix H - D.  ``shifted_norm`` is
@@ -69,7 +69,6 @@ class PropagatorPlan:
 
     method: str
     basis: object
-    H: SparseOperator
     tol: float = DEFAULT_KRYLOV_TOL
     blocks: list = field(default_factory=list)
     shifted_norm: float = 0.0
@@ -93,7 +92,7 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
     shifted = (H.matrix - sp.diags(phase)).tocsr()
     shift = shifted.diagonal().sum() / dim
     shifted_norm = sparse_norm(shifted - shift * sp.identity(dim), 1)
-    return PropagatorPlan(method="krylov", basis=H.basis, H=H, tol=tol,
+    return PropagatorPlan(method="krylov", basis=H.basis, tol=tol,
                           shifted_norm=float(shifted_norm), phase=phase,
                           shifted=shifted)
 

@@ -1,12 +1,15 @@
 """Experiment driver: convergence sweeps in the particle number n, rate
 fitting, and result persistence.
 
-Both sweeps run one cell pipeline, ``_sweep``: at each n it builds the
-basis, the propagator plan and the initial state, evolves the state with the
-exact 1/n-scaled many-body propagator through the times in increasing order,
-each from the previous one, and records at each time the distances
-between the one-particle reduced density matrix and its mean-field target, a
-projector for one state and a mixture of projectors for a superposition.
+Every sweep runs on one state model: a list of components with
+coefficients, where a single family is one component with coefficient 1.
+The cell pipeline ``_sweep`` builds at each n the basis, the propagator plan
+and the normalized combination of the components, evolves it with the exact
+1/n-scaled many-body propagator through the times in increasing order, each
+from the previous one, and records at each time the distances between the
+one-particle reduced density matrix and the weighted mixture of the rank-one
+projections on the components' mean-field states (a single projection for a
+single family).
 
 The CSV schema is bit-exact: header
 ``n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s``,
@@ -33,17 +36,14 @@ from .fock import build_hamiltonian, enumerate_basis, fixed, truncated, weyl_hea
 from .hartree import DEFAULT_TOL as DEFAULT_HARTREE_TOL
 from .hartree import evolve_hartree
 from .modes import ModeSystem
-from .rdm import distance, mixed_target, projector, reduced_dm
+from .rdm import distance, mixed_target, reduced_dm
 from .states import (
     SuperpositionSpec,
     _check_components,
     _check_unit,
     _combine_components,
-    coherent_state,
     component_states,
-    product_state,
     random_excitation,
-    theta_state,
 )
 
 CSV_HEADER = [
@@ -60,13 +60,16 @@ _SUPER_KINDS = ("product", "theta", "coherent")
 # configuration
 
 
+def _parse_real(x, where):
+    if type(x) in (int, float) and isfinite(x):  # not bool, not a string
+        return float(x)
+    raise ConfigError(f"{where}: expected a finite number, got {x!r}")
+
+
 def _parse_complex(x, where):
-    pair = [x, 0] if isinstance(x, (int, float)) else x
-    if isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
-        isinstance(u, (int, float)) and isfinite(u) for u in pair
-    ):
-        return complex(pair[0], pair[1])
-    raise ConfigError(f"{where}: expected a finite number or [re, im] pair, got {x!r}")
+    """A real number or an [re, im] pair."""
+    pair = x if isinstance(x, list) and len(x) == 2 else [x, 0]
+    return complex(*(_parse_real(u, where) for u in pair))
 
 
 def _parse_cvector(xs, where, d):
@@ -105,21 +108,26 @@ def _parse_mode_system(d):
             d, ("geometry", "sites", "hopping", "potential"),
             ("sites", "potential"), "mode_system",
         )
+        if type(d["sites"]) is not int:
+            raise ConfigError(f"mode_system.sites: expected an integer, got {d['sites']!r}")
         pot = d["potential"]
         _require_keys(pot, ("kind", "g", "sigma"), ("kind", "g"), "mode_system.potential")
+        g = _parse_real(pot["g"], "mode_system.potential.g")
         if pot["kind"] == "gaussian":
-            spec = ("gaussian", float(pot["g"]), float(pot.get("sigma", 1.0)))
+            spec = ("gaussian", g, _parse_real(pot.get("sigma", 1.0),
+                                               "mode_system.potential.sigma"))
         elif pot["kind"] in ("contact", "neighbor"):
-            spec = (pot["kind"], float(pot["g"]))
+            spec = (pot["kind"], g)
         else:
             raise ConfigError(f"unknown potential kind {pot['kind']!r}")
         return ModeSystem.lattice(
-            int(d["sites"]), hopping=float(d.get("hopping", 1.0)), potential=spec
+            d["sites"], hopping=_parse_real(d.get("hopping", 1.0), "mode_system.hopping"),
+            potential=spec,
         )
     if geom == "dense":
         _require_keys(d, ("geometry", "h", "v"), ("h", "v"), "mode_system")
         h = np.array([[_parse_complex(x, "mode_system.h") for x in row] for row in d["h"]])
-        v = np.array(d["v"], dtype=float)
+        v = np.array([[_parse_real(x, "mode_system.v") for x in row] for row in d["v"]])
         return ModeSystem.dense(h, v)
     raise ConfigError(f"unknown geometry {geom!r}")
 
@@ -180,7 +188,6 @@ class ExperimentConfig:
     out_dir: str = "."
     out_format: str = "csv"
     config_hash: str = ""
-    raw: dict = field(default_factory=dict)
 
     @staticmethod
     def from_dict(doc, seed_override=None):
@@ -287,26 +294,25 @@ class ExperimentConfig:
 
         # log schedules clamp and admissible_m is nondecreasing, so an m
         # admissible at the smallest n is admissible at every n
+        comps, kind = _components(cfg), cfg.super_kind or family
+        theta = kind == "theta"
         n = cfg.n_list[0]
-        for sched in [cfg.m_schedule] + [c.m_schedule for c in cfg.components]:
-            if sched is not None and sched.value(n) > admissible_m(n):
+        for sched in (c.m_schedule for c in comps if theta):
+            if sched.value(n) > admissible_m(n):
                 raise ConfigError(
                     f"m={sched.value(n)} exceeds admissible bound "
                     f"{admissible_m(n)} at n={n}"
                 )
-        if family == "theta" and ms.d < 2 and any(
-                cfg.m_schedule.value(n) > 0 for n in cfg.n_list):
-            raise ConfigError("an excitation (m > 0) needs at least 2 modes")
-        if family == "superposition":
-            coeffs = np.array([c.coeff for c in cfg.components])
-            phis = [c.phi for c in cfg.components]
-            theta = cfg.super_kind == "theta"
-            for n in cfg.n_list:
-                m_n = [c.m_schedule.value(n) for c in cfg.components] if theta else []
-                try:
-                    _check_components(cfg.super_kind, coeffs, phis, m_n)
-                except ValueError as e:
-                    raise ConfigError(f"state.components at n={n}: {e}") from e
+        coeffs = np.array([c.coeff for c in comps])
+        phis = [c.phi for c in comps]
+        for n in cfg.n_list:
+            m_n = [c.m_schedule.value(n) for c in comps] if theta else []
+            if ms.d < 2 and any(m_n):
+                raise ConfigError("an excitation (m > 0) needs at least 2 modes")
+            try:
+                _check_components(kind, coeffs, phis, m_n)
+            except ValueError as e:
+                raise ConfigError(f"state.components at n={n}: {e}") from e
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}
@@ -314,7 +320,6 @@ class ExperimentConfig:
             doc_for_hash["seed"] = int(seed_override)
         canonical = json.dumps(doc_for_hash, sort_keys=True, separators=(",", ":"))
         cfg.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-        cfg.raw = doc_for_hash
         return cfg
 
     @staticmethod
@@ -509,14 +514,6 @@ def _hartree_targets(config, phis):
     return table
 
 
-def _family_basis(config, n):
-    if config.family == "coherent" or (
-        config.family == "superposition" and config.super_kind == "coherent"
-    ):
-        return enumerate_basis(config.ms.d, truncated(weyl_headroom(sqrt(n))))
-    return enumerate_basis(config.ms.d, fixed(n))
-
-
 def _excitation(config, phi, m, *key):
     """Seeded random m-particle excitation orthogonal to ``phi``, drawn from
     ``(config.seed, *key, m)``; None for m = 0."""
@@ -526,37 +523,62 @@ def _excitation(config, phi, m, *key):
     return random_excitation(phi, m, basis, seed=(config.seed, *key, m))
 
 
+def _components(config):
+    """The state's components; a single family is one with coefficient 1."""
+    return config.components or [ComponentSpec(config.phi, 1.0, config.m_schedule)]
+
+
 def _superposition_spec(config, n):
-    """The superposition's components at particle number n."""
-    comps = config.components
-    excs = [_excitation(config, c.phi, c.m_schedule.value(n), c.excitation_seed)
-            for c in comps] if config.super_kind == "theta" else []
-    return SuperpositionSpec(kind=config.super_kind,
-                             coeffs=[c.coeff for c in comps],
+    """The state's components at particle number n.  A superposition
+    component draws its excitation from ``(seed, excitation_seed, m)``, a
+    single family from ``(seed, m)``."""
+    kind = config.super_kind or config.family
+    comps = _components(config)
+    excs = [_excitation(config, c.phi, c.m_schedule.value(n),
+                        *([c.excitation_seed] if config.components else []))
+            for c in comps] if kind == "theta" else []
+    return SuperpositionSpec(kind=kind, coeffs=[c.coeff for c in comps],
                              phis=[c.phi for c in comps], excitations=excs)
+
+
+def _target_weights(comps):
+    """|c_i|^2 / sum_j |c_j|^2, the weights of the mean-field mixture."""
+    w = np.abs(np.array([c.coeff for c in comps], dtype=complex)) ** 2
+    return w / float(np.sum(w))
 
 
 def _theta_envelope(trace_dist, n, m):
     return trace_dist * sqrt(n) * exp(-m / 2.0) / float((m + 1) ** 7)
 
 
-def _sweep(config, threads, family, phis, target, prepare):
-    """The cell pipeline both sweeps share.
+def _sweep(config, threads, family, columns):
+    """The cell pipeline every sweep shares.
 
-    At each n: the basis, the propagator plan, and ``prepare(n, basis)``,
-    which returns ``(state, m, score)``.  At each t, in increasing order: the
-    state evolved on from the previous time, its reduced density matrix rho,
-    and the three distances from rho to ``target(phi_ts)``, where ``phi_ts``
-    are the mean-field states of ``phis`` at t.  ``score(rho, phi_ts,
-    trace_dist)`` gives the sweep's own row columns.
+    At each n: the basis (truncated with Weyl headroom for coherent states,
+    the fixed(n) sector otherwise), the propagator plan, the components from
+    ``_superposition_spec`` and their normalized combination, and
+    ``columns(n, m, members, coeffs_n)``, which returns the sweep's own row
+    columns as a function ``score(rho, phi_ts, trace_dist)``.  At each t, in
+    increasing order: the state evolved on from the previous time, its
+    reduced density matrix rho, and the three distances from rho to the
+    weighted mixture of the projections on ``phi_ts``, the components'
+    mean-field states at t.
     """
-    targets = _hartree_targets(config, phis)
+    comps = _components(config)
+    targets = _hartree_targets(config, [c.phi for c in comps])
+    weights = _target_weights(comps)
+    coherent = (config.super_kind or config.family) == "coherent"
 
     def cell(n):
-        basis = _family_basis(config, n)
+        sector = truncated(weyl_headroom(sqrt(n))) if coherent else fixed(n)
+        basis = enumerate_basis(config.ms.d, sector)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
-        state, m, score = prepare(n, basis)
+        spec = _superposition_spec(config, n)
+        members = component_states(spec, n, basis)
+        state, coeffs_n = _combine_components(spec, n, basis, members)
+        m = max(spec.m_schedule or [0])
+        score = columns(n, m, members, coeffs_n)
         out = []
         t_prev = 0.0
         # each time evolves on from the previous one (a repeated time by 0)
@@ -566,13 +588,13 @@ def _sweep(config, threads, family, phis, target, prepare):
             t_prev = t
             rho = reduced_dm(state)
             phi_ts = [lookup[t] for lookup in targets]
-            rho_target = target(phi_ts)
+            rho_target = mixed_target(weights, phi_ts)
             td, hd, od = (distance(rho, rho_target, kind)
                           for kind in ("trace", "hilbert_schmidt", "operator"))
-            columns = score(rho, phi_ts, td)
             out.append(SweepRow(
                 n=n, m=m, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
-                runtime_s=time.perf_counter() - cell_start, **columns,
+                runtime_s=time.perf_counter() - cell_start,
+                **score(rho, phi_ts, td),
             ))
         return out
 
@@ -602,63 +624,42 @@ def _metadata(config, threads, total_runtime_s):
 
 def run_convergence_sweep(config: ExperimentConfig, threads=1):
     """Single-family sweep: distance of the evolved reduced density matrix to
-    the mean-field projector, per (n, t), plus the rate-envelope column."""
+    the projection on the mean-field state, per (n, t), plus the
+    rate-envelope column."""
     if config.family not in ("product", "coherent", "theta"):
         raise ConfigError(
             f"convergence sweep takes a single-state family, got {config.family!r}"
         )
 
-    def prepare(n, basis):
-        m = config.m_schedule.value(n) if config.family == "theta" else 0
-        if config.family == "product":
-            state = product_state(config.phi, n, basis)
-        elif config.family == "coherent":
-            state = coherent_state(config.phi, n, basis)
-        else:
-            state = theta_state(config.phi, _excitation(config, config.phi, m), n,
-                                "creation_polynomial", basis)
-        return state, m, lambda rho, phi_ts, td: {
-            "bound_envelope": _theta_envelope(td, n, m)
-        }
+    def columns(n, m, members, coeffs_n):
+        return lambda rho, phi_ts, td: {"bound_envelope": _theta_envelope(td, n, m)}
 
-    report = _sweep(config, threads, config.family, [config.phi],
-                    lambda phi_ts: projector(phi_ts[0]), prepare)
-    return report.attach_fits()
+    return _sweep(config, threads, config.family, columns).attach_fits()
 
 
 def run_superposition_sweep(config: ExperimentConfig, threads=1):
     """Mixture sweep: distance of the evolved reduced density matrix to the
-    weighted mixture of mean-field projectors, with cross-term logging."""
+    weighted mixture of mean-field projections, with cross-term logging."""
     if config.family != "superposition":
         raise ConfigError("superposition sweep needs family=superposition")
-    phis = [c.phi for c in config.components]
-    coeffs = np.array([c.coeff for c in config.components], dtype=complex)
-    weights = np.abs(coeffs) ** 2 / float(np.sum(np.abs(coeffs) ** 2))
+    weights = _target_weights(config.components)
 
-    def prepare(n, basis):
-        spec = _superposition_spec(config, n)
-        members = component_states(spec, n, basis)
-        state, coeffs_n = _combine_components(spec, n, basis, members)
+    def columns(n, m, members, coeffs_n):
         # cross terms are logged as the numerically measured overlaps, so the
         # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
         # against them downstream
         cross = max(abs(a.inner(b)) for a, b in combinations(members, 2))
+        return lambda rho, phi_ts, td: {"cross_term": cross, "extras": {
+            "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
+            "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
+            "target_weights": [float(w) for w in weights],
+        }}
 
-        def score(rho, phi_ts, td):
-            return {"cross_term": cross, "extras": {
-                "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
-                "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
-                "target_weights": [float(w) for w in weights],
-            }}
-
-        return state, max(spec.m_schedule or [0]), score
-
-    return _sweep(config, threads, "superposition:" + config.super_kind, phis,
-                  lambda phi_ts: mixed_target(weights, phi_ts), prepare)
+    return _sweep(config, threads, "superposition:" + config.super_kind, columns)
 
 
 def _fit_mixture_weights(rho, phi_ts):
-    """Least-squares mixture weights of projectors |phi_t^i><phi_t^i| in rho."""
+    """Least-squares mixture weights of projections |phi_t^i><phi_t^i| in rho."""
     k = len(phi_ts)
     M = np.empty((k, k))
     b = np.empty(k)

@@ -135,10 +135,23 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["seed"], True),
     (["state", "m"], True),
     (["state", "m"], {"schedule": "constant", "m": 1.5}),
+    (["mode_system"], dict(_LATTICE, sites=2.7)),
+    (["mode_system"], dict(_LATTICE, sites=2.0)),
+    (["mode_system"], dict(_LATTICE, sites="2")),
+    (["mode_system"], dict(_LATTICE, sites=2, hopping=True)),
+    (["mode_system"], dict(_LATTICE, sites=2, hopping="2")),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "contact", "g": "1.5"})),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "gaussian", "g": 1.0,
+                                                         "sigma": "0.5"})),
+    (["mode_system", "v"], [["1", "0"], ["0", "1"]]),
+    (["mode_system", "v"], [[True, 0], [0, 1]]),
+    (["mode_system", "h"], [[0, True], [True, 0]]),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
-        "seed-string", "seed-bool", "m-bool", "m-constant-float"])
+        "seed-string", "seed-bool", "m-bool", "m-constant-float", "sites-float",
+        "sites-integral-float", "sites-string", "hopping-bool", "hopping-string",
+        "g-string", "sigma-string", "v-strings", "v-bool", "h-bool"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -192,11 +205,12 @@ def _with_component_key(doc, key, value):
                         "excitation_seed", 1.7),
     _with_component_key(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]),
                         "excitation_seed", "5"),
+    _superposition_doc("product", [_E0, _E1], coeffs=[True, 1]),
 ], ids=["theta-m-decreasing", "theta-m-decreasing-at-last-n", "product-non-unit",
         "theta-non-unit", "coherent-non-unit", "product-parallel", "theta-parallel",
         "coherent-equal", "zero-coeffs", "negative-seed", "n-bool", "product-m", "coherent-m",
         "product-excitation-seed", "coherent-excitation-seed",
-        "component-seed-float", "component-seed-string"])
+        "component-seed-float", "component-seed-string", "coeff-bool"])
 def test_malformed_superposition_config_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))

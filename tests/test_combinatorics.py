@@ -277,3 +277,12 @@ def test_zeta_partial_sum_with_tail_correction():
 
     assert zeta(1.5) == pytest.approx(float(scipy.special.zeta(1.5)), abs=1e-6)
     assert zeta(2.0) == pytest.approx(pi**2 / 6, abs=1e-6)
+
+
+def test_zeta_is_accurate_near_one_and_rejects_s_le_1():
+    mpmath = pytest.importorskip("mpmath")
+    for s in (1.1, 1.5, 3.0):
+        assert zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-15)
+    for s in (1.0, 0.5):
+        with pytest.raises(ValueError):
+            zeta(s)

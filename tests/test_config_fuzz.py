@@ -1,5 +1,6 @@
 """Fuzzing of experiment configs: a mutated config is either rejected with a
-ConfigError or describes a run whose superposition components can be built."""
+ConfigError or describes a run whose components can be built (a single
+family is one component)."""
 
 import copy
 from math import sqrt
@@ -100,5 +101,4 @@ def test_mutated_config_is_rejected_or_buildable(doc):
         cfg = fl.ExperimentConfig.from_dict(doc)
     except fl.ConfigError:
         return
-    if cfg.family == "superposition":
-        _superposition_spec(cfg, cfg.n_list[0])
+    _superposition_spec(cfg, cfg.n_list[0])

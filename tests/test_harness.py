@@ -296,6 +296,39 @@ def test_single_family_excitation_ignores_excitation_seed():
         _distances(fl.run_convergence_sweep(cfg_b))
 
 
+@pytest.mark.parametrize("family", ["product", "coherent", "theta"])
+def test_single_family_cell_matches_direct_construction(family):
+    # a single family runs as a one-component mixture: the same basis, the
+    # excitation drawn from (seed, m), the projection on the Hartree state
+    # (three modes, so that the excitation depends on its seed)
+    n, t, phi = 4, 0.5, np.array([0.6, 0.8j, 0.0])
+    doc = _theta_doc(n_list=(n,), t_list=(t,))
+    doc["mode_system"] = {"geometry": "lattice", "sites": 3,
+                          "potential": {"kind": "gaussian", "g": 1.0, "sigma": 0.5}}
+    doc["state"] = {"family": family, "phi": [[0.6, 0], [0, 0.8], [0, 0]]}
+    if family == "theta":
+        doc["state"]["m"] = 1
+    cfg = fl.ExperimentConfig.from_dict(doc)
+    (row,) = fl.run_convergence_sweep(cfg).rows
+    if family == "coherent":
+        basis = fl.enumerate_basis(3, fl.truncated(fl.weyl_headroom(sqrt(n))))
+        state = fl.coherent_state(phi, n, basis)
+    else:
+        basis = fl.enumerate_basis(3, fl.fixed(n))
+        state = fl.product_state(phi, n, basis) if family == "product" else \
+            fl.theta_state(phi, fl.random_excitation(
+                phi, 1, fl.enumerate_basis(3, fl.fixed(1)), seed=(cfg.seed, 1)),
+                n, "creation_polynomial", basis)
+    plan = fl.make_plan(fl.build_hamiltonian(cfg.ms, n, basis))
+    rho = fl.reduced_dm(fl.evolve_fock(plan, state, t))
+    phi_t = fl.evolve_hartree(cfg.ms, phi, np.array([0.0, t]), tol=1e-12).states[-1]
+    target = fl.projector(phi_t / np.linalg.norm(phi_t))
+    assert row.m == (1 if family == "theta" else 0)
+    for kind, got in (("trace", row.trace_dist), ("hilbert_schmidt", row.hs_dist),
+                      ("operator", row.op_dist)):
+        assert got == pytest.approx(fl.distance(rho, target, kind), abs=1e-14)
+
+
 def test_each_sweep_fills_only_its_own_columns():
     single = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(_theta_doc()))
     for row in single.to_json()["rows"]:
