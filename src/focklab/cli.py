@@ -3,7 +3,7 @@
 Subcommands: check (invariant suites), converge (single-family sweeps),
 superpose (mixture sweeps), hartree (trajectory export), fit (rate fitting
 on an existing CSV).  Exit codes: 0 success, 1 invariant failure, 2 config
-error, 3 capacity error.
+error (including an unreadable config or CSV file), 3 capacity error.
 """
 
 import argparse
@@ -121,7 +121,8 @@ def _cmd_hartree(args):
     t_max = max(config.t_list)
     grid = (np.array(sorted(set([0.0] + config.t_list)))
             if len(config.t_list) > 1 else np.linspace(0.0, t_max, 101))
-    traj = evolve_hartree(config.ms, config.phi, grid, tol=config.hartree_tol)
+    traj = evolve_hartree(config.ms, config.components[0].phi, grid,
+                          tol=config.hartree_tol)
     out = _out_dir(args, config)
     path = os.path.join(out, "hartree_trajectory.csv")
     traj.to_csv(path)
@@ -137,6 +138,8 @@ def _cmd_fit(args):
     except ExactRegimeError:
         print("exact regime: all distances are zero, refusing to fit")
         return EXIT_OK
+    except ValueError as e:  # too few rows at --t
+        raise ConfigError(f"{args.csv_path}: {e}") from e
     if args.format == "json":
         print(json.dumps({"t": args.t, "slope": fit.slope,
                           "intercept": fit.intercept, "r2": fit.r2}))

@@ -151,11 +151,12 @@ def _parse_m(x, where, a_cap):
         _require_keys(x, ("schedule", "a", "m"), ("schedule",), where)
         if x["schedule"] == "log":
             _require_keys(x, ("schedule", "a"), ("schedule", "a"), where)
-            a = float(x["a"])
+            a = _parse_real(x["a"], f"{where}.a")
             if not 0 <= a < a_cap:
                 raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
             return MSchedule(kind="log", a=a)
         if x["schedule"] == "constant":
+            _require_keys(x, ("schedule", "m"), ("schedule",), where)
             x = x.get("m", 0)
     if type(x) is int and x >= 0:
         return MSchedule(kind="constant", m=x)
@@ -164,22 +165,25 @@ def _parse_m(x, where, a_cap):
 
 @dataclass
 class ComponentSpec:
+    """A unit phi, its coefficient and, for the theta kind, its m schedule
+    and excitation seed (None for a single family)."""
+
     phi: np.ndarray
     coeff: complex
     m_schedule: MSchedule = None
-    excitation_seed: int = 0
+    excitation_seed: int = None
 
 
 @dataclass
 class ExperimentConfig:
-    """Parsed, validated experiment description plus its canonical hash."""
+    """Parsed, validated experiment description plus its canonical hash.
+    ``components`` (of family ``kind``) is never empty: a single family is
+    one component with coefficient 1."""
 
     ms: ModeSystem
     family: str
-    phi: np.ndarray = None
-    m_schedule: MSchedule = None
-    super_kind: str = None
-    components: list = field(default_factory=list)
+    kind: str
+    components: list
     n_list: list = field(default_factory=list)
     t_list: list = field(default_factory=list)
     hartree_tol: float = DEFAULT_HARTREE_TOL
@@ -220,44 +224,39 @@ class ExperimentConfig:
         family = st["family"]
         if family not in _FAMILIES:
             raise ConfigError(f"unknown state family {family!r}")
-
-        cfg = ExperimentConfig(ms=ms, family=family)
-        if family == "superposition":
+        single = family != "superposition"
+        if single:
+            kind = family
+            items = [{k: v for k, v in st.items() if k != "family"} | {"coeff": 1.0}]
+        else:
             _require_keys(st, ("family", "kind", "components"),
                           ("kind", "components"), "state")
-            if st["kind"] not in _SUPER_KINDS:
-                raise ConfigError(f"unknown superposition kind {st['kind']!r}")
-            cfg.super_kind = st["kind"]
-            if not isinstance(st["components"], list) or len(st["components"]) < 2:
+            kind, items = st["kind"], st["components"]
+            if kind not in _SUPER_KINDS:
+                raise ConfigError(f"unknown superposition kind {kind!r}")
+            if not isinstance(items, list) or len(items) < 2:
                 raise ConfigError("superposition needs at least 2 components")
-            theta = st["kind"] == "theta"
-            keys = ("phi", "coeff") + (("m", "excitation_seed") if theta else ())
-            for i, comp in enumerate(st["components"]):
-                _require_keys(comp, keys, ("phi", "coeff"), f"state.components[{i}]")
-                cs = ComponentSpec(
-                    phi=_check_unit(_parse_cvector(comp["phi"], "component phi", ms.d),
-                                    f"state.components[{i}].phi"),
-                    coeff=_parse_complex(comp["coeff"], "component coeff"),
-                    excitation_seed=_parse_seed(comp.get("excitation_seed", i),
-                                                f"state.components[{i}].excitation_seed"),
-                )
-                if theta:
-                    cs.m_schedule = _parse_m(
-                        comp.get("m", 0), f"state.components[{i}].m", a_cap=0.5
-                    )
-                cfg.components.append(cs)
-        else:
-            _require_keys(
-                st, ("family", "phi", "m", "excitation_seed"), ("phi",), "state"
+        theta = kind == "theta"
+        keys = ("phi", "coeff") + (("m", "excitation_seed") if theta else ())
+        components = []
+        for i, comp in enumerate(items):
+            where = "state" if single else f"state.components[{i}]"
+            _require_keys(comp, keys, ("phi", "coeff"), where)
+            cs = ComponentSpec(
+                phi=_check_unit(_parse_cvector(comp["phi"], f"{where}.phi", ms.d),
+                                f"{where}.phi"),
+                coeff=_parse_complex(comp["coeff"], f"{where}.coeff"),
             )
-            cfg.phi = _check_unit(_parse_cvector(st["phi"], "state.phi", ms.d),
-                                  "state.phi")
-            if family == "theta":
-                # excitation_seed is accepted and hashed, but the draw is
-                # keyed by (seed, m) alone
-                cfg.m_schedule = _parse_m(st.get("m", 1), "state.m", a_cap=1.0)
-            elif "m" in st or "excitation_seed" in st:
-                raise ConfigError(f"family {family!r} takes no excitation data")
+            if theta:
+                cs.m_schedule = _parse_m(comp.get("m", 1 if single else 0),
+                                         f"{where}.m", a_cap=1.0 if single else 0.5)
+                seed = _parse_seed(comp.get("excitation_seed", i),
+                                   f"{where}.excitation_seed")
+                # a single family accepts and hashes excitation_seed, but its
+                # draw is keyed by (seed, m) alone
+                cs.excitation_seed = None if single else seed
+            components.append(cs)
+        cfg = ExperimentConfig(ms=ms, family=family, kind=kind, components=components)
 
         n_list = doc["n_list"]
         if (not isinstance(n_list, list) or len(n_list) < 1
@@ -275,8 +274,10 @@ class ExperimentConfig:
 
         tol = doc.get("tolerances", {})
         _require_keys(tol, ("hartree_tol", "krylov_tol"), (), "tolerances")
-        cfg.hartree_tol = float(tol.get("hartree_tol", DEFAULT_HARTREE_TOL))
-        cfg.krylov_tol = float(tol.get("krylov_tol", DEFAULT_KRYLOV_TOL))
+        cfg.hartree_tol = _parse_real(tol.get("hartree_tol", DEFAULT_HARTREE_TOL),
+                                      "tolerances.hartree_tol")
+        cfg.krylov_tol = _parse_real(tol.get("krylov_tol", DEFAULT_KRYLOV_TOL),
+                                     "tolerances.krylov_tol")
         if not 0 < cfg.hartree_tol < inf:
             raise ConfigError("tolerances.hartree_tol must be finite and > 0")
         if not 0 < cfg.krylov_tol <= DEFAULT_KRYLOV_TOL:
@@ -294,19 +295,17 @@ class ExperimentConfig:
 
         # log schedules clamp and admissible_m is nondecreasing, so an m
         # admissible at the smallest n is admissible at every n
-        comps, kind = _components(cfg), cfg.super_kind or family
-        theta = kind == "theta"
         n = cfg.n_list[0]
-        for sched in (c.m_schedule for c in comps if theta):
+        for sched in (c.m_schedule for c in components if theta):
             if sched.value(n) > admissible_m(n):
                 raise ConfigError(
                     f"m={sched.value(n)} exceeds admissible bound "
                     f"{admissible_m(n)} at n={n}"
                 )
-        coeffs = np.array([c.coeff for c in comps])
-        phis = [c.phi for c in comps]
+        coeffs = np.array([c.coeff for c in components])
+        phis = [c.phi for c in components]
         for n in cfg.n_list:
-            m_n = [c.m_schedule.value(n) for c in comps] if theta else []
+            m_n = [c.m_schedule.value(n) for c in components] if theta else []
             if ms.d < 2 and any(m_n):
                 raise ConfigError("an excitation (m > 0) needs at least 2 modes")
             try:
@@ -324,11 +323,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path, seed_override=None):
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"invalid JSON in {path}: {e}") from e
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"invalid JSON in {path}: {e}") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read {path}: {e}") from e
         return ExperimentConfig.from_dict(doc, seed_override=seed_override)
 
 
@@ -429,22 +430,26 @@ class ConvergenceReport:
 
 
 def report_from_csv(path):
-    """Reload a persisted sweep (config hash is not recoverable from CSV)."""
+    """Reload a persisted sweep (config hash is not recoverable from CSV); a
+    file that cannot be read as the sweep schema raises ConfigError."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise ConfigError(f"{path} does not carry the sweep CSV schema")
-        for rec in reader:
-            def f(key):
-                return None if rec[key] == "" else float(rec[key])
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != CSV_HEADER:
+                raise ConfigError(f"{path} does not carry the sweep CSV schema")
+            for rec in reader:
+                def f(key):
+                    return None if rec[key] == "" else float(rec[key])
 
-            rows.append(SweepRow(
-                n=int(rec["n"]), m=int(rec["m"]), t=float(rec["t"]),
-                trace_dist=f("trace_dist"), hs_dist=f("hs_dist"),
-                op_dist=f("op_dist"), cross_term=f("cross_term"),
-                bound_envelope=f("bound_envelope"), runtime_s=f("runtime_s"),
-            ))
+                rows.append(SweepRow(
+                    n=int(rec["n"]), m=int(rec["m"]), t=float(rec["t"]),
+                    trace_dist=f("trace_dist"), hs_dist=f("hs_dist"),
+                    op_dist=f("op_dist"), cross_term=f("cross_term"),
+                    bound_envelope=f("bound_envelope"), runtime_s=f("runtime_s"),
+                ))
+    except (OSError, ValueError, TypeError, csv.Error) as e:
+        raise ConfigError(f"cannot read {path}: {e}") from e
     return ConvergenceReport(config_hash="", family="", seed=0, rows=rows)
 
 
@@ -523,21 +528,15 @@ def _excitation(config, phi, m, *key):
     return random_excitation(phi, m, basis, seed=(config.seed, *key, m))
 
 
-def _components(config):
-    """The state's components; a single family is one with coefficient 1."""
-    return config.components or [ComponentSpec(config.phi, 1.0, config.m_schedule)]
-
-
 def _superposition_spec(config, n):
-    """The state's components at particle number n.  A superposition
-    component draws its excitation from ``(seed, excitation_seed, m)``, a
-    single family from ``(seed, m)``."""
-    kind = config.super_kind or config.family
-    comps = _components(config)
+    """The state's components at particle number n, each theta excitation
+    drawn from ``(seed, excitation_seed, m)``, or ``(seed, m)`` for a single
+    family."""
+    comps = config.components
     excs = [_excitation(config, c.phi, c.m_schedule.value(n),
-                        *([c.excitation_seed] if config.components else []))
-            for c in comps] if kind == "theta" else []
-    return SuperpositionSpec(kind=kind, coeffs=[c.coeff for c in comps],
+                        *([] if c.excitation_seed is None else [c.excitation_seed]))
+            for c in comps] if config.kind == "theta" else []
+    return SuperpositionSpec(kind=config.kind, coeffs=[c.coeff for c in comps],
                              phis=[c.phi for c in comps], excitations=excs)
 
 
@@ -556,18 +555,18 @@ def _sweep(config, threads, family, columns):
 
     At each n: the basis (truncated with Weyl headroom for coherent states,
     the fixed(n) sector otherwise), the propagator plan, the components from
-    ``_superposition_spec`` and their normalized combination, and
-    ``columns(n, m, members, coeffs_n)``, which returns the sweep's own row
-    columns as a function ``score(rho, phi_ts, trace_dist)``.  At each t, in
+    ``_superposition_spec``, their normalized combination with its Gram
+    matrix G and normalized coefficients, and ``columns(n, m, G, coeffs_n)``,
+    which returns the sweep's own row columns as a function
+    ``score(rho, phi_ts, trace_dist)``.  At each t, in
     increasing order: the state evolved on from the previous time, its
     reduced density matrix rho, and the three distances from rho to the
     weighted mixture of the projections on ``phi_ts``, the components'
     mean-field states at t.
     """
-    comps = _components(config)
-    targets = _hartree_targets(config, [c.phi for c in comps])
-    weights = _target_weights(comps)
-    coherent = (config.super_kind or config.family) == "coherent"
+    targets = _hartree_targets(config, [c.phi for c in config.components])
+    weights = _target_weights(config.components)
+    coherent = config.kind == "coherent"
 
     def cell(n):
         sector = truncated(weyl_headroom(sqrt(n))) if coherent else fixed(n)
@@ -575,10 +574,10 @@ def _sweep(config, threads, family, columns):
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
         spec = _superposition_spec(config, n)
-        members = component_states(spec, n, basis)
-        state, coeffs_n = _combine_components(spec, n, basis, members)
+        state, coeffs_n, gram = _combine_components(
+            spec.coeffs, component_states(spec, n, basis))
         m = max(spec.m_schedule or [0])
-        score = columns(n, m, members, coeffs_n)
+        score = columns(n, m, gram, coeffs_n)
         out = []
         t_prev = 0.0
         # each time evolves on from the previous one (a repeated time by 0)
@@ -631,7 +630,7 @@ def run_convergence_sweep(config: ExperimentConfig, threads=1):
             f"convergence sweep takes a single-state family, got {config.family!r}"
         )
 
-    def columns(n, m, members, coeffs_n):
+    def columns(n, m, gram, coeffs_n):
         return lambda rho, phi_ts, td: {"bound_envelope": _theta_envelope(td, n, m)}
 
     return _sweep(config, threads, config.family, columns).attach_fits()
@@ -644,18 +643,19 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
         raise ConfigError("superposition sweep needs family=superposition")
     weights = _target_weights(config.components)
 
-    def columns(n, m, members, coeffs_n):
+    def columns(n, m, gram, coeffs_n):
         # cross terms are logged as the numerically measured overlaps, so the
         # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
         # against them downstream
-        cross = max(abs(a.inner(b)) for a, b in combinations(members, 2))
+        cross = float(max(abs(gram[i, j])
+                          for i, j in combinations(range(len(gram)), 2)))
         return lambda rho, phi_ts, td: {"cross_term": cross, "extras": {
             "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
             "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
             "target_weights": [float(w) for w in weights],
         }}
 
-    return _sweep(config, threads, "superposition:" + config.super_kind, columns)
+    return _sweep(config, threads, "superposition:" + config.kind, columns)
 
 
 def _fit_mixture_weights(rho, phi_ts):

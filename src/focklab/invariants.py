@@ -16,6 +16,7 @@ from . import combinatorics as comb
 from .dynamics import number_moment
 from .errors import FocklabError
 from .fock import (
+    FockVector,
     basis_state,
     enumerate_basis,
     field_apply,
@@ -84,8 +85,6 @@ class SuiteReport:
 
 def _random_state(basis, rng):
     c = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-    from .fock import FockVector
-
     return FockVector(basis, c / np.linalg.norm(c))
 
 
@@ -111,8 +110,6 @@ def check_ccr(n_states, rng, ladder_fn=None):
         v = _random_state(basis, rng)
         interior = v.coeffs.copy()
         interior[basis.totals > 4] = 0.0  # leave two units of headroom
-        from .fock import FockVector
-
         v = FockVector(basis, interior / np.linalg.norm(interior))
         p, q = int(rng.integers(0, d)), int(rng.integers(0, d))
         lhs = ladder_fn("annihilate", p, ladder_fn("create", q, v))

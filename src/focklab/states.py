@@ -284,11 +284,6 @@ class SuperpositionSpec:
             return None
         return [0 if e is None else e.m for e in self.excitations]
 
-    @property
-    def sup_norm(self):
-        """M = sup_i ||phi_i||."""
-        return max(float(np.linalg.norm(p)) for p in self.phis)
-
 
 def _check_components(kind, coeffs, phis, ms):
     """Raise ValueError unless ``coeffs`` and ``phis`` (and for the theta
@@ -358,9 +353,8 @@ def component_states(spec, n, basis):
 def superposition(spec, n, basis):
     """Normalized superposition at scale n; returns (state, coeffs_n).
 
-    coeffs_n = coeffs / sqrt(c^H G c) with G the exact Gram matrix of the
-    components, so the returned state has unit norm; for the coherent family
-    the closed-form Gram is used and cross-checked numerically.
+    coeffs_n = coeffs / sqrt(c^H G c) with G the Gram matrix of the
+    component vectors on ``basis``, so the returned state has unit norm.
     """
     if spec.kind == "theta":
         for m in spec.m_schedule:
@@ -368,37 +362,26 @@ def superposition(spec, n, basis):
                 raise ValueError(
                     f"excitation size {m} exceeds admissible bound {admissible_m(n)} at n={n}"
                 )
-    return _combine_components(spec, n, basis, component_states(spec, n, basis))
+    state, coeffs_n, _ = _combine_components(spec.coeffs, component_states(spec, n, basis))
+    return state, coeffs_n
 
 
-def _combine_components(spec, n, basis, comps):
-    """The normalized superposition of prebuilt members ``comps`` (as given by
-    ``component_states(spec, n, basis)``); returns (state, coeffs_n)."""
-    k = len(spec.phis)
+def _combine_components(coeffs, comps):
+    """The normalized combination sum_i c_i comps[i] / sqrt(c^H G c) of the
+    unit vectors ``comps`` on one basis, where G has a unit diagonal and
+    ``comps[i].inner(comps[j])`` off it; returns (state, coeffs_n, G)."""
+    k = len(comps)
     G = np.eye(k, dtype=complex)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if spec.kind == "product":
-                g = gram_overlap("product", spec.phis[i], spec.phis[j], n)
-            elif spec.kind == "coherent":
-                g = gram_overlap("coherent", spec.phis[i], spec.phis[j], n)
-                g_num = comps[i].inner(comps[j])
-                if abs(g - g_num) > 1e-6:
-                    raise FocklabError(
-                        "closed-form coherent overlap disagrees with numerics: "
-                        f"{g:.8f} vs {g_num:.8f}"
-                    )
-            else:
-                g = comps[i].inner(comps[j])
-            G[i, j] = g
-            G[j, i] = np.conj(g)
+    for i, j in itertools.combinations(range(k), 2):
+        G[i, j] = comps[i].inner(comps[j])
+        G[j, i] = np.conj(G[i, j])
     if np.min(np.linalg.eigvalsh(G)) < 1e-12:
         raise DegeneracyError("component Gram matrix is numerically singular")
-    quad = float(np.real(np.conj(spec.coeffs) @ G @ spec.coeffs))
+    quad = float(np.real(np.conj(coeffs) @ G @ coeffs))
     if quad <= 0:
         raise DegeneracyError("superposition has numerically vanishing norm")
-    coeffs_n = spec.coeffs / sqrt(quad)
-    total = np.zeros(basis.dim, dtype=complex)
+    coeffs_n = coeffs / sqrt(quad)
+    total = np.zeros(comps[0].basis.dim, dtype=complex)
     for c, comp in zip(coeffs_n, comps):
         total += c * comp.coeffs
-    return FockVector(basis, total), coeffs_n
+    return FockVector(comps[0].basis, total), coeffs_n, G

@@ -146,12 +146,24 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["mode_system", "v"], [["1", "0"], ["0", "1"]]),
     (["mode_system", "v"], [[True, 0], [0, 1]]),
     (["mode_system", "h"], [[0, True], [True, 0]]),
+    (["state", "excitation_seed"], "abc"),
+    (["state", "excitation_seed"], -1),
+    (["state", "excitation_seed"], 1.5),
+    (["tolerances", "hartree_tol"], "1e-12"),
+    (["tolerances", "hartree_tol"], True),
+    (["tolerances", "krylov_tol"], "1e-12"),
+    (["state", "m"], {"schedule": "log", "a": "0.3"}),
+    (["state", "m"], {"schedule": "log", "a": False}),
+    (["state", "m"], {"schedule": "constant", "a": 0.3}),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
         "seed-string", "seed-bool", "m-bool", "m-constant-float", "sites-float",
         "sites-integral-float", "sites-string", "hopping-bool", "hopping-string",
-        "g-string", "sigma-string", "v-strings", "v-bool", "h-bool"])
+        "g-string", "sigma-string", "v-strings", "v-bool", "h-bool",
+        "excitation-seed-string", "excitation-seed-negative", "excitation-seed-float",
+        "hartree-tol-string", "hartree-tol-bool", "krylov-tol-string",
+        "log-a-string", "log-a-bool", "constant-stray-a"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -270,6 +282,36 @@ def test_invalid_json_exit_code(tmp_path):
     bad = tmp_path / "nonjson.json"
     bad.write_text("{not json")
     assert main(["converge", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("command", ["converge", "superpose", "hartree"])
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, command, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "non-utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+_CSV_HEADER = "n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s\n"
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    _CSV_HEADER + "4,1,0.5,abc,0.1,0.1,,,\n",
+    _CSV_HEADER + "4,1,0.5,0.1,0.1,0.1,,,\n6,1,0.5,0.05,0.05,0.05,,,\n",
+], ids=["missing", "non-numeric", "too-few-rows"])
+def test_unreadable_fit_input_exits_2_with_one_line(tmp_path, capsys, text):
+    path = tmp_path / "sweep.csv"
+    if text is not None:
+        path.write_text(text)
+    assert main(["fit", str(path), "--t", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
 
 
 def test_capacity_error_exit_code(theta_config):

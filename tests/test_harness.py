@@ -96,7 +96,7 @@ def test_log_schedule_exponent_caps():
         fl.ExperimentConfig.from_dict(doc)
     doc["state"]["m"] = {"schedule": "log", "a": 0.5}
     cfg = fl.ExperimentConfig.from_dict(doc)
-    assert cfg.m_schedule.value(8) <= fl.admissible_m(8)
+    assert cfg.components[0].m_schedule.value(8) <= fl.admissible_m(8)
 
 
 def test_log_schedule_rounds_and_clamps():

@@ -1,12 +1,14 @@
 """Initial-state families and the Gram machinery of their superpositions."""
 
-from math import exp, sqrt
+from math import exp, fsum, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.states import component_states
+from focklab.states import _combine_components, component_states
 
 from conftest import random_unit
 
@@ -263,6 +265,26 @@ def test_coherent_superposition_cross_gram():
     assert state.norm() == pytest.approx(1.0, abs=1e-9)
     comps = component_states(spec, n, tb)
     assert abs(comps[0].inner(comps[1])) == pytest.approx(exp(-2.0), abs=1e-7)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["product", "coherent"]), d=st.integers(2, 4),
+       n=st.integers(1, 8), k=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_combined_gram_matches_closed_form(kind, d, n, k, seed):
+    # the Gram the sweep normalizes with, taken from the member vectors on the
+    # sweep's own basis, against the closed-form overlaps
+    rng = np.random.default_rng(seed)
+    phis = [random_unit(d, rng) for _ in range(k)]
+    want = np.array([[fl.gram_overlap(kind, a, b, n) for b in phis] for a in phis])
+    assume(np.min(np.linalg.eigvalsh(want)) > 1e-6)
+    sector = fl.truncated(fl.weyl_headroom(sqrt(n))) if kind == "coherent" else fl.fixed(n)
+    spec = fl.SuperpositionSpec(kind=kind, phis=phis,
+                                coeffs=rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    members = component_states(spec, n, fl.enumerate_basis(d, sector))
+    state, _coeffs_n, gram = _combine_components(spec.coeffs, members)
+    assert np.max(np.abs(gram - want)) <= 1e-12
+    # summed exactly: a BLAS norm over ~2.5e5 amplitudes drifts by ~3e-14
+    assert abs(sqrt(fsum(np.abs(state.coeffs) ** 2)) - 1.0) <= 1e-14
 
 
 def test_superposition_norm_is_one_theta(rng):
