@@ -397,7 +397,12 @@ def build_hamiltonian(ms: ModeSystem, n_scale, basis):
 
 
 def weyl_headroom(alpha_norm):
-    """Recommended n_max so the displaced-state tail above it is < 1e-10."""
+    """Recommended n_max so the displaced-state tail above it is < 1e-10.
+
+    It sizes the bases where ``weyl_apply`` runs (``fluctuation_apply``, the
+    Weyl-projection theta oracle, the invariant suite); coherent sweep cells
+    use the smaller exact Poisson cutoff ``states._poisson_cutoff`` instead.
+    """
     a = float(alpha_norm)
     return int(np.ceil(a * a + 8.0 * a + 16.0))
 

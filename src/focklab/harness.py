@@ -28,11 +28,12 @@ from itertools import combinations
 from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
+from scipy.special import pdtrc
 
 from .combinatorics import admissible_m
 from .dynamics import DEFAULT_KRYLOV_TOL, evolve_fock, make_plan
 from .errors import ConfigError, ExactRegimeError
-from .fock import build_hamiltonian, enumerate_basis, fixed, truncated, weyl_headroom
+from .fock import build_hamiltonian, enumerate_basis, fixed, truncated
 from .hartree import DEFAULT_TOL as DEFAULT_HARTREE_TOL
 from .hartree import evolve_hartree
 from .modes import ModeSystem
@@ -42,6 +43,7 @@ from .states import (
     _check_components,
     _check_unit,
     _combine_components,
+    _poisson_cutoff,
     component_states,
     random_excitation,
 )
@@ -553,8 +555,10 @@ def _theta_envelope(trace_dist, n, m):
 def _sweep(config, threads, family, columns):
     """The cell pipeline every sweep shares.
 
-    At each n: the basis (truncated with Weyl headroom for coherent states,
-    the fixed(n) sector otherwise), the propagator plan, the components from
+    At each n: the basis (for coherent states truncated at
+    ``_poisson_cutoff(n)``, the smallest n_max whose Poisson(n) tail is at
+    most POISSON_TAIL_FLOOR, shared by all components; the fixed(n) sector
+    otherwise), the propagator plan, the components from
     ``_superposition_spec``, their normalized combination with its Gram
     matrix G and normalized coefficients, and ``columns(n, m, G, coeffs_n)``,
     which returns the sweep's own row columns as a function
@@ -562,14 +566,18 @@ def _sweep(config, threads, family, columns):
     increasing order: the state evolved on from the previous time, its
     reduced density matrix rho, and the three distances from rho to the
     weighted mixture of the projections on ``phi_ts``, the components'
-    mean-field states at t.
+    mean-field states at t.  H commutes with N and the reduced density
+    matrix has no cross-sector terms, so dropping the sectors above the cutoff
+    moves the distances only at the level of the dropped mass.  Coherent
+    sweeps record that mass per n in ``metadata["truncation"]``.
     """
     targets = _hartree_targets(config, [c.phi for c in config.components])
     weights = _target_weights(config.components)
-    coherent = config.kind == "coherent"
+    cutoffs = ({n: _poisson_cutoff(n) for n in config.n_list}
+               if config.kind == "coherent" else {})
 
     def cell(n):
-        sector = truncated(weyl_headroom(sqrt(n))) if coherent else fixed(n)
+        sector = truncated(cutoffs[n]) if cutoffs else fixed(n)
         basis = enumerate_basis(config.ms.d, sector)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
@@ -599,10 +607,15 @@ def _sweep(config, threads, family, columns):
 
     sweep_start = time.perf_counter()
     rows = _run_cells(cell, config.n_list, threads)
+    metadata = _metadata(config, threads, time.perf_counter() - sweep_start)
+    if cutoffs:
+        metadata["truncation"] = {
+            str(n): {"n_max": k, "tail_mass": float(pdtrc(k, n))}
+            for n, k in cutoffs.items()
+        }
     return ConvergenceReport(
         config_hash=config.config_hash, family=family, seed=config.seed,
-        rows=rows, reproducible=(threads == 1),
-        metadata=_metadata(config, threads, time.perf_counter() - sweep_start),
+        rows=rows, reproducible=(threads == 1), metadata=metadata,
     )
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, ladder_matrix
+from .fock import FockVector, enumerate_basis, fixed, rank
+from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this import site
 from .modes import HERMITICITY_TOL
 
 PSD_FLOOR = -1e-10
@@ -65,16 +66,26 @@ class OneParticleDM:
 
 
 def transition_matrix(v: FockVector):
-    """T_pq = <v, a+_p a_q v> = <a_p v, a_q v>; Hermitian with trace <N>."""
+    """T_pq = <v, a+_p a_q v> = <a_p v, a_q v>; Hermitian with trace <N>.
+
+    T = W^H W, with the columns a_p v of W written from the occupations: each
+    state o with o_p > 0 sends sqrt(o_p) v(o) to the rank of o - e_p (in the
+    basis itself when truncated, in fixed(n - 1) for a fixed(n) sector).
+    """
     basis = v.basis
     d = basis.d
     if basis.sector == ("fixed", 0):
         return np.zeros((d, d), dtype=complex)
-    lowered = []
+    out = basis
+    if basis.sector[0] == "fixed":
+        out = enumerate_basis(d, fixed(basis.n_max - 1))
+    W = np.zeros((out.dim, d), dtype=complex)
     for p in range(d):
-        mat, _ = ladder_matrix("annihilate", p, basis)
-        lowered.append(mat @ v.coeffs)
-    W = np.stack(lowered, axis=1)  # columns a_p v
+        src = np.flatnonzero(basis.occs[:, p])
+        lowered = basis.occs[src]
+        lowered[:, p] -= 1
+        # "+ 0" turns -0.0 parts into 0.0, as the sparse product it replaced did
+        W[rank(out, lowered), p] = np.sqrt(basis.occs[src, p]) * v.coeffs[src] + 0
     return W.conj().T @ W
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import comb, exp, inf, lgamma, sqrt
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, pdtrc
 
 from .combinatorics import admissible_m, log_dnm
 from .errors import DegeneracyError, FocklabError, SectorError
@@ -38,6 +38,7 @@ from .fock import (
 
 UNIT_NORM_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10
+POISSON_TAIL_FLOOR = 1e-16  # largest mass a coherent state may lose to truncation
 
 
 def _check_unit(phi, what="phi"):
@@ -83,17 +84,34 @@ def product_state(phi, n, basis):
     return _embed_sector(_create_power(phi, n, vac).coeffs, n, basis)
 
 
+def _poisson_cutoff(n):
+    """Smallest K with pdtrc(K, n) = P(N > K) <= POISSON_TAIL_FLOOR for N ~
+    Poisson(n), the particle number of C(sqrt(n) phi)|0> with |phi| = 1; found
+    by stepping K up from floor(n), where the tail is still of order 1/2."""
+    K = int(n)
+    while pdtrc(K, n) > POISSON_TAIL_FLOOR:
+        K += 1
+    return K
+
+
 def coherent_state(phi, n, basis):
     """C(sqrt(n) phi)|0>, mean particle number n: the per-mode Poisson product
     prod_p e^{-|a_p|^2/2} a_p^o_p / sqrt(o_p!), a = sqrt(n) phi, magnitudes in
-    log space so that no power overflows at large n."""
+    log space so that no power overflows at large n.
+
+    The particle number is Poisson(n), so the state's squared norm on a
+    truncated basis is 1 - pdtrc(n_max, n); a basis whose dropped mass exceeds
+    POISSON_TAIL_FLOOR raises SectorError (``_poisson_cutoff(n)`` is the
+    smallest n_max accepted).
+    """
     phi = _check_unit(phi)
     if basis.sector[0] != "truncated":
         raise SectorError("coherent states need a truncated basis")
-    need = weyl_headroom(sqrt(n))
-    if n > 0 and basis.n_max < need:
+    tail = pdtrc(basis.n_max, n)
+    if tail > POISSON_TAIL_FLOOR:
         raise SectorError(
-            f"truncation n_max={basis.n_max} below headroom {need} for mean number {n}"
+            f"truncation n_max={basis.n_max} drops Poisson mass {tail:.3e} above "
+            f"{POISSON_TAIL_FLOOR} for mean number {n}"
         )
     a, o = sqrt(n) * phi, np.arange(basis.n_max + 1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where a_p = 0

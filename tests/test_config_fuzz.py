@@ -1,16 +1,23 @@
 """Fuzzing of experiment configs: a mutated config is either rejected with a
 ConfigError or describes a run whose components can be built (a single
-family is one component)."""
+family is one component), and the CLI runs it to exit 0, 2 or 3."""
 
+import contextlib
 import copy
+import csv
+import io
+import json
+import os
+import tempfile
 from math import sqrt
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.harness import _superposition_spec
+from focklab.cli import main
+from focklab.harness import CSV_HEADER, _superposition_spec
 
 _C = 1 / sqrt(2)
 _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
@@ -102,3 +109,41 @@ def test_mutated_config_is_rejected_or_buildable(doc):
     except fl.ConfigError:
         return
     _superposition_spec(cfg, cfg.n_list[0])
+
+
+def _end_to_end(test):
+    """The unmutated configs as explicit examples, so that the sweeps run
+    (nearly every mutation is a config error)."""
+    for doc in VALID:
+        family = doc["state"]["family"]
+        test = example(doc=doc, command="superpose" if family == "superposition"
+                       else "converge")(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(doc=mutated_configs(), command=st.sampled_from(["converge", "superpose"]))
+@_end_to_end
+def test_mutated_config_runs_end_to_end_or_exits_cleanly(doc, command):
+    # the whole CLI on a mutated config: 0 with the bit-exact header, 2 for a
+    # config error or 3 for a capacity error, never 1 or a traceback
+    try:
+        cfg = fl.ExperimentConfig.from_dict(copy.deepcopy(doc))
+    except fl.ConfigError:
+        pass
+    else:  # keep the cells cheap
+        assume(max(cfg.n_list) <= 6 and cfg.ms.d <= 3
+               and max(abs(t) for t in cfg.t_list) <= 2)
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", path, "--out", out, "--format", "csv"])
+        assert code in (0, 2, 3)
+        if code == 0:
+            stem = "convergence" if command == "converge" else "superposition"
+            with open(os.path.join(out, f"{stem}.csv"), encoding="utf-8") as fh:
+                assert next(csv.reader(fh)) == CSV_HEADER

@@ -5,8 +5,10 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 import focklab as fl
+from focklab import harness
 from focklab.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -15,6 +17,7 @@ from focklab.harness import (
     report_from_csv,
 )
 from focklab.invariants import run_invariant_suite
+from focklab.states import POISSON_TAIL_FLOOR, _poisson_cutoff
 
 
 def _theta_doc(n_list=(4, 6, 8), t_list=(0.5,), m=1, v=None):
@@ -311,7 +314,7 @@ def test_single_family_cell_matches_direct_construction(family):
     cfg = fl.ExperimentConfig.from_dict(doc)
     (row,) = fl.run_convergence_sweep(cfg).rows
     if family == "coherent":
-        basis = fl.enumerate_basis(3, fl.truncated(fl.weyl_headroom(sqrt(n))))
+        basis = fl.enumerate_basis(3, fl.truncated(_poisson_cutoff(n)))
         state = fl.coherent_state(phi, n, basis)
     else:
         basis = fl.enumerate_basis(3, fl.fixed(n))
@@ -339,6 +342,8 @@ def test_each_sweep_fills_only_its_own_columns():
         fl.ExperimentConfig.from_dict(_superposition_doc()))
     doc = mixture.to_json()
     assert doc["fits"] == {} and mixture.fits == {}
+    # only coherent sweeps truncate, so only they carry a truncation ledger
+    assert "truncation" not in single.metadata and "truncation" not in doc["metadata"]
     for row in doc["rows"]:
         assert row["bound_envelope"] is None and row["cross_term"] is not None
         assert set(row["extras"]) == {"coeff_weights", "fitted_weights",
@@ -389,14 +394,15 @@ def test_theta_superposition_sweep_runs():
 
 
 def test_sweeps_build_states_without_ladder_or_weyl_routines(monkeypatch):
-    # states come in closed form; a ladder_matrix or weyl_apply call on the
-    # sweep path would bring back the per-mode assembly they replaced
-    from focklab import dynamics, fock, states
+    # states and transition matrices come in closed form; a ladder_matrix or
+    # weyl_apply call on the sweep path would bring back the per-mode assembly
+    # they replaced
+    from focklab import dynamics, fock, rdm, states
 
     def refuse(*args, **kwargs):
         raise AssertionError("sweep called ladder_matrix or weyl_apply")
 
-    for mod in (fock, states, dynamics):
+    for mod in (fock, states, dynamics, rdm):
         for name in ("ladder_matrix", "weyl_apply"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
@@ -409,6 +415,40 @@ def test_sweeps_build_states_without_ladder_or_weyl_routines(monkeypatch):
     doc = _superposition_doc(kind="coherent", n_list=(4, 6))
     rep = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(doc))
     assert len(rep.rows) == 2
+
+
+def _coherent_lattice_docs():
+    c = 1 / sqrt(2)
+    lattice = {"geometry": "lattice", "sites": 3,
+               "potential": {"kind": "gaussian", "g": 1.0, "sigma": 0.5}}
+    phi, psi = [[0.6, 0], [0, 0.8], [0, 0]], [[0, 0], [0.6, 0], [0, 0.8]]
+    single = _theta_doc(n_list=(2, 3, 4, 5, 6), t_list=(0.0, 0.5))
+    single["mode_system"] = lattice
+    single["state"] = {"family": "coherent", "phi": phi}
+    mixture = dict(single, state={
+        "family": "superposition", "kind": "coherent",
+        "components": [{"phi": phi, "coeff": [c, 0]}, {"phi": psi, "coeff": [c, 0]}]})
+    return [(fl.run_convergence_sweep, single), (fl.run_superposition_sweep, mixture)]
+
+
+@pytest.mark.parametrize("run,doc", _coherent_lattice_docs(), ids=["single", "mixture"])
+def test_coherent_cells_match_the_headroom_basis(run, doc, monkeypatch):
+    # H commutes with N: the sectors above the Poisson cutoff carry at most
+    # POISSON_TAIL_FLOOR of the mass, so dropping them leaves the distances
+    cfg = fl.ExperimentConfig.from_dict(doc)
+    rep = run(cfg)
+    ledger = rep.to_json()["metadata"]["truncation"]
+    assert set(ledger) == {str(n) for n in cfg.n_list}
+    for n in cfg.n_list:
+        k = _poisson_cutoff(n)
+        assert ledger[str(n)] == {"n_max": k, "tail_mass": float(pdtrc(k, n))}
+        assert 0 < ledger[str(n)]["tail_mass"] <= POISSON_TAIL_FLOOR
+    monkeypatch.setattr(harness, "_poisson_cutoff",
+                        lambda n: fl.weyl_headroom(sqrt(n)))
+    got, want = _distances(rep), _distances(run(cfg))
+    assert got.keys() == want.keys()
+    for key, dists in got.items():
+        assert np.max(np.abs(np.subtract(dists, want[key]))) <= 1e-14
 
 
 def test_single_family_sweep_rejects_superposition_config():

@@ -4,6 +4,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focklab as fl
 from focklab.states import _tensor_from_fixed
@@ -28,6 +30,31 @@ def test_vacuum_transition_is_zero():
     assert np.all(fl.transition_matrix(fl.vacuum(b)) == 0)
     tb = fl.enumerate_basis(2, fl.truncated(3))
     assert np.max(np.abs(fl.transition_matrix(fl.vacuum(tb)))) == 0.0
+
+
+def _ladder_transition(v):
+    """T = W^H W with the columns a_p v taken from the sparse ladder matrices."""
+    d = v.basis.d
+    if v.basis.sector == ("fixed", 0):
+        return np.zeros((d, d), dtype=complex)
+    W = np.stack([fl.ladder_matrix("annihilate", p, v.basis)[0] @ v.coeffs
+                  for p in range(d)], axis=1)
+    return W.conj().T @ W
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), kind=st.sampled_from(["fixed", "truncated"]),
+       n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_transition_matrix_equals_ladder_route_bytewise(d, kind, n, seed):
+    # signed zeros on every state occupying some modes, so that whole columns
+    # a_p v vanish and the sign of a zero can reach T
+    rng = np.random.default_rng(seed)
+    basis = fl.enumerate_basis(d, fl.fixed(n) if kind == "fixed" else fl.truncated(n))
+    v = random_fock(basis, rng)
+    gone = np.any(basis.occs[:, rng.random(d) < 0.5] > 0, axis=1)
+    v.coeffs.real[gone] = rng.choice([0.0, -0.0], gone.sum())
+    v.coeffs.imag[gone] = rng.choice([0.0, -0.0], gone.sum())
+    assert fl.transition_matrix(v).tobytes() == _ladder_transition(v).tobytes()
 
 
 def test_product_transition_rank_one(rng):
