@@ -53,7 +53,9 @@ def build_parser():
                         ("superpose", "superposition (mixture) sweep")):
         p = sub.add_parser(name, help=help_)
         _add_common(p)
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads, one n per task (>= 1); they pay only "
+                            "when the cells are balanced and take about 0.1 s or more")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="override output format")
 
@@ -69,27 +71,30 @@ def build_parser():
 
 def _out_dir(args, config=None):
     path = args.out or (config.out_dir if config is not None else ".")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:  # for example a path that names an existing file
+        raise ConfigError(f"cannot use {path!r} as output directory: {e.strerror}") from e
     return path
 
 
-def _write_report(report, args, config, stem):
-    fmt = args.format or config.out_format
-    out = _out_dir(args, config)
+def _write_report(report, fmt, out, stem):
     path = os.path.join(out, f"{stem}.{fmt}")
     if fmt == "csv":
         report.to_csv(path)
     else:
         report.to_json(path)
     print(f"wrote {path} ({len(report.rows)} rows)")
-    return path
 
 
 def _cmd_check(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    out = _out_dir(args) if args.out else None
     report = run_invariant_suite(level=args.level, rng_seed=args.seed)
     print(report.summary())
-    if args.out:
-        path = os.path.join(_out_dir(args), "invariants.json")
+    if out:
+        path = os.path.join(out, "invariants.json")
         report.to_json(path)
         print(f"wrote {path}")
     return EXIT_OK if report.passed else EXIT_INVARIANT
@@ -101,9 +106,12 @@ def _cmd_sweep(args):
         run, stem = run_convergence_sweep, "convergence"
     else:
         run, stem = run_superposition_sweep, "superposition"
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
+    out = _out_dir(args, config)
     report = run(config, threads=args.threads)
-    _write_report(report, args, config, stem)
+    _write_report(report, args.format or config.out_format, out, stem)
     for t, fit in report.fits.items():  # superposition reports carry no fits
         if fit == "exact":
             print(f"t={t}: exact regime (zero distances), no rate to fit")
@@ -118,12 +126,12 @@ def _cmd_hartree(args):
     config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
     if config.family == "superposition":
         raise ConfigError("hartree export needs a single-state family with a phi")
+    out = _out_dir(args, config)
     t_max = max(config.t_list)
     grid = (np.array(sorted(set([0.0] + config.t_list)))
             if len(config.t_list) > 1 else np.linspace(0.0, t_max, 101))
     traj = evolve_hartree(config.ms, config.components[0].phi, grid,
                           tol=config.hartree_tol)
-    out = _out_dir(args, config)
     path = os.path.join(out, "hartree_trajectory.csv")
     traj.to_csv(path)
     print(f"wrote {path} ({len(traj.times)} samples, "

@@ -41,8 +41,7 @@ from .fock import (
     weyl_apply,
     weyl_headroom,
 )
-
-DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
+from .tolerances import DEFAULT_KRYLOV_TOL, TIME_TOL
 
 # expm_multiply shifts A by mu = tr(A)/dim.  While ||A - mu||_1 is at most
 # 2 ell p_max (p_max + 3) theta_55 / 55 = 63.4 (condition (3.13) of Al-Mohy &
@@ -146,7 +145,7 @@ def fluctuation_apply(ms, n, trajectory, v: FockVector, t, plan=None):
         raise SectorError(
             f"truncation n_max={basis.n_max} below headroom {need} for n={n}"
         )
-    if not trajectory.t_min - 1e-12 <= t <= trajectory.t_max + 1e-12:
+    if not trajectory.t_min - TIME_TOL <= t <= trajectory.t_max + TIME_TOL:
         raise SectorError(f"trajectory does not cover t={t}")
     if plan is None:
         plan = make_plan(build_hamiltonian(ms, n, basis))

@@ -32,7 +32,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import CapacityError, SectorError
-from .modes import HERMITICITY_TOL, ModeSystem
+from .modes import ModeSystem
+from .tolerances import HERMITICITY_TOL, SERIES_STOP_TOL
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -253,7 +254,8 @@ class SparseOperator:
         if self.hermitian:
             delta = (self.matrix - self.matrix.getH()).tocoo()
             if delta.nnz and np.max(np.abs(delta.data)) > HERMITICITY_TOL:
-                raise ValueError("operator flagged Hermitian but is not (1e-12)")
+                raise ValueError(
+                    f"operator flagged Hermitian but is not ({HERMITICITY_TOL})")
 
     def apply(self, v):
         if v.basis != self.basis:
@@ -415,7 +417,7 @@ def _exp_series_apply(mat, coeffs, sign, n_terms_cap):
         term = (sign / k) * (mat @ term)
         acc += term
         tn = np.linalg.norm(term)
-        if tn == 0.0 or tn < 1e-18 * np.linalg.norm(acc):
+        if tn == 0.0 or tn < SERIES_STOP_TOL * np.linalg.norm(acc):
             break
     return acc
 

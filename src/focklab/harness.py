@@ -31,22 +31,21 @@ import numpy as np
 from scipy.special import pdtrc
 
 from .combinatorics import admissible_m
-from .dynamics import DEFAULT_KRYLOV_TOL, evolve_fock, make_plan
-from .errors import ConfigError, ExactRegimeError
+from .dynamics import evolve_fock, make_plan
+from .errors import ConfigError, DegeneracyError, ExactRegimeError
 from .fock import build_hamiltonian, enumerate_basis, fixed, truncated
-from .hartree import DEFAULT_TOL as DEFAULT_HARTREE_TOL
 from .hartree import evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
 from .states import (
     SuperpositionSpec,
     _check_components,
-    _check_unit,
     _combine_components,
     _poisson_cutoff,
     component_states,
     random_excitation,
 )
+from .tolerances import DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, TIME_TOL, check_unit
 
 CSV_HEADER = [
     "n", "m", "t",
@@ -245,8 +244,8 @@ class ExperimentConfig:
             where = "state" if single else f"state.components[{i}]"
             _require_keys(comp, keys, ("phi", "coeff"), where)
             cs = ComponentSpec(
-                phi=_check_unit(_parse_cvector(comp["phi"], f"{where}.phi", ms.d),
-                                f"{where}.phi"),
+                phi=check_unit(_parse_cvector(comp["phi"], f"{where}.phi", ms.d),
+                               f"{where}.phi"),
                 coeff=_parse_complex(comp["coeff"], f"{where}.coeff"),
             )
             if theta:
@@ -363,13 +362,13 @@ class ConvergenceReport:
     metadata: dict = field(default_factory=dict)
     fits: dict = field(default_factory=dict)  # t -> FitResult | "exact" | None
 
-    def rows_at(self, t, tol=1e-12):
-        return [r for r in self.rows if abs(r.t - t) <= tol]
+    def rows_at(self, t):
+        return [r for r in self.rows if abs(r.t - t) <= TIME_TOL]
 
     def times(self):
         out = []
         for r in self.rows:
-            if not any(abs(r.t - t) <= 1e-12 for t in out):
+            if not any(abs(r.t - t) <= TIME_TOL for t in out):
                 out.append(r.t)
         return out
 
@@ -507,7 +506,7 @@ def _hartree_targets(config, phis):
     """Mean-field states at every requested time, one trajectory per phi.
 
     Each state is renormalized: the integrator's norm drift is allowed up to
-    hartree.NORM_DRIFT_TOL, far above the unit-trace check of the targets.
+    NORM_DRIFT_TOL, far above the UNIT_NORM_TOL that ``mixed_target`` accepts.
     """
     grid = sorted(set([0.0] + list(config.t_list)))
     table = []
@@ -582,8 +581,11 @@ def _sweep(config, threads, family, columns):
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
         spec = _superposition_spec(config, n)
-        state, coeffs_n, gram = _combine_components(
-            spec.coeffs, component_states(spec, n, basis))
+        try:  # the pairwise parse checks cannot see a degenerate span
+            state, coeffs_n, gram = _combine_components(
+                spec.coeffs, component_states(spec, n, basis))
+        except DegeneracyError as e:
+            raise ConfigError(f"state.components at n={n}: {e}") from e
         m = max(spec.m_schedule or [0])
         score = columns(n, m, gram, coeffs_n)
         out = []

@@ -20,10 +20,8 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import IntegrationError
 from .modes import ModeSystem
-
-NORM_DRIFT_TOL = 1e-8
-ENERGY_DRIFT_TOL = 1e-6
-DEFAULT_TOL = 1e-10
+from .tolerances import (DEFAULT_HARTREE_TOL, ENERGY_DRIFT_TOL, NONREAL_ENERGY_TOL,
+                         NORM_DRIFT_TOL, TIME_TOL, check_unit)
 
 
 def hartree_rhs(ms: ModeSystem, phi):
@@ -39,7 +37,7 @@ def hartree_energy(ms: ModeSystem, phi):
     phi = np.asarray(phi, dtype=complex)
     dens = np.abs(phi) ** 2
     e = np.vdot(phi, ms.h @ phi) + 0.5 * dens @ ms.v @ dens
-    if abs(e.imag) > 1e-12 * max(1.0, abs(e.real)):
+    if abs(e.imag) > NONREAL_ENERGY_TOL * max(1.0, abs(e.real)):
         raise IntegrationError(f"energy came out non-real: {e}")
     return float(e.real)
 
@@ -72,7 +70,7 @@ class HartreeTrajectory:
         Sample spacing is chosen by the integrator driver so the
         interpolation error stays below 1e-8.
         """
-        if not self.t_min - 1e-12 <= t <= self.t_max + 1e-12:
+        if not self.t_min - TIME_TOL <= t <= self.t_max + TIME_TOL:
             raise IntegrationError(
                 f"time {t} outside stored trajectory [{self.t_min}, {self.t_max}]"
             )
@@ -102,15 +100,14 @@ class HartreeTrajectory:
                 w.writerow(row)
 
 
-def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_TOL):
+def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     """Integrate the mean-field equation over t_grid (may run backwards).
 
     Raises IntegrationError on step-size collapse or when the norm drifts by
-    more than 1e-8 (energy: 1e-6) anywhere on the output grid.
+    more than NORM_DRIFT_TOL (energy: ENERGY_DRIFT_TOL) anywhere on the output
+    grid.
     """
-    phi0 = np.asarray(phi0, dtype=complex)
-    if abs(np.linalg.norm(phi0) - 1.0) > 1e-10:
-        raise ValueError("phi0 must be normalized")
+    phi0 = check_unit(phi0, "phi0")
     if tol <= 0:
         raise ValueError("tol must be positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
@@ -160,7 +157,7 @@ def _finish(ms, times, states):
     )
 
 
-def trajectory_for_interpolation(ms, phi0, t_max, tol=DEFAULT_TOL, dt=0.01):
+def trajectory_for_interpolation(ms, phi0, t_max, tol=DEFAULT_HARTREE_TOL, dt=0.01):
     """Dense-sampled trajectory over [0, t_max] for propagator interpolation.
 
     dt = 0.01 keeps the cubic Hermite interpolation error below 1e-8 for the

@@ -40,6 +40,7 @@ from .states import (
     random_excitation,
     theta_state,
 )
+from .tolerances import DEFAULT_HARTREE_TOL, ENERGY_DRIFT_TOL, NORM_DRIFT_TOL
 
 
 @dataclass
@@ -334,18 +335,19 @@ def check_weighted_moment():
 
 
 def check_hartree_conservation(n_systems, rng):
-    """Norm within 1e-8 and energy within 1e-6 over t in [0, 2]."""
+    """Norm within NORM_DRIFT_TOL and energy within ENERGY_DRIFT_TOL (absolute)
+    over t in [0, 2]."""
     worst_norm, worst_energy = 0.0, 0.0
     for _ in range(n_systems):
         d = int(rng.integers(2, 5))
         ms = _random_ms(d, rng)
         phi = _random_unit(d, rng)
-        traj = evolve_hartree(ms, phi, np.linspace(0, 2, 21), tol=1e-10)
+        traj = evolve_hartree(ms, phi, np.linspace(0, 2, 21), tol=DEFAULT_HARTREE_TOL)
         worst_norm = max(worst_norm, float(np.max(np.abs(traj.norm_log - 1.0))))
         worst_energy = max(
             worst_energy, float(np.max(np.abs(traj.energy_log - traj.energy_log[0])))
         )
-    ok = worst_norm <= 1e-8 and worst_energy <= 1e-6
+    ok = worst_norm <= NORM_DRIFT_TOL and worst_energy <= ENERGY_DRIFT_TOL
     return ok, f"norm drift {worst_norm:.2e}, energy drift {worst_energy:.2e}"
 
 

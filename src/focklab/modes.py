@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
+from .tolerances import HERMITICITY_TOL
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class ModeSystem:
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
             raise ValueError("h and v must have finite entries")
         if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("h is not Hermitian to 1e-12")
+            raise ValueError(f"h is not Hermitian to {HERMITICITY_TOL}")
         if not np.array_equal(v, v.T):
             raise ValueError("v must be exactly symmetric")
         object.__setattr__(self, "h", h)

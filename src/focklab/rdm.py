@@ -15,10 +15,7 @@ import numpy as np
 
 from .fock import FockVector, enumerate_basis, fixed, rank
 from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this import site
-from .modes import HERMITICITY_TOL
-
-PSD_FLOOR = -1e-10
-TRACE_TOL = 1e-10
+from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_unit
 
 
 @dataclass
@@ -31,7 +28,8 @@ class OneParticleDM:
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
         if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("reduced density matrix is not Hermitian to 1e-12")
+            raise ValueError(
+                f"reduced density matrix is not Hermitian to {HERMITICITY_TOL}")
         evals = np.linalg.eigvalsh(rho)
         if evals.min() < PSD_FLOOR:
             raise ValueError(
@@ -124,16 +122,14 @@ def mixed_target(weights, phis):
     weights = np.asarray(weights, dtype=float)
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    if abs(np.sum(weights) - 1.0) > 1e-10:
-        raise ValueError("weights must sum to 1 within 1e-10")
-    phis = [np.asarray(p, dtype=complex) for p in phis]
+    if abs(np.sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}")
+    phis = [check_unit(p, "mixture component") for p in phis]
     if len(phis) != len(weights):
         raise ValueError("need one state per weight")
     d = len(phis[0])
     rho = np.zeros((d, d), dtype=complex)
     for w, p in zip(weights, phis):
-        if abs(np.linalg.norm(p) - 1.0) > 1e-10:
-            raise ValueError("mixture components must be unit vectors")
         rho += w * np.outer(p, p.conj())
     return OneParticleDM(rho=rho, trace_raw=1.0)
 

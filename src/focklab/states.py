@@ -35,17 +35,9 @@ from .fock import (
     weyl_apply,
     weyl_headroom,
 )
-
-UNIT_NORM_TOL = 1e-10
-ORTHOGONALITY_TOL = 1e-10
-POISSON_TAIL_FLOOR = 1e-16  # largest mass a coherent state may lose to truncation
-
-
-def _check_unit(phi, what="phi"):
-    phi = np.asarray(phi, dtype=complex)
-    if abs(np.linalg.norm(phi) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{what} must be normalized to 1 +- {UNIT_NORM_TOL}")
-    return phi
+from .tolerances import (DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL, ORTHOGONALITY_TOL,
+                         OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL, POISSON_TAIL_FLOOR,
+                         check_unit)
 
 
 def _embed_sector(coeffs_fixed, n, basis):
@@ -79,7 +71,7 @@ def _create_power(f, k, v):
 
 def product_state(phi, n, basis):
     """phi^(x)n = a*(phi)^n |0> / sqrt(n!): amplitudes sqrt(n!/prod occ!) prod phi^occ."""
-    phi = _check_unit(phi)
+    phi = check_unit(phi)
     vac = vacuum(enumerate_basis(len(phi), fixed(0)))
     return _embed_sector(_create_power(phi, n, vac).coeffs, n, basis)
 
@@ -104,7 +96,7 @@ def coherent_state(phi, n, basis):
     POISSON_TAIL_FLOOR raises SectorError (``_poisson_cutoff(n)`` is the
     smallest n_max accepted).
     """
-    phi = _check_unit(phi)
+    phi = check_unit(phi)
     if basis.sector[0] != "truncated":
         raise SectorError("coherent states need a truncated basis")
     tail = pdtrc(basis.n_max, n)
@@ -134,9 +126,8 @@ class ExcitationState:
             raise ValueError("excitation needs m >= 1")
         if self.psi.basis.sector != ("fixed", self.m):
             raise SectorError("excitation vector must live in the fixed(m) sector")
-        if abs(self.psi.norm() - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("excitation must be normalized")
-        self.orthogonal_to = _check_unit(self.orthogonal_to)
+        check_unit(self.psi.coeffs, "excitation")
+        self.orthogonal_to = check_unit(self.orthogonal_to)
         if _orthogonality_defect(self.orthogonal_to, self.psi) > ORTHOGONALITY_TOL:
             raise ValueError("excitation is not first-variable orthogonal to phi")
 
@@ -153,7 +144,7 @@ def random_excitation(phi, m, basis, seed):
     orthogonality holds by construction; the overall phase is fixed by making
     the first nonzero coefficient real positive.
     """
-    phi = _check_unit(phi)
+    phi = check_unit(phi)
     d = len(phi)
     if d < 2:
         raise ValueError("need d >= 2 for a nontrivial orthogonal complement")
@@ -246,7 +237,7 @@ def theta_state(phi, excitation, n, method, basis):
     "symmetrize" and "weyl_projection"; all return a unit vector (the weyl
     route up to its truncation loss, < 1e-10 under the headroom rule).
     """
-    phi = _check_unit(phi)
+    phi = check_unit(phi)
     m = 0 if excitation is None else excitation.m
     if m > n:
         raise ValueError(f"excitation size m={m} exceeds particle number n={n}")
@@ -312,13 +303,13 @@ def _check_components(kind, coeffs, phis, ms):
         raise ValueError(f"excitation sizes {list(ms)} must be nondecreasing")
     if kind in ("product", "theta"):
         for p in phis:
-            _check_unit(p)
+            check_unit(p)
         for i, j in itertools.combinations(range(len(phis)), 2):
-            if abs(np.vdot(phis[i], phis[j])) >= 1.0 - 1e-12:
+            if abs(np.vdot(phis[i], phis[j])) >= 1.0 - INDEPENDENCE_TOL:
                 raise ValueError("components must be linearly independent")
     else:
         for i, j in itertools.combinations(range(len(phis)), 2):
-            if np.linalg.norm(phis[i] - phis[j]) <= 1e-12:
+            if np.linalg.norm(phis[i] - phis[j]) <= DISTINCTNESS_TOL:
                 raise ValueError("coherent components must be distinct")
 
 
@@ -348,7 +339,7 @@ def gram_overlap(kind, item_i, item_j, n):
         base = abs(complex(np.vdot(phi_i, phi_j)))
         power = base ** (n - 2 * m) if (base > 0 or n - 2 * m == 0) else 0.0
         bound = (m + 1.0) * exp(2.0 * lgamma(m + 1)) * float(n) ** m * power
-        if abs(g) > bound * (1.0 + 1e-9) + 1e-12:
+        if abs(g) > bound * (1.0 + OVERLAP_BOUND_RTOL) + OVERLAP_BOUND_ATOL:
             raise FocklabError(
                 f"theta overlap {abs(g):.3e} violates its factorial bound {bound:.3e}"
             )
@@ -393,7 +384,7 @@ def _combine_components(coeffs, comps):
     for i, j in itertools.combinations(range(k), 2):
         G[i, j] = comps[i].inner(comps[j])
         G[j, i] = np.conj(G[i, j])
-    if np.min(np.linalg.eigvalsh(G)) < 1e-12:
+    if np.min(np.linalg.eigvalsh(G)) < GRAM_FLOOR:
         raise DegeneracyError("component Gram matrix is numerically singular")
     quad = float(np.real(np.conj(coeffs) @ G @ coeffs))
     if quad <= 0:

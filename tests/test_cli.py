@@ -218,15 +218,65 @@ def _with_component_key(doc, key, value):
     _with_component_key(_superposition_doc("theta", [_E0, _E1], ms=[1, 1]),
                         "excitation_seed", "5"),
     _superposition_doc("product", [_E0, _E1], coeffs=[True, 1]),
+    # pass the pairwise checks, fail the Gram floor when the first cell is built
+    _superposition_doc("coherent", [_E0, [[1, 0], [1e-8, 0]]]),
+    dict(_superposition_doc("product", [_E0, _E1, [[sqrt(0.5), 0], [sqrt(0.5), 0]]],
+                            coeffs=(1, 1, 1)), n_list=[1, 2, 3]),
 ], ids=["theta-m-decreasing", "theta-m-decreasing-at-last-n", "product-non-unit",
         "theta-non-unit", "coherent-non-unit", "product-parallel", "theta-parallel",
         "coherent-equal", "zero-coeffs", "negative-seed", "n-bool", "product-m", "coherent-m",
         "product-excitation-seed", "coherent-excitation-seed",
-        "component-seed-float", "component-seed-string", "coeff-bool"])
+        "component-seed-float", "component-seed-string", "coeff-bool",
+        "coherent-close", "product-dependent-span"])
 def test_malformed_superposition_config_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["superpose", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def _sweep_config(tmp_path, command, **changes):
+    """A small valid config for ``command``, written to tmp_path."""
+    doc = _superposition_doc("product", [_E0, _E1])
+    if command != "superpose":
+        doc["state"] = {"family": "product", "phi": _E0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc | changes))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--seed", "-1"],
+    ["converge", "--threads", "0"],
+    ["converge", "--threads", "-2"],
+    ["superpose", "--threads", "0"],
+    ["superpose", "--threads", "-2"],
+], ids=["check-seed", "converge-threads-0", "converge-threads-negative",
+        "superpose-threads-0", "superpose-threads-negative"])
+def test_bad_flag_values_exit_2_with_one_line(tmp_path, capsys, argv):
+    if argv[0] != "check":
+        argv = argv + ["--config", str(_sweep_config(tmp_path, argv[0])),
+                       "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("command, via", [
+    ("check", "--out"), ("converge", "--out"), ("superpose", "--out"),
+    ("hartree", "--out"), ("converge", "output.dir"),
+])
+def test_output_path_naming_a_file_exits_2_with_one_line(tmp_path, capsys, command, via):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = [command]
+    if command != "check":
+        changes = {"output": {"dir": str(taken)}} if via == "output.dir" else {}
+        argv += ["--config", str(_sweep_config(tmp_path, command, **changes))]
+    if via == "--out":
+        argv += ["--out", str(taken)]
+    assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
 
