@@ -2,98 +2,89 @@
 
 H commutes with the number operator N, so it commutes with the diagonal D
 that gives each state the mean of H's diagonal over its number sector, and
+exp(-i t H) = exp(-i t D) exp(-i t (H - D)) exactly.  The first factor is a
+phase per state.  The second is the Chebyshev expansion of Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984): with [c - r, c + r] the Gershgorin
+interval of H - D and B = (H - D - c)/r,
 
-    exp(-i t H) = exp(-i t D) exp(-i t (H - D))
+    exp(-i t (H - D)) v = exp(-i t c) sum_k (2 - delta_k0) (-i)^k J_k(t r) T_k(B) v,
 
-exactly.  The first factor is a phase per state.  The second is applied by
-scipy's ``expm_multiply``, the truncated Taylor method of Al-Mohy & Higham,
-SIAM J. Sci. Comput. 33 (2011), through sparse products with H - D; it never
-forms or factorizes a matrix, so one code path serves every dimension.  Its
-cost grows with |t| ||H - D||_1, and on truncated bases removing the sector
-means takes out most of the interaction diagonal of the high sectors, which
-sets that norm.  Long times are split into equal steps small enough that
-scipy chooses its Taylor degree from the exact 1-norm alone (see
-``STEP_NORM``), which makes every result a function of (H, v, t) only.  The
-result is unitary and number-conserving up to rounding; ``evolve_fock``
-checks the norm of each output against the plan's tolerance.
+with T_k(B) v = 2 B T_{k-1}(B) v - T_{k-2}(B) v from sparse products.  B has
+its spectrum in [-1, 1], so ||T_k(B) v|| <= ||v||; the series, of degree
+about |t| r, stops at the first index past |t r| where |J_k(t r)| <
+SERIES_STOP_TOL, beyond which the J_k fall faster than geometrically.
+Nothing is factorized or drawn at random: a result depends on (H, v, t) only.
 
-The mean-field frame propagator
-
-    W(t, t0) = C*(sqrt(n) phi_t) U(t - t0) C(sqrt(n) phi_0)
-
-is applied as three explicit factors; the Weyl factors are dense in the
-occupation basis and are never assembled as matrices.
+The mean-field frame propagator W(t, t0) = C*(sqrt(n) phi_t) U(t - t0)
+C(sqrt(n) phi_0) is applied as three explicit factors; the Weyl factors are
+dense in the occupation basis and are never assembled as matrices.
 """
 
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
-from scipy.sparse.linalg import norm as sparse_norm
+from scipy.special import jv
 
 from .errors import KrylovError, SectorError
-from .fock import (
-    FockVector,
-    SparseOperator,
-    build_hamiltonian,
-    weyl_apply,
-    weyl_headroom,
-)
-from .tolerances import DEFAULT_KRYLOV_TOL, TIME_TOL
-
-# expm_multiply shifts A by mu = tr(A)/dim.  While ||A - mu||_1 is at most
-# 2 ell p_max (p_max + 3) theta_55 / 55 = 63.4 (condition (3.13) of Al-Mohy &
-# Higham, with scipy's ell = 2, p_max = 8), it picks its Taylor degree and
-# step count from that exact norm; above it, it estimates norms of powers of
-# A with probe vectors drawn from numpy's global random generator.  Steps
-# with t * plan.shifted_norm <= STEP_NORM stay on the exact side.
-STEP_NORM = 60.0
+from .fock import (FockVector, SparseOperator, build_hamiltonian, weyl_apply,
+                   weyl_headroom)
+from .tolerances import DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL
 
 
 @dataclass
 class PropagatorPlan:
-    """The Hamiltonian split as D + (H - D), and the norm-defect tolerance
-    its propagation checks; H itself is not kept.
+    """The Hamiltonian split as D + (H - D) and scaled for the Chebyshev
+    series, and the norm-defect tolerance its propagation checks.
 
     ``phase`` holds D, the mean of H's diagonal over each state's number
-    sector, and ``shifted`` the CSR matrix H - D.  ``shifted_norm`` is
-    ||(H - D) - tr(H - D)/dim||_1, the exact 1-norm that ``expm_multiply``
-    sees once it removes its own trace shift; on a fixed basis D is the
-    constant tr(H)/dim.  ``method`` is always "krylov" (the result is a
-    polynomial in H applied to the vector) and ``blocks`` is always empty:
-    nothing is factorized.
+    sector.  ``interval`` is the Gershgorin interval (lo, hi) of H - D, and
+    ``scaled`` the CSR matrix B = (H - D - c)/r, with c and r the interval's
+    centre and half-width; a point interval leaves B = H - D - c = 0.
+    ``method`` is always "krylov" (the result is a polynomial in H applied
+    to the vector) and ``blocks`` always empty: nothing is factorized.
     """
 
     method: str
     basis: object
     tol: float = DEFAULT_KRYLOV_TOL
     blocks: list = field(default_factory=list)
-    shifted_norm: float = 0.0
     phase: np.ndarray = None
-    shifted: sp.csr_matrix = None
+    interval: tuple = (0.0, 0.0)
+    scaled: sp.csr_matrix = None
 
 
 def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
-    """Check the Hamiltonian and the tolerance, and split off the sector
-    means of H's diagonal."""
+    """Check the Hamiltonian and the tolerance, split off the sector means of
+    H's diagonal, and scale the rest to the Chebyshev interval."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
     if tol > DEFAULT_KRYLOV_TOL:
         raise ValueError(f"krylov tolerance must be <= {DEFAULT_KRYLOV_TOL}")
-    dim = H.basis.dim
-    totals = H.basis.totals
-    diag = H.matrix.diagonal().real
+    A, totals = H.matrix, H.basis.totals
+    diag = A.diagonal().real
     # a fixed(n) basis leaves the sectors below n empty; they are never indexed
     means = np.bincount(totals, weights=diag) / np.maximum(np.bincount(totals), 1)
     phase = means[totals]
-    shifted = (H.matrix - sp.diags(phase)).tocsr()
-    shift = shifted.diagonal().sum() / dim
-    shifted_norm = sparse_norm(shifted - shift * sp.identity(dim), 1)
-    return PropagatorPlan(method="krylov", basis=H.basis, tol=tol,
-                          shifted_norm=float(shifted_norm), phase=phase,
-                          shifted=shifted)
+    radii = np.ravel(abs(A).sum(axis=1)) - np.abs(diag)  # off-diagonal row sums
+    lo, hi = float(np.min(diag - phase - radii)), float(np.max(diag - phase + radii))
+    scaled = (A - sp.diags(phase + (lo + hi) / 2)).tocsr()
+    if hi > lo:
+        scaled.data /= (hi - lo) / 2
+    return PropagatorPlan(method="krylov", basis=H.basis, tol=tol, phase=phase,
+                          interval=(lo, hi), scaled=scaled)
+
+
+def _bessel_series(x):
+    """J_k(x) for k below the first index past |x| with |J_k(x)| <
+    SERIES_STOP_TOL; past |x| the |J_k(x)| decrease in k."""
+    k = np.arange(int(abs(x) + 12 * abs(x) ** (1 / 3)) + 20)  # enough for |x| <= 1e5
+    j = jv(k, x)
+    while abs(j[-1]) >= SERIES_STOP_TOL:
+        k = np.arange(2 * k.size)
+        j = jv(k, x)
+    return j[:np.flatnonzero((k > abs(x)) & (np.abs(j) < SERIES_STOP_TOL))[0]]
 
 
 def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
@@ -106,11 +97,18 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
         raise SectorError("vector does not live on the plan's basis")
     if t == 0:
         return v.copy()
-    steps = max(1, ceil(abs(t) * plan.shifted_norm / STEP_NORM))
-    step = -1j * (t / steps) * plan.shifted
-    out = np.exp(-1j * t * plan.phase) * v.coeffs
-    for _ in range(steps):
-        out = expm_multiply(step, out)
+    lo, hi = plan.interval
+    j = _bessel_series(t * (hi - lo) / 2)
+    coeffs = 2 * np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4] * j  # 2 (-i)^k J_k
+    prev = np.exp(-1j * t * (plan.phase + (lo + hi) / 2)) * v.coeffs
+    out = j[0] * prev  # degree 0: a zero-width interval or a tiny t r
+    if j.size > 1:
+        cur = plan.scaled @ prev
+        out += coeffs[1] * cur
+        for ck in coeffs[2:]:
+            prev = 2 * (plan.scaled @ cur) - prev
+            out += ck * prev
+            prev, cur = cur, prev
     norm_in = np.linalg.norm(v.coeffs)
     defect = abs(np.linalg.norm(out) - norm_in)
     if not defect <= plan.tol * norm_in:  # also catches inf and nan entries

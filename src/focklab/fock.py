@@ -399,8 +399,13 @@ def build_hamiltonian(ms: ModeSystem, n_scale, basis):
 
 
 def weyl_headroom(alpha_norm):
-    """Recommended n_max so the displaced-state tail above it is < 1e-10.
+    """Recommended n_max K = (|alpha| + 4)^2 for displacements of size |alpha|.
 
+    The particle number of C(alpha)|0> is Poisson(|alpha|^2), so the mass a
+    basis truncated at K drops is ``scipy.special.pdtrc(K, |alpha|^2)``.  It
+    is at most ``POISSON_TAIL_FLOOR`` (1e-16) for |alpha|^2 <= 662, and above
+    it from |alpha|^2 = 663 up (1.007e-16 there, 3.0e-16 at 5000, below 1e-15
+    up to 1e8): ``coherent_state`` raises ``SectorError`` on such a basis.
     It sizes the bases where ``weyl_apply`` runs (``fluctuation_apply``, the
     Weyl-projection theta oracle, the invariant suite); coherent sweep cells
     use the smaller exact Poisson cutoff ``states._poisson_cutoff`` instead.

@@ -289,7 +289,9 @@ class ExperimentConfig:
                                else seed_override, "seed")
         out = doc.get("output", {})
         _require_keys(out, ("dir", "format"), (), "output")
-        cfg.out_dir = str(out.get("dir", "."))
+        cfg.out_dir = out.get("dir", ".")
+        if not isinstance(cfg.out_dir, str):
+            raise ConfigError("output.dir must be a string")
         cfg.out_format = str(out.get("format", "csv"))
         if cfg.out_format not in ("csv", "json"):
             raise ConfigError("output.format must be csv or json")

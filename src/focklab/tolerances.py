@@ -22,6 +22,12 @@ the following relations, which ``tests/test_tolerances.py`` pins:
 * ``DEFAULT_KRYLOV_TOL`` is both the default and the loosest propagation
   tolerance: the config parser and ``dynamics.make_plan`` bound
   ``krylov_tol`` by it.
+* ``16 * SERIES_STOP_TOL < eps < DEFAULT_KRYLOV_TOL``, with eps the
+  double-precision machine epsilon.  ``dynamics.evolve_fock`` stops its
+  Chebyshev series at the first index past |t r| where |J_k(t r)| <
+  SERIES_STOP_TOL; the dropped tail, at most 2 sum |J_k(t r)| ||v||, stays
+  below 16 * SERIES_STOP_TOL * ||v|| for |t r| <= 1e4.  So the norm defect
+  the propagation checks against ``krylov_tol`` is rounding alone.
 """
 
 import numpy as np
@@ -47,7 +53,9 @@ ENERGY_DRIFT_TOL = 1e-6  # largest mean-field energy drift, relative to max(1, |
 NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
 DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
-SERIES_STOP_TOL = 1e-18  # a Weyl series stops at a term this small against the sum
+# a Weyl series stops at a term this small against its sum, the Chebyshev
+# series of the propagator at a Bessel coefficient this small
+SERIES_STOP_TOL = 1e-18
 TIME_TOL = 1e-12  # two times closer than this are the same time
 
 

@@ -155,6 +155,9 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["state", "m"], {"schedule": "log", "a": "0.3"}),
     (["state", "m"], {"schedule": "log", "a": False}),
     (["state", "m"], {"schedule": "constant", "a": 0.3}),
+    (["output", "dir"], None),
+    (["output", "dir"], 5),
+    (["output", "dir"], [1]),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
@@ -163,7 +166,8 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
         "g-string", "sigma-string", "v-strings", "v-bool", "h-bool",
         "excitation-seed-string", "excitation-seed-negative", "excitation-seed-float",
         "hartree-tol-string", "hartree-tol-bool", "krylov-tol-string",
-        "log-a-string", "log-a-bool", "constant-stray-a"])
+        "log-a-string", "log-a-bool", "constant-stray-a", "dir-null", "dir-int",
+        "dir-list"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
+from focklab.dynamics import _bessel_series
 
 from conftest import random_fock, random_hermitian, random_unit
 
@@ -105,10 +106,10 @@ def test_evolution_matches_dense_expm_oracle(rng, sector):
 
 
 def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
-    # ||t (H - D)||_1 is about 780 here (D: the sector means of H's
-    # diagonal), where expm_multiply on the whole time would estimate norms
-    # with numpy's global generator; the stepped propagation must be exact
-    # and draw nothing from it
+    # the Gershgorin interval of H - D (D: the sector means of H's diagonal)
+    # has half-width r of about 80 here, so t r is about 400 and the
+    # Chebyshev series runs to a few hundred terms; it must be exact and
+    # draw nothing from numpy's global generator
     ms = _contact_ms(2, g=2.0)
     b = fl.enumerate_basis(2, fl.truncated(30))
     H = fl.build_hamiltonian(ms, 2, b)
@@ -117,15 +118,18 @@ def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
     totals = b.totals
     sector_mean = np.array([dense.diagonal()[totals == k].real.mean() for k in totals])
     shifted = dense - np.diag(sector_mean)
-    shifted -= np.trace(shifted) / b.dim * np.eye(b.dim)
-    assert plan.shifted_norm == pytest.approx(np.abs(shifted).sum(axis=0).max())
-    assert plan.shifted_norm == pytest.approx(156.0, abs=0.1)
+    centres = shifted.diagonal().real
+    radii = np.abs(shifted).sum(axis=1) - np.abs(shifted.diagonal())
+    lo, hi = plan.interval
+    assert (lo, hi) == pytest.approx((np.min(centres - radii), np.max(centres + radii)))
     v = random_fock(b, rng)
     t = 5.0
     want = np.zeros(b.dim, dtype=complex)
     for nsec in range(31):
         sl = b.sector_slice(nsec)
         vals, vecs = np.linalg.eigh(dense[sl, sl])
+        shifted_vals = vals - sector_mean[sl][0]
+        assert lo <= shifted_vals.min() and shifted_vals.max() <= hi
         want[sl] = vecs @ (np.exp(-1j * t * vals) * (vecs.conj().T @ v.coeffs[sl]))
 
     def no_draws(*args, **kwargs):
@@ -134,6 +138,43 @@ def test_long_time_is_exact_and_draws_no_random_numbers(rng, monkeypatch):
     monkeypatch.setattr(np.random, "randint", no_draws)
     got = fl.evolve_fock(plan, v, t)
     assert np.linalg.norm(got.coeffs - want) < 1e-11
+
+
+def test_point_interval_is_the_phase_alone(rng):
+    # H = D on one mode: every Gershgorin disc is the point 0, so the series
+    # has degree 0 and the propagator is the phase per state
+    g, t = 1.3, 0.9
+    ms = fl.ModeSystem.dense(np.array([[0.4]]), np.array([[g]]))
+    b = fl.enumerate_basis(1, fl.truncated(6))
+    H = fl.build_hamiltonian(ms, 3, b)
+    plan = fl.make_plan(H)
+    assert plan.interval == (0.0, 0.0)
+    v = random_fock(b, rng)
+    want = np.exp(-1j * t * H.matrix.diagonal()) * v.coeffs
+    assert np.linalg.norm(fl.evolve_fock(plan, v, t).coeffs - want) < 1e-14
+
+
+@pytest.mark.parametrize("tr,degree", [(1.05e-289, 0), (1e-12, 1)])
+def test_tiny_times_give_series_of_degree_zero_and_one(rng, tr, degree):
+    ms = fl.ModeSystem.lattice(3, potential=("contact", 1.0))
+    b = fl.enumerate_basis(3, fl.truncated(4))
+    H = fl.build_hamiltonian(ms, 2, b)
+    plan = fl.make_plan(H)
+    lo, hi = plan.interval
+    t = tr / ((hi - lo) / 2)
+    assert _bessel_series(t * (hi - lo) / 2).size == degree + 1
+    v = random_fock(b, rng)
+    got = fl.evolve_fock(plan, v, t)
+    assert np.linalg.norm(got.coeffs - _sector_eigh_oracle(H, v, t)) < 1e-14
+
+
+def test_backward_time_undoes_forward_time(rng):
+    ms = fl.ModeSystem.lattice(3, potential=("contact", 1.0))
+    b = fl.enumerate_basis(3, fl.truncated(10))
+    plan = fl.make_plan(fl.build_hamiltonian(ms, 2, b))
+    v = random_fock(b, rng)
+    back = fl.evolve_fock(plan, fl.evolve_fock(plan, v, 1.3), -1.3)
+    assert np.linalg.norm(back.coeffs - v.coeffs) < 1e-12
 
 
 def _sector_eigh_oracle(H, v, t):

@@ -107,6 +107,22 @@ def test_poisson_cutoff_is_smallest_k_within_floor(n):
     assert k <= fl.weyl_headroom(sqrt(n))
 
 
+def test_weyl_headroom_keeps_the_poisson_floor_up_to_n_662():
+    # the bound the weyl_headroom docstring states: from n = 663 up the
+    # headroom basis drops more than the floor and coherent_state refuses it
+    n = np.arange(1, 664)
+    tails = pdtrc([fl.weyl_headroom(sqrt(k)) for k in n], n)
+    assert np.all(tails[:-1] <= POISSON_TAIL_FLOOR) and tails[-1] > POISSON_TAIL_FLOOR
+
+    def on_headroom(k):
+        basis = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(k))))
+        return fl.coherent_state(np.array([1.0 + 0j]), k, basis)
+
+    on_headroom(662)
+    with pytest.raises(fl.SectorError):
+        on_headroom(663)
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_coherent_state_on_poisson_cutoff(d, n, seed):

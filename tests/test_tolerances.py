@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 import focklab as fl
+from focklab.dynamics import _bessel_series
 from focklab.states import _check_components, _combine_components, component_states
 from focklab.tolerances import (
     DEFAULT_KRYLOV_TOL,
     GRAM_FLOOR,
     INDEPENDENCE_TOL,
     NORM_DRIFT_TOL,
+    SERIES_STOP_TOL,
     TRACE_TOL,
     UNIT_NORM_TOL,
     WEIGHT_SUM_TOL,
@@ -189,3 +192,13 @@ def test_config_and_plan_bound_krylov_tol_by_one_constant():
                 fl.ExperimentConfig.from_dict(doc)
             with pytest.raises(ValueError):
                 fl.make_plan(H, tol=tol)
+
+
+def test_chebyshev_truncation_lies_below_rounding_and_the_norm_check():
+    # the propagator's series drops 2 sum_{k >= K} |J_k(x)| ||v|| at x = t r
+    for x in np.concatenate([[0.0, 1e-289, 1e-12, 3e-9],
+                             np.geomspace(1e-3, 1e4, 57), -np.geomspace(1e-3, 1e4, 8)]):
+        degree = _bessel_series(x).size
+        tail = 2 * np.abs(jv(np.arange(degree, degree + 200), x)).sum()
+        assert tail <= 16 * SERIES_STOP_TOL
+    assert 16 * SERIES_STOP_TOL < np.finfo(float).eps < DEFAULT_KRYLOV_TOL
