@@ -18,9 +18,13 @@ adjoint of a*(f) is a(conj(f)).  The Weyl displacement is
     C(alpha) = exp(a*(alpha) - a(conj(alpha)))
              = exp(-|alpha|^2/2) exp(a*(alpha)) exp(-a(conj(alpha))),
 
-applied factor by factor as a (terminating) power series on the truncated
-basis; the result is exactly the projection of the untruncated image onto
-the basis, so 1 - ||C(alpha) v||^2 is the exact truncation loss.
+and, since the modes commute, the product over p of the one-mode factors
+exp(-conj(alpha_p) a_p) (all applied first) and exp(alpha_p a+_p).  Each is
+one closed-form triangular (n_max + 1)^2 matrix acting on the lines of
+states that differ only in mode p.  Annihilation stays inside the truncated
+basis and creation only raises, so dropping what leaves the basis after each
+factor gives exactly the projection of the untruncated image: 1 -
+||C(alpha) v||^2 is the exact truncation loss.
 """
 
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ import scipy.sparse as sparse
 
 from .errors import CapacityError, SectorError
 from .modes import ModeSystem
-from .tolerances import HERMITICITY_TOL, SERIES_STOP_TOL
+from .tolerances import HERMITICITY_TOL
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -414,17 +418,13 @@ def weyl_headroom(alpha_norm):
     return int(np.ceil(a * a + 8.0 * a + 16.0))
 
 
-def _exp_series_apply(mat, coeffs, sign, n_terms_cap):
-    """exp(sign * mat) @ coeffs with a terminating power series."""
-    acc = coeffs.copy()
-    term = coeffs.copy()
-    for k in range(1, n_terms_cap + 2):
-        term = (sign / k) * (mat @ term)
-        acc += term
-        tn = np.linalg.norm(term)
-        if tn == 0.0 or tn < SERIES_STOP_TOL * np.linalg.norm(acc):
-            break
-    return acc
+def _mode_factor(z, n_max):
+    """Matrix of e^{z a+} on one mode occupied 0..n_max: the entry at
+    (o + j, o) is z^j / j! sqrt((o + j)! / o!), the product of the j steps
+    z sqrt(o + i) / i.  Its transpose is the matrix of e^{z a}."""
+    r, c = np.indices((n_max + 1, n_max + 1))
+    step = np.where(r > c, z * np.sqrt(r) / np.maximum(r - c, 1), 1.0)
+    return np.tril(np.cumprod(step, axis=0))
 
 
 def weyl_apply(alpha, v):
@@ -440,15 +440,26 @@ def weyl_apply(alpha, v):
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (basis.d,):
         raise ValueError(f"alpha must have length d={basis.d}")
-    n_max = basis.n_max
+    d, n_max, occs = basis.d, basis.n_max, basis.occs
     a2 = float(np.vdot(alpha, alpha).real)
     if a2 == 0.0 or v.norm() == 0.0:
         return v.copy(), 0.0
-    ann, _ = field_matrix("annihilate", np.conj(alpha), basis)
-    cre, _ = field_matrix("create", alpha, basis)
-    w = _exp_series_apply(ann, v.coeffs, -1.0, n_max)
-    w = _exp_series_apply(cre, w, 1.0, n_max)
-    w *= np.exp(-a2 / 2.0)
+    # states equal off mode p form one line, indexed by the rank of the
+    # other occupations in the (d-1)-mode truncated basis
+    modes = np.flatnonzero(alpha)
+    lines = [rank(enumerate_basis(d - 1, basis.sector), np.delete(occs, p, axis=1))
+             if d > 1 else 0 for p in modes]
+    w = v.coeffs
+    # annihilation factors first; grid cells above the truncation start at
+    # zero and are dropped after each factor
+    for create in (False, True):
+        for p, line in zip(modes, lines):
+            grid = np.zeros((comb(n_max + d - 1, d - 1), n_max + 1), complex)
+            grid[line, occs[:, p]] = w
+            f = (_mode_factor(alpha[p], n_max).T if create
+                 else _mode_factor(-np.conj(alpha[p]), n_max))
+            w = (grid @ f)[line, occs[:, p]]
+    w = w * np.exp(-a2 / 2.0)
     out = FockVector(basis, w)
     loss = 1.0 - (out.norm() ** 2) / (v.norm() ** 2)
     return out, max(loss, 0.0)

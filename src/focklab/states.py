@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import comb, exp, inf, lgamma, sqrt
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .combinatorics import admissible_m, log_dnm
 from .errors import DegeneracyError, FocklabError, SectorError
@@ -106,10 +106,8 @@ def coherent_state(phi, n, basis):
             f"{POISSON_TAIL_FLOOR} for mean number {n}"
         )
     a, o = sqrt(n) * phi, np.arange(basis.n_max + 1)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 where a_p = 0
-        log_pow = np.where(o > 0, o * np.log(np.abs(a)), 0.0)
-    log_mag = log_pow - 0.5 * gammaln(o + 1.0) - np.abs(a) ** 2 / 2
-    factor = np.exp(log_mag) * np.exp(1j * np.angle(a)) ** o  # mode p, occupation o
+    log_mag = xlogy(o, np.abs(a)) - 0.5 * gammaln(o + 1.0) - np.abs(a) ** 2 / 2
+    factor = np.exp(log_mag + 1j * o * np.angle(a))  # mode p, occupation o
     return FockVector(basis, factor[basis.occs, np.arange(basis.d)].prod(axis=1))
 
 
@@ -222,7 +220,7 @@ def _theta_symmetrize(phi, excitation, n, m):
 def _theta_weyl(phi, excitation, n, m):
     """d_{n,m} P_n C(sqrt(n) phi) acting on the embedded excitation."""
     d = len(phi)
-    work = enumerate_basis(d, truncated(max(n, weyl_headroom(sqrt(n)))))
+    work = enumerate_basis(d, truncated(weyl_headroom(sqrt(n))))
     seed = vacuum(work) if m == 0 else _embed_sector(excitation.psi.coeffs, m, work)
     displaced, _loss = weyl_apply(sqrt(n) * phi, seed)
     proj = sector_project(n, displaced)

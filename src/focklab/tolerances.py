@@ -53,9 +53,7 @@ ENERGY_DRIFT_TOL = 1e-6  # largest mean-field energy drift, relative to max(1, |
 NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
 DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
-# a Weyl series stops at a term this small against its sum, the Chebyshev
-# series of the propagator at a Bessel coefficient this small
-SERIES_STOP_TOL = 1e-18
+SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficient this small
 TIME_TOL = 1e-12  # two times closer than this are the same time
 
 

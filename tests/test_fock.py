@@ -358,6 +358,81 @@ def test_weyl_composition_phase(rng):
     assert (two - phase * one).norm() < 1e-8
 
 
+def _series_weyl(alpha, v):
+    """e^{-|alpha|^2/2} e^{a*(alpha)} e^{-a(conj alpha)} v by power series in
+    the assembled field matrices; both are nilpotent on a truncated basis, so
+    n_max + 1 terms are the whole series.  Also returns the norm of the
+    intermediate e^{-|alpha|^2/2} e^{-a(conj alpha)} v."""
+    b = v.basis
+    ann, _ = fl.field_matrix("annihilate", np.conj(alpha), b)
+    cre, _ = fl.field_matrix("create", alpha, b)
+    scale, w, steps = np.exp(-np.vdot(alpha, alpha).real / 2), v.coeffs, []
+    for mat, sign in ((ann, -1.0), (cre, 1.0)):
+        term = w
+        for k in range(1, b.n_max + 2):
+            term = (sign / k) * (mat @ term)
+            w = w + term
+        steps.append(scale * w)
+    return steps[1], np.linalg.norm(steps[0])
+
+
+@given(d=st.integers(1, 3), n_max=st.integers(0, 14), size=st.floats(0, 2),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_weyl_matches_power_series_oracle(d, n_max, size, seed, data):
+    # the creation factor cancels the intermediate back to norm <= 1, so
+    # both routes round in proportion to the intermediate's norm (up to 30
+    # at |alpha| = 2 on truncated(14), one mode)
+    rng = np.random.default_rng(seed)
+    alpha = size * random_unit(d, rng)
+    alpha[data.draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 0.0
+    v = random_fock(fl.enumerate_basis(d, fl.truncated(n_max)), rng)
+    got, loss = fl.weyl_apply(alpha, v)
+    want, intermediate = _series_weyl(alpha, v)
+    tol = 1e-12 * max(1.0, intermediate)
+    assert np.max(np.abs(got.coeffs - want)) < tol
+    assert abs(loss - max(1.0 - np.linalg.norm(want) ** 2, 0.0)) < tol
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 6), (2, 5), (3, 4)])
+def test_weyl_truncation_is_projection_of_larger_basis(d, n_max, rng):
+    # truncated(n_max) is the leading block of truncated(n_max + 20), and the
+    # image there restricted to it must be the image on the small basis
+    small = fl.enumerate_basis(d, fl.truncated(n_max))
+    large = fl.enumerate_basis(d, fl.truncated(n_max + 20))
+    alpha = 1.5 * random_unit(d, rng)
+    v = random_fock(small, rng)
+    padded = np.zeros(large.dim, dtype=complex)
+    padded[: small.dim] = v.coeffs
+    got, _ = fl.weyl_apply(alpha, v)
+    wide, _ = fl.weyl_apply(alpha, fl.FockVector(large, padded))
+    assert np.max(np.abs(got.coeffs - wide.coeffs[: small.dim])) < 1e-13
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("d", [1, 2])
+def test_weyl_vacuum_is_coherent_state_at_large_n(n, d, rng):
+    phi = random_unit(d, rng)
+    b = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(sqrt(n))))
+    got, _ = fl.weyl_apply(sqrt(n) * phi, fl.vacuum(b))
+    want = fl.coherent_state(phi, n, b)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
+
+
+def test_weyl_builds_no_field_matrix(monkeypatch, rng):
+    # the displacement is applied mode by mode; a field_matrix call would
+    # bring back the per-call sparse assembly it replaced
+    from focklab import fock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weyl_apply called field_matrix")
+
+    monkeypatch.setattr(fock, "field_matrix", refuse)
+    b = fl.enumerate_basis(2, fl.truncated(8))
+    out, loss = fl.weyl_apply(0.7 * random_unit(2, rng), random_fock(b, rng))
+    assert abs(out.norm() ** 2 + loss - 1.0) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # sector projection
 
