@@ -451,15 +451,22 @@ def weyl_apply(alpha, v):
              if d > 1 else 0 for p in modes]
     w = v.coeffs
     # annihilation factors first; grid cells above the truncation start at
-    # zero and are dropped after each factor
-    for create in (False, True):
-        for p, line in zip(modes, lines):
-            grid = np.zeros((comb(n_max + d - 1, d - 1), n_max + 1), complex)
-            grid[line, occs[:, p]] = w
-            f = (_mode_factor(alpha[p], n_max).T if create
-                 else _mode_factor(-np.conj(alpha[p]), n_max))
-            w = (grid @ f)[line, occs[:, p]]
-    w = w * np.exp(-a2 / 2.0)
+    # zero and are dropped after each factor.  Near o + j = n_max the factors
+    # grow like e^{|alpha_p| sqrt(n_max)}: past |alpha|^2 of about 750 they
+    # overflow, and the check below turns that into an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for create in (False, True):
+            for p, line in zip(modes, lines):
+                grid = np.zeros((comb(n_max + d - 1, d - 1), n_max + 1), complex)
+                grid[line, occs[:, p]] = w
+                f = (_mode_factor(alpha[p], n_max).T if create
+                     else _mode_factor(-np.conj(alpha[p]), n_max))
+                w = (grid @ f)[line, occs[:, p]]
+        w = w * np.exp(-a2 / 2.0)
+    if not np.all(np.isfinite(w)):
+        raise SectorError(
+            f"Weyl displacement overflows at |alpha|^2 = {a2:.4g} on n_max = {n_max}"
+        )
     out = FockVector(basis, w)
     loss = 1.0 - (out.norm() ** 2) / (v.norm() ** 2)
     return out, max(loss, 0.0)

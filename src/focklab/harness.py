@@ -3,13 +3,13 @@ fitting, and result persistence.
 
 Every sweep runs on one state model: a list of components with
 coefficients, where a single family is one component with coefficient 1.
-The cell pipeline ``_sweep`` builds at each n the basis, the propagator plan
-and the normalized combination of the components, evolves it with the exact
-1/n-scaled many-body propagator through the times in increasing order, each
-from the previous one, and records at each time the distances between the
-one-particle reduced density matrix and the weighted mixture of the rank-one
-projections on the components' mean-field states (a single projection for a
-single family).
+The cell pipeline ``_sweep`` builds the mean-field targets once per time,
+then at each n the basis, the propagator plan and the normalized combination
+of the components.  It evolves the combination with the exact 1/n-scaled
+many-body propagator through the times in increasing order and records the
+distances between its one-particle reduced density matrix and the target:
+the weighted mixture of the rank-one projections on the components'
+mean-field states.  Each sweep adds its own columns through one flat callback.
 
 The CSV schema is bit-exact: header
 ``n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s``,
@@ -385,6 +385,12 @@ class ConvergenceReport:
                 self.fits[t] = None
         return self
 
+    def _cells(self, row):
+        """The row's values in CSV_HEADER order; the wall clock is blank in
+        a reproducible report."""
+        return [None if key == "runtime_s" and self.reproducible else getattr(row, key)
+                for key in CSV_HEADER]
+
     def to_csv(self, path):
         def fmt(x):
             return "" if x is None else repr(float(x))
@@ -393,12 +399,8 @@ class ConvergenceReport:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(CSV_HEADER)
             for r in sorted(self.rows, key=lambda r: (r.n, r.t)):
-                runtime = None if self.reproducible else r.runtime_s
-                w.writerow([
-                    str(r.n), str(r.m), repr(float(r.t)),
-                    fmt(r.trace_dist), fmt(r.hs_dist), fmt(r.op_dist),
-                    fmt(r.cross_term), fmt(r.bound_envelope), fmt(runtime),
-                ])
+                n, m, *reals = self._cells(r)
+                w.writerow([str(n), str(m)] + [fmt(x) for x in reals])
 
     def to_json(self, path=None):
         def fit_doc(f):
@@ -414,15 +416,8 @@ class ConvergenceReport:
             "metadata": self.metadata,
             "fits": {repr(float(t)): fit_doc(f) for t, f in self.fits.items()},
             "rows": [
-                {
-                    "n": r.n, "m": r.m, "t": r.t,
-                    "trace_dist": r.trace_dist, "hs_dist": r.hs_dist,
-                    "op_dist": r.op_dist, "cross_term": r.cross_term,
-                    "bound_envelope": r.bound_envelope,
-                    "runtime_s": None if self.reproducible else r.runtime_s,
-                    "config_hash": self.config_hash,
-                    "extras": r.extras,
-                }
+                dict(zip(CSV_HEADER, self._cells(r)),
+                     config_hash=self.config_hash, extras=r.extras)
                 for r in sorted(self.rows, key=lambda r: (r.n, r.t))
             ],
         }
@@ -442,15 +437,9 @@ def report_from_csv(path):
             if reader.fieldnames != CSV_HEADER:
                 raise ConfigError(f"{path} does not carry the sweep CSV schema")
             for rec in reader:
-                def f(key):
-                    return None if rec[key] == "" else float(rec[key])
-
-                rows.append(SweepRow(
-                    n=int(rec["n"]), m=int(rec["m"]), t=float(rec["t"]),
-                    trace_dist=f("trace_dist"), hs_dist=f("hs_dist"),
-                    op_dist=f("op_dist"), cross_term=f("cross_term"),
-                    bound_envelope=f("bound_envelope"), runtime_s=f("runtime_s"),
-                ))
+                row = {k: None if rec[k] == "" else float(rec[k]) for k in CSV_HEADER}
+                rows.append(SweepRow(**row | {"n": int(rec["n"]), "m": int(rec["m"]),
+                                              "t": float(rec["t"])}))
     except (OSError, ValueError, TypeError, csv.Error) as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     return ConvergenceReport(config_hash="", family="", seed=0, rows=rows)
@@ -504,22 +493,23 @@ def fit_rate(report, t, zero_floor=0.0):
 # sweeps
 
 
-def _hartree_targets(config, phis):
-    """Mean-field states at every requested time, one trajectory per phi.
+def _hartree_targets(config):
+    """``{t: (phi_ts, target)}``: the components' mean-field states at t and
+    the weighted mixture of their projections, each built once per time.
 
     Each state is renormalized: the integrator's norm drift is allowed up to
     NORM_DRIFT_TOL, far above the UNIT_NORM_TOL that ``mixed_target`` accepts.
     """
     grid = sorted(set([0.0] + list(config.t_list)))
-    table = []
-    for phi in phis:
-        traj = evolve_hartree(config.ms, phi, np.array(grid), tol=config.hartree_tol)
-        lookup = {}
-        for t in config.t_list:
-            phi_t = traj.states[grid.index(t)]
-            lookup[t] = phi_t / np.linalg.norm(phi_t)
-        table.append(lookup)
-    return table
+    trajs = [evolve_hartree(config.ms, c.phi, np.array(grid), tol=config.hartree_tol)
+             for c in config.components]
+    weights = _target_weights(config.components)
+    targets = {}
+    for t in set(config.t_list):
+        phi_ts = [tr.states[grid.index(t)] for tr in trajs]
+        phi_ts = [phi / np.linalg.norm(phi) for phi in phi_ts]
+        targets[t] = (phi_ts, mixed_target(weights, phi_ts))
+    return targets
 
 
 def _excitation(config, phi, m, *key):
@@ -553,32 +543,28 @@ def _theta_envelope(trace_dist, n, m):
     return trace_dist * sqrt(n) * exp(-m / 2.0) / float((m + 1) ** 7)
 
 
-def _sweep(config, threads, family, columns):
+def _sweep(config, threads, family, score):
     """The cell pipeline every sweep shares.
 
-    At each n: the basis (for coherent states truncated at
-    ``_poisson_cutoff(n)``, the smallest n_max whose Poisson(n) tail is at
-    most POISSON_TAIL_FLOOR, shared by all components; the fixed(n) sector
-    otherwise), the propagator plan, the components from
-    ``_superposition_spec``, their normalized combination with its Gram
-    matrix G and normalized coefficients, and ``columns(n, m, G, coeffs_n)``,
-    which returns the sweep's own row columns as a function
-    ``score(rho, phi_ts, trace_dist)``.  At each t, in
-    increasing order: the state evolved on from the previous time, its
-    reduced density matrix rho, and the three distances from rho to the
-    weighted mixture of the projections on ``phi_ts``, the components'
-    mean-field states at t.  H commutes with N and the reduced density
-    matrix has no cross-sector terms, so dropping the sectors above the cutoff
-    moves the distances only at the level of the dropped mass.  Coherent
-    sweeps record that mass per n in ``metadata["truncation"]``.
+    First the targets of ``_hartree_targets``, once per time.  Then one cell
+    per n: the basis (for coherent states truncated at ``_poisson_cutoff(n)``,
+    the smallest n_max whose Poisson(n) tail is at most POISSON_TAIL_FLOOR;
+    the fixed(n) sector otherwise), the propagator plan and the normalized
+    combination of the components with its Gram matrix and coefficients.  At
+    each t, in increasing order, the state evolves on from the previous time;
+    the row holds the three distances from its reduced density matrix rho to
+    the target at t, and the sweep's own columns
+    ``score(n, m, gram, coeffs_n, rho, phi_ts, trace_dist)``.  A cell returns
+    its rows and its basis's n_max, from which coherent sweeps record the
+    dropped Poisson mass per n in ``metadata["truncation"]``: H commutes with
+    N and rho has no cross-sector terms, so the cutoff moves the distances
+    only at the level of that mass.  ``threads > 1`` runs the cells on a pool.
     """
-    targets = _hartree_targets(config, [c.phi for c in config.components])
-    weights = _target_weights(config.components)
-    cutoffs = ({n: _poisson_cutoff(n) for n in config.n_list}
-               if config.kind == "coherent" else {})
+    targets = _hartree_targets(config)
+    coherent = config.kind == "coherent"
 
     def cell(n):
-        sector = truncated(cutoffs[n]) if cutoffs else fixed(n)
+        sector = truncated(_poisson_cutoff(n)) if coherent else fixed(n)
         basis = enumerate_basis(config.ms.d, sector)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
@@ -589,8 +575,7 @@ def _sweep(config, threads, family, columns):
         except DegeneracyError as e:
             raise ConfigError(f"state.components at n={n}: {e}") from e
         m = max(spec.m_schedule or [0])
-        score = columns(n, m, gram, coeffs_n)
-        out = []
+        rows = []
         t_prev = 0.0
         # each time evolves on from the previous one (a repeated time by 0)
         for t in sorted(config.t_list):
@@ -598,28 +583,32 @@ def _sweep(config, threads, family, columns):
             state = evolve_fock(plan, state, t - t_prev)
             t_prev = t
             rho = reduced_dm(state)
-            phi_ts = [lookup[t] for lookup in targets]
-            rho_target = mixed_target(weights, phi_ts)
-            td, hd, od = (distance(rho, rho_target, kind)
+            phi_ts, target = targets[t]
+            td, hd, od = (distance(rho, target, kind)
                           for kind in ("trace", "hilbert_schmidt", "operator"))
-            out.append(SweepRow(
+            rows.append(SweepRow(
                 n=n, m=m, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
                 runtime_s=time.perf_counter() - cell_start,
-                **score(rho, phi_ts, td),
+                **score(n, m, gram, coeffs_n, rho, phi_ts, td),
             ))
-        return out
+        return rows, basis.n_max
 
     sweep_start = time.perf_counter()
-    rows = _run_cells(cell, config.n_list, threads)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            cells = list(pool.map(cell, config.n_list))
+    else:  # in the calling thread, so that Ctrl-C stops a long cell at once
+        cells = [cell(n) for n in config.n_list]
     metadata = _metadata(config, threads, time.perf_counter() - sweep_start)
-    if cutoffs:
+    if coherent:
         metadata["truncation"] = {
             str(n): {"n_max": k, "tail_mass": float(pdtrc(k, n))}
-            for n, k in cutoffs.items()
+            for n, (_, k) in zip(config.n_list, cells)
         }
     return ConvergenceReport(
         config_hash=config.config_hash, family=family, seed=config.seed,
-        rows=rows, reproducible=(threads == 1), metadata=metadata,
+        rows=sorted((r for rows, _ in cells for r in rows), key=lambda r: (r.n, r.t)),
+        reproducible=(threads == 1), metadata=metadata,
     )
 
 
@@ -647,10 +636,10 @@ def run_convergence_sweep(config: ExperimentConfig, threads=1):
             f"convergence sweep takes a single-state family, got {config.family!r}"
         )
 
-    def columns(n, m, gram, coeffs_n):
-        return lambda rho, phi_ts, td: {"bound_envelope": _theta_envelope(td, n, m)}
+    def score(n, m, gram, coeffs_n, rho, phi_ts, td):
+        return {"bound_envelope": _theta_envelope(td, n, m)}
 
-    return _sweep(config, threads, config.family, columns).attach_fits()
+    return _sweep(config, threads, config.family, score).attach_fits()
 
 
 def run_superposition_sweep(config: ExperimentConfig, threads=1):
@@ -660,19 +649,18 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
         raise ConfigError("superposition sweep needs family=superposition")
     weights = _target_weights(config.components)
 
-    def columns(n, m, gram, coeffs_n):
+    def score(n, m, gram, coeffs_n, rho, phi_ts, td):
         # cross terms are logged as the numerically measured overlaps, so the
         # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
         # against them downstream
-        cross = float(max(abs(gram[i, j])
-                          for i, j in combinations(range(len(gram)), 2)))
-        return lambda rho, phi_ts, td: {"cross_term": cross, "extras": {
+        cross = max(abs(gram[i, j]) for i, j in combinations(range(len(gram)), 2))
+        return {"cross_term": float(cross), "extras": {
             "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
             "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
             "target_weights": [float(w) for w in weights],
         }}
 
-    return _sweep(config, threads, "superposition:" + config.kind, columns)
+    return _sweep(config, threads, "superposition:" + config.kind, score)
 
 
 def _fit_mixture_weights(rho, phi_ts):
@@ -689,14 +677,3 @@ def _fit_mixture_weights(rho, phi_ts):
     except np.linalg.LinAlgError:
         w, *_ = np.linalg.lstsq(M, b, rcond=None)
     return [float(x) for x in w]
-
-
-def _run_cells(cell, n_list, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(cell, n_list))
-    else:
-        groups = [cell(n) for n in n_list]
-    rows = [row for grp in groups for row in grp]
-    rows.sort(key=lambda r: (r.n, r.t))
-    return rows

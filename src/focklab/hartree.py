@@ -51,7 +51,6 @@ class HartreeTrajectory:
     states: np.ndarray         # (len(times), d) complex
     norm_log: np.ndarray
     energy_log: np.ndarray
-    h1_log: np.ndarray         # <phi,(1+h)phi>, the discrete smoothness monitor
 
     def __post_init__(self):
         self._spline = None
@@ -134,8 +133,6 @@ def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
 def _finish(ms, times, states):
     norms = np.linalg.norm(states, axis=1)
     energies = np.array([hartree_energy(ms, s) for s in states])
-    one_plus_h = np.eye(ms.d) + ms.h
-    h1 = np.array([float(np.vdot(s, one_plus_h @ s).real) for s in states])
     drift = np.max(np.abs(norms - norms[0]))
     if drift > NORM_DRIFT_TOL:
         raise IntegrationError(
@@ -153,7 +150,6 @@ def _finish(ms, times, states):
         states=np.asarray(states, dtype=complex),
         norm_log=norms,
         energy_log=energies,
-        h1_log=h1,
     )
 
 

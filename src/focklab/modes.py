@@ -17,13 +17,14 @@ from .tolerances import HERMITICITY_TOL
 class ModeSystem:
     """d modes with one-body energy ``h`` (d x d Hermitian) and pair kernel ``v``.
 
-    ``v`` is stored as a symmetric real d x d matrix of kernel values.
+    ``h`` is stored as its exact Hermitian part, so that every operator built
+    from it is Hermitian entry for entry; ``v`` as a symmetric real d x d
+    matrix of kernel values.
     """
 
     d: int
     h: np.ndarray
     v: np.ndarray
-    geometry: str = "dense"
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -38,7 +39,9 @@ class ModeSystem:
             raise ValueError(f"h is not Hermitian to {HERMITICITY_TOL}")
         if not np.array_equal(v, v.T):
             raise ValueError("v must be exactly symmetric")
-        object.__setattr__(self, "h", h)
+        # (h + h^H)/2, halved first so that no entry can overflow; it is h
+        # itself, bit for bit, when h is Hermitian with normal entries
+        object.__setattr__(self, "h", h / 2.0 + h.conj().T / 2.0)
         object.__setattr__(self, "v", v)
 
     @staticmethod
@@ -47,7 +50,7 @@ class ModeSystem:
         h = np.asarray(h, dtype=complex)
         v = np.asarray(v, dtype=float)
         v = (v + v.T) / 2.0
-        return ModeSystem(d=h.shape[0], h=h, v=v, geometry="dense")
+        return ModeSystem(d=h.shape[0], h=h, v=v)
 
     @staticmethod
     def lattice(sites, hopping=1.0, potential=("contact", 1.0)):
@@ -68,7 +71,6 @@ class ModeSystem:
             h[p, (p + 1) % L] -= 1.0
             h[p, (p - 1) % L] -= 1.0
         h *= hopping
-        h = (h + h.conj().T) / 2.0
 
         kind = potential[0]
         dist = np.abs(np.arange(L)[:, None] - np.arange(L)[None, :])
@@ -83,7 +85,7 @@ class ModeSystem:
         else:
             raise ValueError(f"unknown pair potential kind {kind!r}")
         v = (v + v.T) / 2.0
-        return ModeSystem(d=L, h=h, v=v, geometry="lattice")
+        return ModeSystem(d=L, h=h, v=v)
 
     def mean_field_potential(self, phi):
         """(v * |phi|^2)(p) = sum_q v(p, q) |phi_q|^2."""

@@ -332,6 +332,23 @@ def test_default_hartree_tol_lattice_product_sweep_exits_0(tmp_path):
     assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 10
 
 
+@pytest.mark.parametrize("n", [4, 40])
+def test_near_hermitian_h_sweep_exits_0(tmp_path, n):
+    # h is Hermitian only to HERMITICITY_TOL; dGamma(h) scales the defect by
+    # sqrt(o_q (o_p + 1)), past the Hermiticity check of the sparse operator
+    doc = {
+        "mode_system": {"geometry": "dense", "h": [[0, [-1, 9e-13]], [-1, 0]],
+                        "v": [[1, 0], [0, 1]]},
+        "state": {"family": "product", "phi": [[0.6, 0], [0.8, 0]]},
+        "n_list": [n],
+        "t_list": [0.5],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "convergence.csv").read_text().splitlines()) == 2
+
+
 def test_invalid_json_exit_code(tmp_path):
     bad = tmp_path / "nonjson.json"
     bad.write_text("{not json")

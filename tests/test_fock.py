@@ -419,6 +419,17 @@ def test_weyl_vacuum_is_coherent_state_at_large_n(n, d, rng):
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
 
 
+def test_weyl_overflow_raises_instead_of_returning_nan():
+    # on one mode the factors stay finite up to n of about 750
+    phi = np.array([1.0 + 0j])
+    b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(600))))
+    got, _ = fl.weyl_apply(sqrt(600) * phi, fl.vacuum(b))
+    assert np.max(np.abs(got.coeffs - fl.coherent_state(phi, 600, b).coeffs)) < 1e-13
+    b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(800))))
+    with pytest.raises(fl.SectorError, match="overflows"):
+        fl.weyl_apply(sqrt(800) * phi, fl.vacuum(b))
+
+
 def test_weyl_builds_no_field_matrix(monkeypatch, rng):
     # the displacement is applied mode by mode; a field_matrix call would
     # bring back the per-call sparse assembly it replaced

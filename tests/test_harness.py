@@ -256,6 +256,42 @@ def test_json_report_embeds_config_hash(tmp_path):
     assert all(row["config_hash"] == cfg.config_hash for row in doc["rows"])
 
 
+def test_targets_are_built_once_per_time(monkeypatch):
+    # the mean-field target depends on t alone, not on the cell's n
+    calls = []
+
+    def counting(weights, phis):
+        calls.append(len(phis))
+        return fl.mixed_target(weights, phis)
+
+    monkeypatch.setattr(harness, "mixed_target", counting)
+    rep = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(
+        _theta_doc(n_list=(4, 6, 8), t_list=(0.5, 1.0))))
+    assert len(rep.rows) == 6
+    assert calls == [1, 1]
+
+
+def test_json_rows_carry_the_csv_columns_in_order():
+    for rep in (fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(_theta_doc())),
+                fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(
+                    _superposition_doc()), threads=2)):
+        for row in rep.to_json()["rows"]:
+            assert list(row) == CSV_HEADER + ["config_hash", "extras"]
+            assert (row["runtime_s"] is None) == rep.reproducible
+
+
+def test_csv_reload_keeps_every_superposition_column(tmp_path):
+    rep = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(_superposition_doc()))
+    rep.to_csv(tmp_path / "sweep.csv")
+    back = report_from_csv(tmp_path / "sweep.csv")
+    assert len(back.rows) == len(rep.rows) == 3
+    for a, b in zip(back.rows, sorted(rep.rows, key=lambda r: (r.n, r.t))):
+        assert [getattr(a, key) for key in CSV_HEADER] == \
+            [getattr(b, key) for key in CSV_HEADER[:-1]] + [None]
+        assert a.cross_term > 0
+        assert a.bound_envelope is None and a.runtime_s is None
+
+
 def _distances(rep):
     return {(r.n, r.t): (r.trace_dist, r.hs_dist, r.op_dist) for r in rep.rows}
 

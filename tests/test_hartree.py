@@ -152,12 +152,6 @@ def test_rejects_unnormalized_start(rng):
         fl.evolve_hartree(ms, np.array([1.0, 1.0]), np.linspace(0, 1, 3))
 
 
-def test_smoothness_monitor_bounded(rng):
-    ms = _random_ms(3, rng)
-    traj = fl.evolve_hartree(ms, random_unit(3, rng), np.linspace(0, 2, 9))
-    assert np.max(np.abs(traj.h1_log)) < 10 * max(1.0, abs(traj.h1_log[0]))
-
-
 # ---------------------------------------------------------------------------
 # trajectory interpolation and export
 

@@ -39,6 +39,18 @@ def test_dense_symmetrizes_kernel():
     assert ms.v[0, 1] == ms.v[1, 0] == 0.5
 
 
+def test_near_hermitian_h_is_stored_as_its_hermitian_part(rng):
+    h = np.array([[0, -1 + 9e-13j], [-1, 0]])
+    ms = fl.ModeSystem.dense(h, np.eye(2))
+    assert np.array_equal(ms.h, ms.h.conj().T)
+    for n in (4, 40):
+        dg = fl.second_quantize(ms.h, fl.enumerate_basis(2, fl.fixed(n))).matrix.toarray()
+        assert np.array_equal(dg, dg.conj().T)
+    exact = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    exact = exact + exact.conj().T
+    assert np.array_equal(fl.ModeSystem.dense(exact, np.eye(3)).h, exact)
+
+
 def test_non_hermitian_h_rejected():
     with pytest.raises(ValueError):
         fl.ModeSystem(d=2, h=np.array([[0, 1], [0, 0]], dtype=complex),
@@ -70,7 +82,8 @@ def test_lattice_config_parse():
         "seed": 0,
     }
     cfg = fl.ExperimentConfig.from_dict(doc)
-    assert cfg.ms.geometry == "lattice" and cfg.ms.d == 3
+    lattice = fl.ModeSystem.lattice(3, hopping=1.0, potential=("gaussian", 1.0, 0.7))
+    assert np.array_equal(cfg.ms.h, lattice.h) and np.array_equal(cfg.ms.v, lattice.v)
 
 
 def test_unknown_potential_kind_rejected():
