@@ -33,7 +33,6 @@ EXIT_CAPACITY = 3
 def _add_common(p):
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
 
 
 def build_parser():
@@ -53,6 +52,7 @@ def build_parser():
                         ("superpose", "superposition (mixture) sweep")):
         p = sub.add_parser(name, help=help_)
         _add_common(p)
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads, one n per task (>= 1); they pay only "
                             "when the cells are balanced and take about 0.1 s or more")
@@ -123,7 +123,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_hartree(args):
-    config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
+    config = ExperimentConfig.from_json(args.config)  # the trajectory draws nothing
     if config.family == "superposition":
         raise ConfigError("hartree export needs a single-state family with a phi")
     out = _out_dir(args, config)

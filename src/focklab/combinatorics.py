@@ -25,11 +25,8 @@ def laguerre(k, alpha, x):
         raise ValueError("degree must be >= 0")
     if alpha <= -1:
         raise ValueError("parameter must be > -1")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    curr = 1.0 + alpha - x
-    for j in range(1, k):
+    prev, curr = 0.0, 1.0  # L_{-1} = 0, L_0 = 1
+    for j in range(k):
         prev, curr = curr, ((2 * j + 1 + alpha - x) * curr - (j + alpha) * prev) / (j + 1)
     return float(curr)
 
@@ -80,22 +77,19 @@ def theta_weyl_coefficients(n, m):
 
     Uses the recurrence for the signed, pre-normalized coefficients
         b_{k+1} = (k + m) / sqrt(n (k+1)) * b_k - sqrt(k / (k+1)) * b_{k-1},
-    seeded with b_0 = 1/d_{n,m} and b_1 = m / (sqrt(n) d_{n,m});
+    seeded with b_{-1} = 0 and b_0 = 1/d_{n,m};
     A_k = |b_k|.  Equivalent to the log-domain Laguerre expression but free
     of overflow and cancellation blow-up.
     """
     if not 0 <= m <= n or n < 1:
         raise ValueError("need 1 <= n and 0 <= m <= n")
     ld = log_dnm(n, m)
-    inv_d = exp(-ld)
     K = n - m
-    b = np.zeros(K + 1)
-    b[0] = inv_d
-    if K >= 1:
-        b[1] = m / sqrt(n) * inv_d
-    for k in range(1, K):
-        b[k + 1] = (k + m) / sqrt(n * (k + 1.0)) * b[k] - sqrt(k / (k + 1.0)) * b[k - 1]
-    return ThetaCoefficients(n=n, m=m, log_dnm=ld, a=np.abs(b))
+    b = np.zeros(K + 2)  # b[k + 1] holds b_k, from b_{-1} = 0
+    b[1] = exp(-ld)
+    for k in range(K):
+        b[k + 2] = (k + m) / sqrt(n * (k + 1.0)) * b[k + 1] - sqrt(k / (k + 1.0)) * b[k]
+    return ThetaCoefficients(n=n, m=m, log_dnm=ld, a=np.abs(b[1:]))
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
     H's diagonal, and scale the rest to the Chebyshev interval."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
-    if tol > DEFAULT_KRYLOV_TOL:
-        raise ValueError(f"krylov tolerance must be <= {DEFAULT_KRYLOV_TOL}")
+    if not 0 < tol <= DEFAULT_KRYLOV_TOL:  # also rejects nan
+        raise ValueError(f"krylov tolerance must lie in (0, {DEFAULT_KRYLOV_TOL}]")
     A, totals = H.matrix, H.basis.totals
     diag = A.diagonal().real
     # a fixed(n) basis leaves the sectors below n empty; they are never indexed
@@ -88,15 +88,14 @@ def _bessel_series(x):
 
 
 def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
-    """U(t) v; unitary and number-conserving.
+    """U(t) v; unitary and number-conserving.  At t = 0 the series is J_0(0) = 1
+    times a unit phase, so the result equals v (a zero part may change sign).
 
     Raises KrylovError when the result is not finite or its norm differs
     from ||v|| by more than plan.tol * ||v||.
     """
     if v.basis != plan.basis:
         raise SectorError("vector does not live on the plan's basis")
-    if t == 0:
-        return v.copy()
     lo, hi = plan.interval
     j = _bessel_series(t * (hi - lo) / 2)
     coeffs = 2 * np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4] * j  # 2 (-i)^k J_k

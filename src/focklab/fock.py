@@ -229,12 +229,9 @@ class FockVector:
 
 
 def vacuum(basis):
-    kind, _ = basis.sector
-    if kind == "fixed" and basis.sector[1] != 0:
+    if basis.sector[0] == "fixed" and basis.n_max != 0:
         raise SectorError("vacuum lives in sector 0")
-    c = np.zeros(basis.dim, dtype=complex)
-    c[basis.index_of((0,) * basis.d)] = 1.0
-    return FockVector(basis, c)
+    return basis_state(basis, (0,) * basis.d)
 
 
 def basis_state(basis, occ):
@@ -257,7 +254,7 @@ class SparseOperator:
             raise ValueError("matrix shape does not match basis dimension")
         if self.hermitian:
             delta = (self.matrix - self.matrix.getH()).tocoo()
-            if delta.nnz and np.max(np.abs(delta.data)) > HERMITICITY_TOL:
+            if delta.nnz and not np.max(np.abs(delta.data)) <= HERMITICITY_TOL:
                 raise ValueError(
                     f"operator flagged Hermitian but is not ({HERMITICITY_TOL})")
 
@@ -299,22 +296,25 @@ def ladder_apply(kind, p, v):
 def field_matrix(kind, f, basis):
     """Matrix of a(f) = sum_p f_p a_p or a*(f) = sum_p f_p a+_p (linear in f).
 
-    Each entry comes from one mode p: a pass over the nonzero f_p shifts column
-    p, ranks the targets and writes f_p sqrt(.) into preallocated triplets."""
+    a(f): each nonzero f_p lowers column p, ranks the targets and writes
+    f_p sqrt(n_p) into preallocated triplets.  a*(f) is the transpose (not
+    the adjoint) of a(f) on fixed(n + 1) for fixed(n), or on the truncated
+    basis itself, whose top sector has no image: what a*(f) would push above
+    n_max is dropped."""
     if kind not in ("create", "annihilate"):
         raise ValueError(f"ladder kind must be create|annihilate, got {kind!r}")
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.d,):
         raise ValueError(f"smearing vector must have length d={basis.d}")
-    step = 1 if kind == "create" else -1
-    out = basis  # a truncated basis maps to itself, a fixed sector to the next
-    if basis.sector[0] == "fixed":
-        if basis.n_max + step < 0:
-            raise SectorError("cannot annihilate on the fixed(0) sector")
-        out = enumerate_basis(basis.d, fixed(basis.n_max + step))
+    fixed_sector = basis.sector[0] == "fixed"
+    if kind == "create":
+        raised = enumerate_basis(basis.d, fixed(basis.n_max + 1)) if fixed_sector else basis
+        return field_matrix("annihilate", f, raised)[0].T.tocsr(), raised
+    if fixed_sector and basis.n_max == 0:
+        raise SectorError("cannot annihilate on the fixed(0) sector")
+    out = enumerate_basis(basis.d, fixed(basis.n_max - 1)) if fixed_sector else basis
     occs, modes = basis.occs, np.flatnonzero(f)
-    fits = (basis.totals < basis.n_max) | (basis.sector[0] == "fixed")  # a* stays <= n_max
-    keep = occs[:, modes] > 0 if step < 0 else np.repeat(fits[:, None], len(modes), 1)
+    keep = occs[:, modes] > 0
     nnz = np.count_nonzero(keep)
     rows, cols = np.empty(nnz, np.int32), np.empty(nnz, np.int32)
     vals, stop = np.empty(nnz, complex), 0
@@ -323,10 +323,9 @@ def field_matrix(kind, f, basis):
         sl = slice(stop, stop + len(src))
         stop = sl.stop
         tgt = occs[src]
-        tgt[:, p] += step
+        tgt[:, p] -= 1
         rows[sl], cols[sl] = rank(out, tgt), src
-        # sqrt(n_p) or sqrt(n_p + 1); "+ 0" turns -0.0 parts into 0.0
-        vals[sl] = f[p] * np.sqrt(np.maximum(tgt[:, p], tgt[:, p] - step)) + 0
+        vals[sl] = f[p] * np.sqrt(occs[src, p]) + 0  # "+ 0" turns -0.0 parts into 0.0
     return sparse.csr_matrix((vals, (rows, cols)), shape=(out.dim, basis.dim)), out
 
 

@@ -296,19 +296,14 @@ class ExperimentConfig:
         if cfg.out_format not in ("csv", "json"):
             raise ConfigError("output.format must be csv or json")
 
-        # log schedules clamp and admissible_m is nondecreasing, so an m
-        # admissible at the smallest n is admissible at every n
-        n = cfg.n_list[0]
-        for sched in (c.m_schedule for c in components if theta):
-            if sched.value(n) > admissible_m(n):
-                raise ConfigError(
-                    f"m={sched.value(n)} exceeds admissible bound "
-                    f"{admissible_m(n)} at n={n}"
-                )
         coeffs = np.array([c.coeff for c in components])
         phis = [c.phi for c in components]
         for n in cfg.n_list:
             m_n = [c.m_schedule.value(n) for c in components] if theta else []
+            for m in m_n:
+                if m > admissible_m(n):
+                    raise ConfigError(
+                        f"m={m} exceeds admissible bound {admissible_m(n)} at n={n}")
             if ms.d < 2 and any(m_n):
                 raise ConfigError("an excitation (m > 0) needs at least 2 modes")
             try:
@@ -429,7 +424,8 @@ class ConvergenceReport:
 
 def report_from_csv(path):
     """Reload a persisted sweep (config hash is not recoverable from CSV); a
-    file that cannot be read as the sweep schema raises ConfigError."""
+    file that cannot be read as the sweep schema, or that holds a non-finite
+    number or a missing or negative distance, raises ConfigError."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -438,6 +434,11 @@ def report_from_csv(path):
                 raise ConfigError(f"{path} does not carry the sweep CSV schema")
             for rec in reader:
                 row = {k: None if rec[k] == "" else float(rec[k]) for k in CSV_HEADER}
+                if (not all(x is None or isfinite(x) for x in row.values())
+                        or not all(row[k] is not None and row[k] >= 0
+                                    for k in ("trace_dist", "hs_dist", "op_dist"))):
+                    raise ConfigError(f"{path} line {reader.line_num}: a number is not "
+                                      f"finite or a distance is missing or negative")
                 rows.append(SweepRow(**row | {"n": int(rec["n"]), "m": int(rec["m"]),
                                               "t": float(rec["t"])}))
     except (OSError, ValueError, TypeError, csv.Error) as e:

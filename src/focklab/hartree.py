@@ -37,7 +37,7 @@ def hartree_energy(ms: ModeSystem, phi):
     phi = np.asarray(phi, dtype=complex)
     dens = np.abs(phi) ** 2
     e = np.vdot(phi, ms.h @ phi) + 0.5 * dens @ ms.v @ dens
-    if abs(e.imag) > NONREAL_ENERGY_TOL * max(1.0, abs(e.real)):
+    if not abs(e.imag) <= NONREAL_ENERGY_TOL * max(1.0, abs(e.real)):
         raise IntegrationError(f"energy came out non-real: {e}")
     return float(e.real)
 
@@ -107,8 +107,8 @@ def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     grid.
     """
     phi0 = check_unit(phi0, "phi0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:  # a nan tolerance would never let the integrator finish
+        raise ValueError("tol must be finite and positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if len(t_grid) == 1 or np.all(t_grid == t_grid[0]):
         states = np.array([phi0])
@@ -134,13 +134,13 @@ def _finish(ms, times, states):
     norms = np.linalg.norm(states, axis=1)
     energies = np.array([hartree_energy(ms, s) for s in states])
     drift = np.max(np.abs(norms - norms[0]))
-    if drift > NORM_DRIFT_TOL:
+    if not drift <= NORM_DRIFT_TOL:
         raise IntegrationError(
             f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL} "
             f"(t in [{times[0]}, {times[-1]}])"
         )
     e_drift = np.max(np.abs(energies - energies[0]))
-    if e_drift > ENERGY_DRIFT_TOL * max(1.0, abs(energies[0])):
+    if not e_drift <= ENERGY_DRIFT_TOL * max(1.0, abs(energies[0])):
         raise IntegrationError(
             f"energy drift {e_drift:.3e} exceeds {ENERGY_DRIFT_TOL}"
         )

@@ -35,7 +35,7 @@ class ModeSystem:
             raise ValueError(f"h and v must be {self.d}x{self.d}")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
             raise ValueError("h and v must have finite entries")
-        if np.max(np.abs(h - h.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL:
             raise ValueError(f"h is not Hermitian to {HERMITICITY_TOL}")
         if not np.array_equal(v, v.T):
             raise ValueError("v must be exactly symmetric")

@@ -27,16 +27,16 @@ class OneParticleDM:
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
             raise ValueError(
                 f"reduced density matrix is not Hermitian to {HERMITICITY_TOL}")
         evals = np.linalg.eigvalsh(rho)
-        if evals.min() < PSD_FLOOR:
+        if not evals.min() >= PSD_FLOOR:
             raise ValueError(
                 f"reduced density matrix has eigenvalue {evals.min():.3e} "
                 f"below the PSD floor {PSD_FLOOR}"
             )
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
+        if not abs(np.trace(rho).real - 1.0) <= TRACE_TOL:
             raise ValueError("reduced density matrix does not have unit trace")
         self.rho = rho
 
@@ -120,9 +120,9 @@ def distance(rho1, rho2, norm="trace"):
 def mixed_target(weights, phis):
     """sum_i w_i |phi_i><phi_i| for nonnegative weights summing to one."""
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
+    if not np.all(weights >= 0):
         raise ValueError("weights must be nonnegative")
-    if abs(np.sum(weights) - 1.0) > WEIGHT_SUM_TOL:
+    if not abs(np.sum(weights) - 1.0) <= WEIGHT_SUM_TOL:
         raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}")
     phis = [check_unit(p, "mixture component") for p in phis]
     if len(phis) != len(weights):

@@ -9,8 +9,9 @@ variable is orthogonal to phi.  With c_{n,m} = binom(n, m)^{1/2},
                 = a*(phi)^(n-m) psi_m / sqrt((n-m)!),   ||theta_{n,m}|| = 1.
 
 States are built in closed form: ``_create_power`` writes the amplitudes of
-a*(f)^k v / sqrt(k!) (theta: v = psi_m; product: v = vacuum; excitation: one
-power per complement mode); a coherent state is a per-mode Poisson product.
+a*(f)^k v / sqrt(k!) (theta: v = psi_m, or the vacuum for the condensate
+phi^(x)n = theta_{n,0}; excitation: one power per complement mode); a coherent
+state is a per-mode Poisson product.
 Tensor symmetrization and the d_{n,m}-scaled sector projection of the
 Weyl-displaced excitation stay as independent theta oracles.
 """
@@ -70,10 +71,8 @@ def _create_power(f, k, v):
 
 
 def product_state(phi, n, basis):
-    """phi^(x)n = a*(phi)^n |0> / sqrt(n!): amplitudes sqrt(n!/prod occ!) prod phi^occ."""
-    phi = check_unit(phi)
-    vac = vacuum(enumerate_basis(len(phi), fixed(0)))
-    return _embed_sector(_create_power(phi, n, vac).coeffs, n, basis)
+    """phi^(x)n, the partially factorized state theta_{n,0} = a*(phi)^n |0> / sqrt(n!)."""
+    return theta_state(phi, None, n, "creation_polynomial", basis)
 
 
 def _poisson_cutoff(n):
@@ -100,7 +99,7 @@ def coherent_state(phi, n, basis):
     if basis.sector[0] != "truncated":
         raise SectorError("coherent states need a truncated basis")
     tail = pdtrc(basis.n_max, n)
-    if tail > POISSON_TAIL_FLOOR:
+    if not tail <= POISSON_TAIL_FLOOR:
         raise SectorError(
             f"truncation n_max={basis.n_max} drops Poisson mass {tail:.3e} above "
             f"{POISSON_TAIL_FLOOR} for mean number {n}"
@@ -126,7 +125,7 @@ class ExcitationState:
             raise SectorError("excitation vector must live in the fixed(m) sector")
         check_unit(self.psi.coeffs, "excitation")
         self.orthogonal_to = check_unit(self.orthogonal_to)
-        if _orthogonality_defect(self.orthogonal_to, self.psi) > ORTHOGONALITY_TOL:
+        if not _orthogonality_defect(self.orthogonal_to, self.psi) <= ORTHOGONALITY_TOL:
             raise ValueError("excitation is not first-variable orthogonal to phi")
 
 
@@ -198,10 +197,10 @@ def _fixed_from_tensor(T, d, n):
     return coeffs
 
 
-def _theta_symmetrize(phi, excitation, n, m):
+def _theta_symmetrize(phi, psi, n, m):
     """Explicit symmetrization: binom(n,m)^{-1/2} sum over excitation placements."""
     d = len(phi)
-    psi_T = np.ones((), dtype=complex) if m == 0 else _tensor_from_fixed(excitation.psi)
+    psi_T = _tensor_from_fixed(psi)
     letters = "abcdefghijklmnop"[:n]
     total = np.zeros((d,) * n, dtype=complex)
     for J in itertools.combinations(range(n), m):
@@ -217,11 +216,11 @@ def _theta_symmetrize(phi, excitation, n, m):
     return _fixed_from_tensor(total / sqrt(comb(n, m)), d, n)
 
 
-def _theta_weyl(phi, excitation, n, m):
+def _theta_weyl(phi, psi, n, m):
     """d_{n,m} P_n C(sqrt(n) phi) acting on the embedded excitation."""
     d = len(phi)
     work = enumerate_basis(d, truncated(weyl_headroom(sqrt(n))))
-    seed = vacuum(work) if m == 0 else _embed_sector(excitation.psi.coeffs, m, work)
+    seed = _embed_sector(psi.coeffs, m, work)
     displaced, _loss = weyl_apply(sqrt(n) * phi, seed)
     proj = sector_project(n, displaced)
     scaled = exp(log_dnm(n, m)) * proj.coeffs[work.sector_slice(n)]
@@ -229,7 +228,8 @@ def _theta_weyl(phi, excitation, n, m):
 
 
 def theta_state(phi, excitation, n, method, basis):
-    """Partially factorized n-particle state; excitation=None means m = 0.
+    """Partially factorized n-particle state; excitation=None means m = 0, the
+    vacuum as psi_0, which makes theta_{n,0} the condensate phi^(x)n.
 
     method: "creation_polynomial" (the closed form sweeps use) or the oracles
     "symmetrize" and "weyl_projection"; all return a unit vector (the weyl
@@ -241,17 +241,17 @@ def theta_state(phi, excitation, n, method, basis):
         raise ValueError(f"excitation size m={m} exceeds particle number n={n}")
     if excitation is not None:
         defect = _orthogonality_defect(phi, excitation.psi)
-        if defect > ORTHOGONALITY_TOL:
+        if not defect <= ORTHOGONALITY_TOL:
             raise ValueError(
                 f"excitation not orthogonal to phi (defect {defect:.2e})"
             )
+    psi = vacuum(enumerate_basis(len(phi), fixed(0))) if excitation is None else excitation.psi
     if method == "symmetrize":
-        coeffs = _theta_symmetrize(phi, excitation, n, m)
+        coeffs = _theta_symmetrize(phi, psi, n, m)
     elif method == "creation_polynomial":  # a*(phi)^(n-m) psi_m / sqrt((n-m)!)
-        psi = vacuum(enumerate_basis(len(phi), fixed(0))) if m == 0 else excitation.psi
         coeffs = _create_power(phi, n - m, psi).coeffs
     elif method == "weyl_projection":
-        coeffs = _theta_weyl(phi, excitation, n, m)
+        coeffs = _theta_weyl(phi, psi, n, m)
     else:
         raise ValueError(f"unknown construction {method!r}")
     return _embed_sector(coeffs, n, basis)
@@ -303,11 +303,11 @@ def _check_components(kind, coeffs, phis, ms):
         for p in phis:
             check_unit(p)
         for i, j in itertools.combinations(range(len(phis)), 2):
-            if abs(np.vdot(phis[i], phis[j])) >= 1.0 - INDEPENDENCE_TOL:
+            if not abs(np.vdot(phis[i], phis[j])) < 1.0 - INDEPENDENCE_TOL:
                 raise ValueError("components must be linearly independent")
     else:
         for i, j in itertools.combinations(range(len(phis)), 2):
-            if np.linalg.norm(phis[i] - phis[j]) <= DISTINCTNESS_TOL:
+            if not np.linalg.norm(phis[i] - phis[j]) > DISTINCTNESS_TOL:
                 raise ValueError("coherent components must be distinct")
 
 
@@ -337,7 +337,7 @@ def gram_overlap(kind, item_i, item_j, n):
         base = abs(complex(np.vdot(phi_i, phi_j)))
         power = base ** (n - 2 * m) if (base > 0 or n - 2 * m == 0) else 0.0
         bound = (m + 1.0) * exp(2.0 * lgamma(m + 1)) * float(n) ** m * power
-        if abs(g) > bound * (1.0 + OVERLAP_BOUND_RTOL) + OVERLAP_BOUND_ATOL:
+        if not abs(g) <= bound * (1.0 + OVERLAP_BOUND_RTOL) + OVERLAP_BOUND_ATOL:
             raise FocklabError(
                 f"theta overlap {abs(g):.3e} violates its factorial bound {bound:.3e}"
             )
@@ -346,15 +346,11 @@ def gram_overlap(kind, item_i, item_j, n):
 
 
 def component_states(spec, n, basis):
-    """The individual family members entering a superposition, as vectors."""
-    if spec.kind == "product":
-        return [product_state(p, n, basis) for p in spec.phis]
-    if spec.kind == "theta":
-        return [
-            theta_state(p, e, n, "creation_polynomial", basis)
-            for p, e in zip(spec.phis, spec.excitations)
-        ]
-    return [coherent_state(p, n, basis) for p in spec.phis]
+    """The family members entering a superposition, as vectors (product: m = 0 theta)."""
+    if spec.kind == "coherent":
+        return [coherent_state(p, n, basis) for p in spec.phis]
+    excs = spec.excitations if spec.kind == "theta" else [None] * len(spec.phis)
+    return [theta_state(p, e, n, "creation_polynomial", basis) for p, e in zip(spec.phis, excs)]
 
 
 def superposition(spec, n, basis):
@@ -382,10 +378,10 @@ def _combine_components(coeffs, comps):
     for i, j in itertools.combinations(range(k), 2):
         G[i, j] = comps[i].inner(comps[j])
         G[j, i] = np.conj(G[i, j])
-    if np.min(np.linalg.eigvalsh(G)) < GRAM_FLOOR:
+    if not np.min(np.linalg.eigvalsh(G)) >= GRAM_FLOOR:
         raise DegeneracyError("component Gram matrix is numerically singular")
     quad = float(np.real(np.conj(coeffs) @ G @ coeffs))
-    if quad <= 0:
+    if not quad > 0:
         raise DegeneracyError("superposition has numerically vanishing norm")
     coeffs_n = coeffs / sqrt(quad)
     total = np.zeros(comps[0].basis.dim, dtype=complex)

@@ -1,8 +1,10 @@
 """Every numerical tolerance of the library, each defined once, and the
 unit-norm check.
 
-The other modules' checks compare against these values only.  They rely on
-the following relations, which ``tests/test_tolerances.py`` pins:
+The other modules' checks compare against these values only, each in the
+form ``not value <= TOL`` (or ``>=`` for a floor), so that a NaN fails it.
+They rely on the following relations, which ``tests/test_tolerances.py``
+pins:
 
 * ``TRACE_TOL = WEIGHT_SUM_TOL + 3 * UNIT_NORM_TOL``.  A mixture
   sum_i w_i |phi_i><phi_i| with sum_i w_i = 1 +- WEIGHT_SUM_TOL and every
@@ -61,6 +63,6 @@ def check_unit(phi, what="phi"):
     """``phi`` as a complex array; ValueError unless its norm is 1 to
     UNIT_NORM_TOL."""
     phi = np.asarray(phi, dtype=complex)
-    if abs(np.linalg.norm(phi) - 1.0) > UNIT_NORM_TOL:
+    if not abs(np.linalg.norm(phi) - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"{what} must be normalized to 1 +- {UNIT_NORM_TOL}")
     return phi

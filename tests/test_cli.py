@@ -303,7 +303,8 @@ def test_malformed_theta_config_exits_2_with_one_line(theta_config, capsys, case
     ["hartree", "--config", "CFG", "--format", "json"],
     ["hartree", "--config", "CFG", "--threads", "2"],
     ["check", "--format", "json"],
-], ids=["hartree-format", "hartree-threads", "check-format"])
+    ["hartree", "--config", "CFG", "--seed", "3"],
+], ids=["hartree-format", "hartree-threads", "check-format", "hartree-seed"])
 def test_flags_without_effect_are_rejected(theta_config, argv):
     path, doc, tmp = theta_config
     with pytest.raises(SystemExit) as exc:
@@ -375,7 +376,10 @@ _CSV_HEADER = "n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtim
     None,
     _CSV_HEADER + "4,1,0.5,abc,0.1,0.1,,,\n",
     _CSV_HEADER + "4,1,0.5,0.1,0.1,0.1,,,\n6,1,0.5,0.05,0.05,0.05,,,\n",
-], ids=["missing", "non-numeric", "too-few-rows"])
+    *(_CSV_HEADER + "6,1,0.5,0.1,0.1,0.1,,,\n10,1,0.5,0.07,0.07,0.07,,,\n"
+      f"14,1,0.5,{bad},0.05,0.05,,,\n" for bad in ("nan", "inf", "-0.5")),
+], ids=["missing", "non-numeric", "too-few-rows", "nan-distance", "inf-distance",
+        "negative-distance"])
 def test_unreadable_fit_input_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "sweep.csv"
     if text is not None:
@@ -411,3 +415,17 @@ def test_check_negative_exit_is_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_invariant_suite",
                         lambda level, rng_seed: FakeReport())
     assert main(["check", "--level", "quick"]) == 1
+
+
+def test_product_state_is_the_theta_state_with_m_0_end_to_end(theta_config):
+    # the condensate phi^(x)n is theta_{n,0}: the sweeps write the same bytes
+    path, doc, tmp = theta_config
+    csvs = []
+    for i, state in enumerate(({"family": "product", "phi": doc["state"]["phi"]},
+                               dict(doc["state"], m=0))):
+        cfg = tmp / f"config{i}.json"
+        cfg.write_text(json.dumps(dict(doc, state=state, t_list=[0.0, 0.5, 1.0])))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp / str(i))]) == 0
+        csvs.append((tmp / str(i) / "convergence.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 10

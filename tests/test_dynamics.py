@@ -27,11 +27,19 @@ def _contact_ms(d, g=1.0, hopping=1.0):
 
 
 def test_time_zero_is_identity(rng):
-    b = fl.enumerate_basis(2, fl.fixed(3))
-    H = fl.build_hamiltonian(_contact_ms(2), 3, b)
-    plan = fl.make_plan(H)
-    v = random_fock(b, rng)
-    assert (fl.evolve_fock(plan, v, 0.0) - v).norm() == 0.0
+    # no t == 0 branch: the series is J_0(0) = 1 times a unit phase, and the
+    # norm check still runs
+    phi = random_unit(3, rng)
+    exc = fl.states.random_excitation(phi, 1, fl.enumerate_basis(3, fl.fixed(1)), seed=3)
+    for sector in (fl.fixed(4), fl.truncated(4)):
+        b = fl.enumerate_basis(3, sector)
+        plan = fl.make_plan(fl.build_hamiltonian(_contact_ms(3), 4, b))
+        for v in (random_fock(b, rng), fl.theta_state(phi, exc, 4, "creation_polynomial", b)):
+            out = fl.evolve_fock(plan, v, 0.0)
+            assert np.array_equal(out.coeffs, v.coeffs) and out.coeffs is not v.coeffs
+        v.coeffs[0] = np.nan
+        with pytest.raises(fl.KrylovError):
+            fl.evolve_fock(plan, v, 0.0)
 
 
 def test_free_evolution_factorizes(rng):

@@ -1,0 +1,65 @@
+"""The imports that run when ``focklab`` is imported.
+
+Most of a sweep's set-up time is ``import focklab``, and nearly all of that
+is scipy.  Only the standard library and the packages below may be imported
+at module level; heavier ones belong inside the function that needs them.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import focklab
+
+_SRC = Path(focklab.__file__).parent
+ALLOWED = {"numpy", "scipy.sparse", "scipy.special", "scipy.integrate", "scipy.interpolate"}
+
+
+def _module_level_imports(tree):
+    """Dotted names imported outside function bodies, with their lines."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # ``from scipy import special`` imports the submodule scipy.special
+            found.extend((node.lineno, node.module if node.module in ALLOWED
+                          else f"{node.module}.{alias.name}") for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def _offenders(path):
+    return [f"{path.name}:{line}: {name}"
+            for line, name in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+            if name.split(".")[0] not in sys.stdlib_module_names and name not in ALLOWED]
+
+
+def test_module_level_imports_are_the_standard_library_and_a_pinned_set():
+    assert [p for p in _SRC.glob("*.py")], "no sources found"
+    offenders = [o for path in sorted(_SRC.glob("*.py")) for o in _offenders(path)]
+    assert offenders == []
+
+
+def test_the_import_pin_sees_each_form(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import json\n"
+        "import numpy as np\n"
+        "from scipy import special\n"
+        "from scipy.special import gammaln\n"
+        "from . import fock\n"
+        "import scipy.linalg\n"
+        "from scipy import optimize\n"
+        "try:\n    import mpmath\nexcept ImportError:\n    pass\n"
+        "class A:\n    import pandas\n"
+        "def f():\n    import scipy.stats\n"
+    )
+    assert _offenders(path) == ["mod.py:6: scipy.linalg", "mod.py:7: scipy.optimize",
+                                "mod.py:9: mpmath", "mod.py:13: pandas"]

@@ -202,3 +202,54 @@ def test_chebyshev_truncation_lies_below_rounding_and_the_norm_check():
         tail = 2 * np.abs(jv(np.arange(degree, degree + 200), x)).sum()
         assert tail <= 16 * SERIES_STOP_TOL
     assert 16 * SERIES_STOP_TOL < np.finfo(float).eps < DEFAULT_KRYLOV_TOL
+
+
+# ---------------------------------------------------------------------------
+# NaN fails every check: each compares as ``not value <= TOL``
+
+
+@pytest.mark.parametrize("case", [
+    "check_unit", "projector", "mixed_target", "one_particle_dm", "sparse_operator",
+])
+def test_nan_fails_the_tolerance_checks(case):
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        if case == "check_unit":
+            fl.tolerances.check_unit([nan, 0])
+        elif case == "projector":
+            fl.rdm.projector(np.array([nan, 0]))
+        elif case == "mixed_target":
+            fl.rdm.mixed_target([nan, 0.5], [np.array([1.0, 0]), np.array([0, 1.0])])
+        elif case == "one_particle_dm":
+            fl.rdm.OneParticleDM(rho=np.full((2, 2), nan), trace_raw=1.0)
+        else:
+            b = fl.enumerate_basis(2, fl.fixed(1))
+            fl.SparseOperator(b, fl.fock.sparse.csr_matrix([[0, nan], [1, 0]]),
+                              hermitian=True)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_plan_accepts_only_the_config_interval_of_krylov_tol(tol):
+    H = fl.build_hamiltonian(_ms(2), 2, fl.enumerate_basis(2, fl.fixed(2)))
+    with pytest.raises(ValueError):
+        fl.make_plan(H, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+def test_hartree_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # a nan rtol never lets the integrator finish a step
+    with pytest.raises(ValueError):
+        fl.evolve_hartree(_ms(2), np.array([0.6, 0.8j]), [0.0, 1.0], tol=tol)
+
+
+@pytest.mark.parametrize("drift", ["norm", "energy"])
+def test_hartree_drift_checks_fail_on_nan(monkeypatch, drift):
+    import focklab.hartree as hartree
+
+    states = np.array([[0.6, 0.8j], [0.6, 0.8j]])
+    energies = iter([0.0, np.nan if drift == "energy" else 0.0])
+    monkeypatch.setattr(hartree, "hartree_energy", lambda ms, phi: next(energies))
+    if drift == "norm":
+        states[1, 0] = np.nan
+    with pytest.raises(fl.IntegrationError, match=f"{drift} drift"):
+        hartree._finish(_ms(2), np.array([0.0, 1.0]), states)
