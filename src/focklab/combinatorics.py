@@ -85,11 +85,13 @@ def theta_weyl_coefficients(n, m):
         raise ValueError("need 1 <= n and 0 <= m <= n")
     ld = log_dnm(n, m)
     K = n - m
-    b = np.zeros(K + 2)  # b[k + 1] holds b_k, from b_{-1} = 0
-    b[1] = exp(-ld)
-    for k in range(K):
-        b[k + 2] = (k + m) / sqrt(n * (k + 1.0)) * b[k + 1] - sqrt(k / (k + 1.0)) * b[k]
-    return ThetaCoefficients(n=n, m=m, log_dnm=ld, a=np.abs(b[1:]))
+    k = np.arange(K, dtype=float)
+    up = ((k + m) / np.sqrt(n * (k + 1.0))).tolist()
+    back = np.sqrt(k / (k + 1.0)).tolist()
+    b = [0.0, exp(-ld)]  # b_{-1}, b_0, ...: Python floats, faster than numpy scalars
+    for u, w in zip(up, back):
+        b.append(u * b[-1] - w * b[-2])
+    return ThetaCoefficients(n=n, m=m, log_dnm=ld, a=np.abs(np.array(b[1:])))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,16 @@ Ordering convention (fixes all file formats): states are grouped by total
 occupation (ascending) and, within each sector, enumerated in descending
 lexicographic order, so for d=2, total=2 the order is (2,0), (1,1), (0,2).
 
+Index kernel: one closed form, the combinatorial number system, maps rows to
+indices and back.  With the suffix totals s_i = n_i + ... + n_{d-1}, the
+states before a row within its sector number sum_{i=1}^{d-1} C(s_i + d-i-1,
+d-i), and on a truncated basis the lower sectors add C(s_0 + d-1, d) more.
+Both directions read one cached table of C(s + k - 1, k): ``rank`` adds one
+lookup per column, walking from the last column, and ``unrank`` inverts it
+with one binary search per column; every basis is ``unrank`` of 0..dim-1.
+Ladder and field operators act on coefficient vectors through these ranks,
+one mode at a time, without assembling a matrix.
+
 Smeared operators follow the linear-in-argument convention
 
     a(f)  = sum_p f_p a_p,      a*(f) = sum_p f_p a+_p,
@@ -31,6 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 import json
+import operator
 
 import numpy as np
 import scipy.sparse as sparse
@@ -42,18 +53,29 @@ from .tolerances import HERMITICITY_TOL
 DEFAULT_STATE_CAP = 5_000_000
 
 
+def _integer(x, what):
+    """``x`` as an int: Python and numpy integers pass, anything else (a
+    float such as 2.7 or 2.0 included) raises ValueError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def fixed(n):
     """Sector spec: all occupation tuples with total exactly n."""
+    n = _integer(n, "sector size")
     if n < 0:
         raise ValueError("fixed sector needs n >= 0")
-    return ("fixed", int(n))
+    return ("fixed", n)
 
 
 def truncated(n_max):
     """Sector spec: all occupation tuples with total <= n_max."""
+    n_max = _integer(n_max, "truncation n_max")
     if n_max < 0:
         raise ValueError("truncated sector needs n_max >= 0")
-    return ("truncated", int(n_max))
+    return ("truncated", n_max)
 
 
 def sector_dimension(d, sector):
@@ -65,34 +87,54 @@ def sector_dimension(d, sector):
     raise ValueError(f"unknown sector kind {kind!r}")
 
 
-def _compositions(total, slots):
-    """All occupation tuples with the given total, descending lexicographic."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+@lru_cache(maxsize=32)
+def _binomials(n_max, d):
+    """Read-only (d, n_max + 1) int64 table: row k - 1 holds C(s + k - 1, k),
+    the number of k-mode occupations with total below s, for s = 0..n_max.
+    Row 0 is s itself and each next row the running sum of the one before,
+    C(s + k, k + 1) = sum_{j < s} C(j + k, k) (the hockey-stick identity)."""
+    table = np.zeros((d, n_max + 1), np.int64)
+    table[0] = np.arange(n_max + 1)
+    for k in range(1, d):
+        np.cumsum(table[k - 1, 1:], out=table[k, 1:])
+    if table[-1, -1] != comb(n_max + d - 1, d):  # int64 wrapped around
+        raise OverflowError(f"C({n_max + d - 1}, {d}) does not fit in int64")
+    table.flags.writeable = False
+    return table
 
 
 def rank(basis, occs):
     """Index in ``basis`` of every row of the (m, d) occupation array ``occs``.
 
-    Closed form of the basis order (combinatorial number system): with the
-    suffix totals s_i = n_i + ... + n_{d-1}, the states before a row within
-    its sector number sum_{i=1}^{d-1} C(s_i + d-i-1, d-i), and on a truncated
-    basis the lower sectors add C(s_0 + d-1, d) more.  Rows must lie in the
-    basis; ``FockBasis.index_of`` is the checked single-state form.
+    Walks the columns from the last one, adding C(s_i + d-i-1, d-i) for each
+    suffix total s_i (see the module docstring); column 0 counts only on a
+    truncated basis.  Rows must lie in the basis; ``FockBasis.index_of`` is
+    the checked single-state form.
     """
     d = basis.d
-    first = 0 if basis.sector[0] == "truncated" else 1
-    slots = np.arange(d, 0, -1)[first:]  # d - i
-    binom = np.array(
-        [[comb(s + k - 1, k) for k in range(1, d + 1)] for s in range(basis.n_max + 1)],
-        dtype=np.int64,
-    )
-    suffix = np.cumsum(occs[:, ::-1], axis=1)[:, ::-1]
-    return binom[suffix[:, first:], slots - 1].sum(axis=1)
+    table = _binomials(basis.n_max, d)
+    s = np.zeros(len(occs), np.int64)
+    idx = np.zeros(len(occs), np.int64)
+    for i in range(d - 1, -1 if basis.sector[0] == "truncated" else 0, -1):
+        s += occs[:, i]
+        idx += table[d - i - 1].take(s)
+    return idx
+
+
+def unrank(d, sector, idx):
+    """(m, d) occupation rows of the basis indices ``idx``, the inverse of
+    ``rank``: column by column, s_i is the largest suffix total whose count
+    C(s_i + d-i-1, d-i) does not exceed what is left of the index."""
+    kind, n = sector
+    table = _binomials(n, d)
+    left = np.asarray(idx, dtype=np.int64)
+    suffix = np.zeros((len(left), d + 1), np.int64)  # s_0, ..., s_{d-1}, s_d = 0
+    suffix[:, 0] = n
+    for i in range(0 if kind == "truncated" else 1, d):
+        row = table[d - i - 1]
+        s = suffix[:, i] = row.searchsorted(left, side="right") - 1
+        left = left - row.take(s)
+    return suffix[:, :-1] - suffix[:, 1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +170,12 @@ class FockBasis:
 
     def index_of(self, occ):
         """Index of one occupation tuple; KeyError if it is not in the basis."""
-        row = np.asarray(occ, dtype=np.int64)
+        row = np.asarray(occ)
         kind, n = self.sector
-        if (row.shape != (self.d,) or row.min() < 0
+        if (row.dtype.kind not in "iu" or row.shape != (self.d,) or row.min() < 0
                 or row.sum() > n or (kind == "fixed" and row.sum() != n)):
             raise KeyError(tuple(occ))
-        return int(rank(self, row[None, :])[0])
+        return int(rank(self, row.astype(np.int64)[None, :])[0])
 
     def sector_slice(self, n):
         """Contiguous slice of the states with total occupation n."""
@@ -154,22 +196,21 @@ def _enumerate_cached(d, sector, cap):
         raise CapacityError(
             f"basis (d={d}, sector={sector}) has {dim} states, cap is {cap}"
         )
-    kind, n = sector
-    sectors = [n] if kind == "fixed" else range(n + 1)
-    rows = [occ for k in sectors for occ in _compositions(k, d)]
-    return FockBasis(d=d, sector=sector, occs=np.array(rows, dtype=np.int64))
+    return FockBasis(d=d, sector=sector, occs=unrank(d, sector, np.arange(dim)))
 
 
 def enumerate_basis(d, sector, cap=DEFAULT_STATE_CAP):
     """Build (or fetch the cached) occupation basis for the given sector."""
+    d = _integer(d, "mode count")
     if d < 1:
         raise ValueError("need d >= 1 modes")
     kind, n = sector
     if kind not in ("fixed", "truncated"):
         raise ValueError(f"unknown sector kind {kind!r}")
+    n = _integer(n, "sector size")
     if n < 0:
         raise ValueError("sector size must be >= 0")
-    return _enumerate_cached(int(d), (kind, int(n)), int(cap))
+    return _enumerate_cached(d, (kind, n), int(cap))
 
 
 @dataclass
@@ -275,6 +316,12 @@ class SparseOperator:
 # ladder operators
 
 
+def _unit_mode(p, d):
+    if not 0 <= p < d:
+        raise ValueError(f"mode index {p} out of range for d={d}")
+    return np.eye(d)[p]
+
+
 def ladder_matrix(kind, p, basis):
     """Sparse matrix of a_p or a+_p; returns (matrix, output_basis).
 
@@ -282,57 +329,96 @@ def ladder_matrix(kind, p, basis):
     On a truncated basis the creation operator drops amplitudes that would
     exceed n_max; on a fixed sector the output lives in the adjacent sector.
     """
-    if not 0 <= p < basis.d:
-        raise ValueError(f"mode index {p} out of range for d={basis.d}")
-    return field_matrix(kind, np.eye(basis.d)[p], basis)
+    return field_matrix(kind, _unit_mode(p, basis.d), basis)
 
 
 def ladder_apply(kind, p, v):
     """Apply a single-mode ladder operator to a vector."""
-    mat, out = ladder_matrix(kind, p, v.basis)
-    return FockVector(out, mat @ v.coeffs)
+    return field_apply(kind, _unit_mode(p, v.basis.d), v)
 
 
-def field_matrix(kind, f, basis):
-    """Matrix of a(f) = sum_p f_p a_p or a*(f) = sum_p f_p a+_p (linear in f).
-
-    a(f): each nonzero f_p lowers column p, ranks the targets and writes
-    f_p sqrt(n_p) into preallocated triplets.  a*(f) is the transpose (not
-    the adjoint) of a(f) on fixed(n + 1) for fixed(n), or on the truncated
-    basis itself, whose top sector has no image: what a*(f) would push above
-    n_max is dropped."""
+def _smearing(kind, f, basis):
     if kind not in ("create", "annihilate"):
         raise ValueError(f"ladder kind must be create|annihilate, got {kind!r}")
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.d,):
         raise ValueError(f"smearing vector must have length d={basis.d}")
-    fixed_sector = basis.sector[0] == "fixed"
-    if kind == "create":
-        raised = enumerate_basis(basis.d, fixed(basis.n_max + 1)) if fixed_sector else basis
-        return field_matrix("annihilate", f, raised)[0].T.tocsr(), raised
-    if fixed_sector and basis.n_max == 0:
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"smearing vector f must be finite, got {f}")
+    return f
+
+
+def _lowered(basis):
+    """The basis a(f) maps into: fixed(n - 1) for fixed(n), or a truncated
+    basis itself (its top sector lowers into sector n_max - 1)."""
+    if basis.sector[0] == "truncated":
+        return basis
+    if basis.n_max == 0:
         raise SectorError("cannot annihilate on the fixed(0) sector")
-    out = enumerate_basis(basis.d, fixed(basis.n_max - 1)) if fixed_sector else basis
-    occs, modes = basis.occs, np.flatnonzero(f)
-    keep = occs[:, modes] > 0
-    nnz = np.count_nonzero(keep)
-    rows, cols = np.empty(nnz, np.int32), np.empty(nnz, np.int32)
-    vals, stop = np.empty(nnz, complex), 0
-    for c, p in enumerate(modes):
-        src = np.flatnonzero(keep[:, c])
-        sl = slice(stop, stop + len(src))
-        stop = sl.stop
-        tgt = occs[src]
-        tgt[:, p] -= 1
-        rows[sl], cols[sl] = rank(out, tgt), src
-        vals[sl] = f[p] * np.sqrt(occs[src, p]) + 0  # "+ 0" turns -0.0 parts into 0.0
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(out.dim, basis.dim)), out
+    return enumerate_basis(basis.d, fixed(basis.n_max - 1))
+
+
+def _raised(basis):
+    """The basis a*(f) maps into: fixed(n + 1) for fixed(n), or a truncated
+    basis itself (what would leave its top sector is dropped)."""
+    if basis.sector[0] == "truncated":
+        return basis
+    return enumerate_basis(basis.d, fixed(basis.n_max + 1))
+
+
+def _lowerings(f, basis, out):
+    """For each mode p with f_p != 0: the states ``src`` of ``basis`` with
+    o_p > 0, the ranks ``tgt`` of o - e_p in ``out`` and sqrt(o_p), so that
+    a_p sends sqrt(o_p) v(src) to tgt."""
+    occs = basis.occs
+    for p in np.flatnonzero(f):
+        src = np.flatnonzero(occs[:, p])
+        lowered = occs[src]
+        lowered[:, p] -= 1
+        yield p, src, rank(out, lowered), np.sqrt(occs[src, p])
+
+
+def field_matrix(kind, f, basis):
+    """Matrix of a(f) = sum_p f_p a_p or a*(f) = sum_p f_p a+_p (linear in f).
+
+    a(f) holds f_p sqrt(o_p) at (rank of o - e_p, o) for every nonzero f_p.
+    a*(f) is the transpose (not the adjoint) of a(f) on the raised basis,
+    fixed(n + 1) for fixed(n) or the truncated basis itself, whose top
+    sector has no image: what a*(f) would push above n_max is dropped."""
+    f = _smearing(kind, f, basis)
+    if kind == "create":
+        raised = _raised(basis)
+        return field_matrix("annihilate", f, raised)[0].T.tocsr(), raised
+    out = _lowered(basis)
+    rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, complex)]
+    for p, src, tgt, amp in _lowerings(f, basis, out):
+        rows.append(tgt)
+        cols.append(src)
+        vals.append(f[p] * amp + 0)  # "+ 0" turns -0.0 parts into 0.0
+    mat = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(out.dim, basis.dim),
+    )
+    return mat, out
 
 
 def field_apply(kind, f, v):
-    """Apply the smeared operator a(f) or a*(f) to a vector."""
-    mat, out = field_matrix(kind, f, v.basis)
-    return FockVector(out, mat @ v.coeffs)
+    """Apply the smeared operator a(f) or a*(f) to a vector, mode by mode on
+    the coefficients and without a matrix: a(f) scatters f_p sqrt(o_p) v(o)
+    onto o - e_p; a*(f), its transpose, gathers f_p sqrt(o_p) v(o - e_p) at
+    each state o of the raised basis."""
+    f = _smearing(kind, f, v.basis)
+    if kind == "annihilate":
+        out = _lowered(v.basis)
+        w = np.zeros(out.dim, complex)
+        for p, src, tgt, amp in _lowerings(f, v.basis, out):
+            w[tgt] += f[p] * amp * v.coeffs[src]
+    else:
+        out = _raised(v.basis)
+        w = np.zeros(out.dim, complex)
+        for p, src, tgt, amp in _lowerings(f, out, v.basis):
+            w[src] += f[p] * amp * v.coeffs[tgt]
+    return FockVector(out, w)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +431,18 @@ def second_quantize(A, basis):
     dGamma(1) is the total number operator; any A commutes with N here since
     hopping conserves the total occupation.
     """
+    mat = _dgamma(A, basis)
+    A = np.asarray(A, dtype=complex)
+    hermitian = bool(np.max(np.abs(A - A.conj().T)) <= HERMITICITY_TOL)
+    return SparseOperator(basis=basis, matrix=mat, hermitian=hermitian)
+
+
+def _dgamma(A, basis):
+    """The CSR matrix of ``second_quantize``, without the Hermiticity check."""
     A = np.asarray(A, dtype=complex)
     d = basis.d
     if A.shape != (d, d):
         raise ValueError(f"one-particle matrix must be {d}x{d}")
-    hermitian = bool(np.max(np.abs(A - A.conj().T)) <= HERMITICITY_TOL)
     occs = basis.occs
     # mode by mode: a BLAS occs @ diag(A) may reorder the sum and move last bits
     diag = sum(A[q, q] * occs[:, q] for q in range(d))
@@ -366,12 +459,11 @@ def second_quantize(A, basis):
         rows.append(rank(basis, hop))
         cols.append(src)
         vals.append(A[p, q] * amps)
-    mat = sparse.csr_matrix(
+    return sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(basis.dim, basis.dim),
         dtype=complex,
     )
-    return SparseOperator(basis=basis, matrix=mat, hermitian=hermitian)
 
 
 def number_operator(basis):
@@ -393,7 +485,8 @@ def build_hamiltonian(ms: ModeSystem, n_scale, basis):
         raise ValueError("n_scale must be >= 1")
     occ = basis.occs.astype(float)
     quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)
-    H = second_quantize(ms.h, basis).matrix + sparse.diags(quad / (2.0 * n_scale))
+    # the Hermiticity pledge is checked once, on H itself
+    H = _dgamma(ms.h, basis) + sparse.diags(quad / (2.0 * n_scale))
     return SparseOperator(basis=basis, matrix=H.tocsr(), hermitian=True)
 
 
@@ -421,7 +514,7 @@ def _mode_factor(z, n_max):
     """Matrix of e^{z a+} on one mode occupied 0..n_max: the entry at
     (o + j, o) is z^j / j! sqrt((o + j)! / o!), the product of the j steps
     z sqrt(o + i) / i.  Its transpose is the matrix of e^{z a}."""
-    r, c = np.indices((n_max + 1, n_max + 1))
+    r, c = np.ogrid[:n_max + 1, :n_max + 1]
     step = np.where(r > c, z * np.sqrt(r) / np.maximum(r - c, 1), 1.0)
     return np.tril(np.cumprod(step, axis=0))
 
@@ -439,15 +532,19 @@ def weyl_apply(alpha, v):
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (basis.d,):
         raise ValueError(f"alpha must have length d={basis.d}")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError(f"displacement alpha must be finite, got {alpha}")
     d, n_max, occs = basis.d, basis.n_max, basis.occs
     a2 = float(np.vdot(alpha, alpha).real)
     if a2 == 0.0 or v.norm() == 0.0:
         return v.copy(), 0.0
     # states equal off mode p form one line, indexed by the rank of the
-    # other occupations in the (d-1)-mode truncated basis
-    modes = np.flatnonzero(alpha)
+    # other occupations in the (d-1)-mode truncated basis; a state sits at
+    # cell (line, o_p) of a row-major (lines, n_max + 1) grid
+    modes, width = np.flatnonzero(alpha), n_max + 1
     lines = [rank(enumerate_basis(d - 1, basis.sector), np.delete(occs, p, axis=1))
              if d > 1 else 0 for p in modes]
+    cells = [width * line + occs[:, p] for p, line in zip(modes, lines)]
     w = v.coeffs
     # annihilation factors first; grid cells above the truncation start at
     # zero and are dropped after each factor.  Near o + j = n_max the factors
@@ -455,12 +552,12 @@ def weyl_apply(alpha, v):
     # overflow, and the check below turns that into an error.
     with np.errstate(over="ignore", invalid="ignore"):
         for create in (False, True):
-            for p, line in zip(modes, lines):
-                grid = np.zeros((comb(n_max + d - 1, d - 1), n_max + 1), complex)
-                grid[line, occs[:, p]] = w
+            for p, cell in zip(modes, cells):
+                grid = np.zeros(comb(n_max + d - 1, d - 1) * width, complex)
+                grid[cell] = w
                 f = (_mode_factor(alpha[p], n_max).T if create
                      else _mode_factor(-np.conj(alpha[p]), n_max))
-                w = (grid @ f)[line, occs[:, p]]
+                w = (grid.reshape(-1, width) @ f).take(cell)
         w = w * np.exp(-a2 / 2.0)
     if not np.all(np.isfinite(w)):
         raise SectorError(

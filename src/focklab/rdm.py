@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, enumerate_basis, fixed, rank
+from .fock import FockVector, _lowered, _lowerings
 from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this import site
 from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_unit
 
@@ -74,16 +74,11 @@ def transition_matrix(v: FockVector):
     d = basis.d
     if basis.sector == ("fixed", 0):
         return np.zeros((d, d), dtype=complex)
-    out = basis
-    if basis.sector[0] == "fixed":
-        out = enumerate_basis(d, fixed(basis.n_max - 1))
+    out = _lowered(basis)
     W = np.zeros((out.dim, d), dtype=complex)
-    for p in range(d):
-        src = np.flatnonzero(basis.occs[:, p])
-        lowered = basis.occs[src]
-        lowered[:, p] -= 1
+    for p, src, tgt, amp in _lowerings(np.ones(d), basis, out):
         # "+ 0" turns -0.0 parts into 0.0, as the sparse product it replaced did
-        W[rank(out, lowered), p] = np.sqrt(basis.occs[src, p]) * v.coeffs[src] + 0
+        W[tgt, p] = amp * v.coeffs[src] + 0
     return W.conj().T @ W
 
 

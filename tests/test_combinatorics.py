@@ -177,6 +177,23 @@ def test_unit_vector_budget(n):
     assert np.all(np.isfinite(coeff.a))
 
 
+def _numpy_recurrence(n, m):
+    """The recurrence as it ran on numpy scalars, kept as a bit-level pin."""
+    ld = fl.log_dnm(n, m)
+    b = np.zeros(n - m + 2)
+    b[1] = exp(-ld)
+    for k in range(n - m):
+        b[k + 2] = (k + m) / sqrt(n * (k + 1.0)) * b[k + 1] - sqrt(k / (k + 1.0)) * b[k]
+    return np.abs(b[1:])
+
+
+@pytest.mark.parametrize("n,m", [(1, 0), (1, 1), (6, 2), (200, 3), (1000, 0), (3200, 7)])
+def test_coefficients_are_bit_identical_to_the_numpy_recurrence(n, m):
+    got = fl.theta_weyl_coefficients(n, m).a
+    want = _numpy_recurrence(n, m)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_no_overflow_at_large_n():
     coeff = fl.theta_weyl_coefficients(5000, 5)
     assert np.all(np.isfinite(coeff.a))

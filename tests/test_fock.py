@@ -49,6 +49,37 @@ def test_index_map_round_trip():
         assert b.index_of(occ) == i
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fl.fixed(2.7),
+    lambda: fl.truncated(2.0),
+    lambda: fl.truncated(np.float64(3)),
+    lambda: fl.enumerate_basis(2, ("fixed", 2.7)),
+    lambda: fl.enumerate_basis(2, ("truncated", "3")),
+    lambda: fl.enumerate_basis(2.5, fl.fixed(2)),
+], ids=["fixed", "truncated", "truncated-numpy-float", "basis-sector", "basis-string",
+        "basis-modes"])
+def test_non_integral_sizes_raise(make):
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    b = fl.enumerate_basis(np.int64(2), fl.truncated(np.int32(3)))
+    assert b == fl.enumerate_basis(2, fl.truncated(3))
+    assert fl.fixed(np.uint8(2)) == ("fixed", 2)
+
+
+@pytest.mark.parametrize("occ", [(0.5, 1.5), (1.0, 1.0), np.array([1.0, 1.0])],
+                         ids=["fractional", "float-tuple", "float-array"])
+def test_index_of_rejects_non_integer_occupations(occ):
+    b = fl.enumerate_basis(2, fl.fixed(2))
+    with pytest.raises(KeyError):
+        b.index_of(occ)
+    with pytest.raises(KeyError):
+        fl.basis_state(b, occ)
+    assert b.index_of(np.array([1, 1], dtype=np.int32)) == 1
+
+
 def test_capacity_cap_raises_before_enumerating():
     with pytest.raises(fl.CapacityError):
         fl.enumerate_basis(8, fl.truncated(40), cap=10_000)
@@ -175,6 +206,17 @@ def test_field_commutator_is_linear_not_sesquilinear(rng):
     assert np.max(np.abs(resid)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("kind", ["create", "annihilate"])
+def test_field_rejects_non_finite_smearing(kind, bad):
+    b = fl.enumerate_basis(2, fl.truncated(2))
+    f = np.array([bad, 0.5])
+    with pytest.raises(ValueError, match="smearing vector f must be finite"):
+        fl.field_apply(kind, f, fl.vacuum(b))
+    with pytest.raises(ValueError, match="smearing vector f must be finite"):
+        fl.field_matrix(kind, f, b)
+
+
 def test_field_length_mismatch():
     b = fl.enumerate_basis(2, fl.fixed(1))
     with pytest.raises(ValueError):
@@ -272,6 +314,28 @@ def test_hamiltonian_is_hermitian_flagged(rng):
     b = fl.enumerate_basis(3, fl.fixed(2))
     H = fl.build_hamiltonian(ms, 2, b)
     assert H.hermitian
+
+
+def test_hermiticity_is_checked_once_per_hamiltonian(monkeypatch, rng):
+    from focklab import fock
+
+    checked = []
+    post_init = fock.SparseOperator.__post_init__
+
+    def counting(self):
+        checked.append(self.hermitian)
+        post_init(self)
+
+    monkeypatch.setattr(fock.SparseOperator, "__post_init__", counting)
+    ms = fl.ModeSystem.dense(random_hermitian(3, rng), rng.standard_normal((3, 3)))
+    b = fl.enumerate_basis(3, fl.truncated(3))
+    H = fl.build_hamiltonian(ms, 2, b)
+    assert checked == [True]
+    # called directly, second_quantize still checks its own result
+    dG = fl.second_quantize(ms.h, b)
+    assert dG.hermitian and checked == [True, True]
+    diag = H.matrix - dG.matrix
+    assert diag.count_nonzero() == np.count_nonzero(diag.diagonal())
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +492,13 @@ def test_weyl_overflow_raises_instead_of_returning_nan():
     b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(800))))
     with pytest.raises(fl.SectorError, match="overflows"):
         fl.weyl_apply(sqrt(800) * phi, fl.vacuum(b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])
+def test_weyl_rejects_non_finite_alpha(bad):
+    b = fl.enumerate_basis(2, fl.truncated(4))
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fl.weyl_apply(np.array([bad, 0.0]), fl.vacuum(b))
 
 
 def test_weyl_builds_no_field_matrix(monkeypatch, rng):

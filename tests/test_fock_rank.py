@@ -1,5 +1,8 @@
-"""Closed-form rank and vectorized ladder / field / dGamma assembly against a
-per-state oracle that looks every target up in a tuple -> index dict."""
+"""Closed-form rank and unrank, and vectorized ladder / field / dGamma
+assembly and application, against a recursive enumeration and a per-state
+oracle that looks every target up in a tuple -> index dict."""
+
+from math import comb
 
 import numpy as np
 import pytest
@@ -8,7 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.fock import rank
+from focklab import states
+from focklab.fock import _binomials, rank, unrank
+
+
+def _compositions(total, slots):
+    """All occupation tuples with the given total, descending lexicographic."""
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, slots - 1):
+            yield (first,) + rest
 
 
 def _lookup(basis):
@@ -101,6 +115,39 @@ bases = st.builds(
 @given(basis=bases)
 def test_rank_enumerates_the_basis(basis):
     assert np.array_equal(rank(basis, basis.occs), np.arange(basis.dim))
+
+
+@pytest.mark.parametrize("kind", ["fixed", "truncated"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_unrank_matches_recursive_enumeration(d, kind):
+    for n in range(15):
+        sectors = [n] if kind == "fixed" else range(n + 1)
+        want = np.array([occ for k in sectors for occ in _compositions(k, d)], np.int64)
+        dim = len(want)
+        occs = unrank(d, (kind, n), np.arange(dim))
+        assert occs.dtype == np.int64 and np.array_equal(occs, want)
+        basis = fl.enumerate_basis(d, (kind, n))
+        assert np.array_equal(basis.occs, want)
+        assert np.array_equal(rank(basis, occs), np.arange(dim))
+
+
+@pytest.mark.parametrize("n_max,d", [(0, 1), (0, 4), (7, 1), (40, 3), (300, 6)])
+def test_binomial_table_is_exact(n_max, d):
+    want = [[comb(s + k - 1, k) for s in range(n_max + 1)] for k in range(1, d + 1)]
+    assert _binomials(n_max, d).tolist() == want
+
+
+def test_binomial_table_refuses_to_wrap_around():
+    with pytest.raises(OverflowError):
+        _binomials(10**6, 5)  # C(1000004, 5) is about 8.3e27
+
+
+def test_unrank_of_a_subset_inverts_rank():
+    basis = fl.enumerate_basis(3, fl.truncated(96))
+    idx = np.array([0, 1, 4, 4, 1000, basis.dim - 1])
+    occs = unrank(3, basis.sector, idx)
+    assert np.array_equal(occs, basis.occs[idx])
+    assert np.array_equal(rank(basis, occs), idx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,3 +243,74 @@ def test_index_of_rejects_occupations_outside_truncation(occ):
         b.index_of(occ)
     with pytest.raises(KeyError):
         fl.basis_state(b, occ)
+
+
+small_bases = st.builds(
+    lambda d, kind, n: fl.enumerate_basis(d, kind(n)),
+    st.integers(1, 4),
+    st.sampled_from([fl.fixed, fl.truncated]),
+    st.integers(0, 8),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis=small_bases, kind=st.sampled_from(["create", "annihilate"]),
+       seed=st.integers(0, 2**32 - 1), conj_real=st.booleans())
+def test_field_apply_matches_per_state_oracle(basis, kind, seed, conj_real):
+    rng = np.random.default_rng(seed)
+    v = fl.FockVector(basis, rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim))
+    if kind == "annihilate" and basis.sector == ("fixed", 0):
+        with pytest.raises(fl.SectorError):
+            fl.field_apply(kind, np.ones(basis.d), v)
+        with pytest.raises(fl.SectorError):
+            fl.ladder_apply(kind, 0, v)
+        return
+    f = _smearing(rng, basis.d, conj_real)
+    got = fl.field_apply(kind, f, v)
+    _, out = fl.field_matrix(kind, f, basis)
+    assert got.basis == out
+    assert np.max(np.abs(got.coeffs - _ref_field(kind, f, basis, out) @ v.coeffs),
+                  initial=0.0) <= 1e-13
+    p = int(rng.integers(basis.d))
+    one = fl.ladder_apply(kind, p, v)
+    assert one.basis == out
+    assert np.max(np.abs(one.coeffs - _ref_ladder(kind, p, basis, out) @ v.coeffs),
+                  initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_field_apply_top_truncated_sector(d):
+    # a*(f) drops what the top sector would push above n_max; a(f) lowers it
+    basis = fl.enumerate_basis(d, fl.truncated(4))
+    top = basis.sector_slice(4)
+    c = np.zeros(basis.dim, complex)
+    c[top] = np.random.default_rng(d).standard_normal(top.stop - top.start)
+    v = fl.FockVector(basis, c)
+    f = np.full(d, 0.5 - 0.25j)
+    assert fl.field_apply("create", f, v).norm() == 0.0
+    low = fl.field_apply("annihilate", f, v)
+    assert low.norm() > 0.0
+    assert set(basis.totals[np.flatnonzero(low.coeffs)]) == {3}
+
+
+def test_field_apply_assembles_no_matrix(monkeypatch):
+    # field_apply, ladder_apply and the orthogonality defect act on the
+    # coefficients; a field_matrix or ladder_matrix call would bring back
+    # the per-call sparse assembly they replaced
+    from focklab import fock
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was assembled")
+
+    monkeypatch.setattr(fock, "field_matrix", refuse)
+    monkeypatch.setattr(fock, "ladder_matrix", refuse)
+    rng = np.random.default_rng(3)
+    for sector in (fl.fixed(3), fl.truncated(3)):
+        basis = fl.enumerate_basis(3, sector)
+        v = fl.FockVector(basis, rng.standard_normal(basis.dim) + 0j)
+        for kind in ("create", "annihilate"):
+            assert fl.field_apply(kind, np.array([1.0, 0.5j, 0.0]), v).norm() > 0
+            assert fl.ladder_apply(kind, 1, v).norm() > 0
+    phi = np.array([1.0, 0.0, 0.0])
+    psi = fl.basis_state(fl.enumerate_basis(3, fl.fixed(2)), (0, 1, 1))
+    assert states._orthogonality_defect(phi, psi) == 0.0
