@@ -37,11 +37,8 @@ def main():
 
     for family in ("theta", "product", "coherent"):
         doc = copy.deepcopy(BASE)
-        if family == "theta":
-            doc["state"] = {"family": "theta", "phi": [[0.8, 0], [0.36, 0.48]],
-                            "m": 1, "excitation_seed": 0}
-        else:
-            doc["state"] = {"family": family, "phi": [[0.8, 0], [0.36, 0.48]]}
+        if family != "theta":
+            doc["state"] = {"family": family, "phi": doc["state"]["phi"]}
         config = ExperimentConfig.from_dict(doc, seed_override=args.seed)
         report = run_convergence_sweep(config)
         path = os.path.join(args.out, f"convergence_{family}.csv")

@@ -130,8 +130,9 @@ def fluctuation_apply(ms, n, trajectory, v: FockVector, t, plan=None):
     """W(t, 0) v: displace by sqrt(n) phi_0, evolve, undo by sqrt(n) phi_t.
 
     Returns (vector, combined_truncation_loss).  The basis must be truncated
-    with headroom for displacement size sqrt(n) and the trajectory must cover
-    [0, t].  A prebuilt plan for the 1/n-scaled Hamiltonian on this basis can
+    with headroom for displacement size sqrt(n).  Any trajectory that covers
+    [0, t] serves, however it is sampled: phi_0 and phi_t come from its
+    ``at``.  A prebuilt plan for the 1/n-scaled Hamiltonian on this basis can
     be passed to reuse one Hamiltonian build over many times.
     """
     basis = v.basis

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import IntegrationError
 from .modes import ModeSystem
@@ -51,34 +50,25 @@ class HartreeTrajectory:
     states: np.ndarray         # (len(times), d) complex
     norm_log: np.ndarray
     energy_log: np.ndarray
-
-    def __post_init__(self):
-        self._spline = None
+    tol: float                 # integrator rtol the samples were made with
 
     @property
     def t_min(self):
-        return float(self.times[0])
+        return float(np.min(self.times))
 
     @property
     def t_max(self):
-        return float(self.times[-1])
+        return float(np.max(self.times))
 
     def at(self, t):
-        """phi_t by cubic Hermite interpolation between stored samples.
-
-        Sample spacing is chosen by the integrator driver so the
-        interpolation error stays below 1e-8.
+        """phi_t for any t the trajectory covers, integrated from the first
+        sample with the trajectory's own tolerance; the sampling plays no part.
         """
         if not self.t_min - TIME_TOL <= t <= self.t_max + TIME_TOL:
             raise IntegrationError(
                 f"time {t} outside stored trajectory [{self.t_min}, {self.t_max}]"
             )
-        if len(self.times) == 1:
-            return self.states[0].copy()
-        if self._spline is None:
-            derivs = np.array([hartree_rhs(self.ms, s) for s in self.states])
-            self._spline = CubicHermiteSpline(self.times, self.states, derivs, axis=0)
-        return self._spline(np.clip(t, self.t_min, self.t_max))
+        return _integrate(self.ms, self.states[0], (self.times[0], t), self.tol).y[:, -1]
 
     def to_csv(self, path):
         """Columns: t, Re phi_p, Im phi_p (p = 0..d-1), norm, energy."""
@@ -112,25 +102,31 @@ def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if len(t_grid) == 1 or np.all(t_grid == t_grid[0]):
         states = np.array([phi0])
-        return _finish(ms, np.array([t_grid[0]]), states)
+        return _finish(ms, np.array([t_grid[0]]), states, tol)
     if not (np.all(np.diff(t_grid) > 0) or np.all(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be strictly monotone")
 
+    sol = _integrate(ms, phi0, (t_grid[0], t_grid[-1]), tol, t_eval=t_grid)
+    return _finish(ms, sol.t, sol.y.T, tol)
+
+
+def _integrate(ms, phi0, t_span, tol, t_eval=None):
+    """The DOP853 solution over t_span, at t_eval or else at every step end."""
     sol = solve_ivp(
         lambda _t, y: hartree_rhs(ms, y),
-        (t_grid[0], t_grid[-1]),
+        t_span,
         phi0,
         method="DOP853",
-        t_eval=t_grid,
+        t_eval=t_eval,
         rtol=tol,
         atol=tol * 1e-2,
     )
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
-    return _finish(ms, sol.t, sol.y.T)
+    return sol
 
 
-def _finish(ms, times, states):
+def _finish(ms, times, states, tol=DEFAULT_HARTREE_TOL):
     norms = np.linalg.norm(states, axis=1)
     energies = np.array([hartree_energy(ms, s) for s in states])
     drift = np.max(np.abs(norms - norms[0]))
@@ -150,15 +146,15 @@ def _finish(ms, times, states):
         states=np.asarray(states, dtype=complex),
         norm_log=norms,
         energy_log=energies,
+        tol=tol,
     )
 
 
 def trajectory_for_interpolation(ms, phi0, t_max, tol=DEFAULT_HARTREE_TOL, dt=0.01):
-    """Dense-sampled trajectory over [0, t_max] for propagator interpolation.
+    """Trajectory over [0, t_max] with the norm/energy ledger sampled every dt.
 
-    dt = 0.01 keeps the cubic Hermite interpolation error below 1e-8 for the
-    desk-scale Hamiltonians used here (fourth-order local error ~ dt^4/384
-    times the fourth time derivative of phi).
+    ``at`` integrates to any time in the window at ``tol``, so dt sets only
+    how densely the conservation ledger is checked and exported.
     """
     n_steps = max(2, int(np.ceil(t_max / dt)) + 1)
     grid = np.linspace(0.0, t_max, n_steps)

@@ -331,6 +331,14 @@ def test_fluctuation_moment_growth_has_exponential_envelope(fluctuation_setup):
         assert np.all(logs <= intercept + slope * ts + 0.5)
 
 
+def test_fluctuation_does_not_depend_on_trajectory_sampling(fluctuation_setup):
+    ms, n, traj, basis, plan = fluctuation_setup
+    coarse = fl.evolve_hartree(ms, traj.states[0], np.array([0.0, 2.0]), tol=1e-12)
+    dense, _ = fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), 1.0, plan=plan)
+    sparse, _ = fl.fluctuation_apply(ms, n, coarse, fl.vacuum(basis), 1.0, plan=plan)
+    assert np.array_equal(dense.coeffs, sparse.coeffs)
+
+
 def test_fluctuation_requires_headroom(fluctuation_setup):
     ms, n, traj, basis, plan = fluctuation_setup
     small = fl.enumerate_basis(2, fl.truncated(10))

@@ -171,6 +171,39 @@ def test_interpolation_outside_window(rng):
         traj.at(1.5)
 
 
+@pytest.mark.parametrize("hopping, g", [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (1.0, 10.0)])
+def test_at_matches_a_fresh_integration(rng, hopping, g):
+    ms = fl.ModeSystem.lattice(4, hopping, ("contact", g))
+    phi = random_unit(4, rng)
+    traj = fl.trajectory_for_interpolation(ms, phi, 2.0, tol=1e-12)
+    for t in (0.3333, 1.2345, 1.9):
+        probe = fl.evolve_hartree(ms, phi, np.array([0.0, t]), tol=1e-12)
+        assert np.linalg.norm(traj.at(t) - probe.states[-1]) <= 1e-10
+
+
+def test_at_does_not_depend_on_sampling(rng):
+    ms = fl.ModeSystem.lattice(3, 2.0)
+    phi = random_unit(3, rng)
+    coarse = fl.evolve_hartree(ms, phi, np.array([0.0, 2.0]))
+    dense = fl.trajectory_for_interpolation(ms, phi, 2.0)
+    assert np.array_equal(coarse.at(1.0), dense.at(1.0))
+
+
+def test_at_on_one_sample_is_the_start(rng):
+    phi = random_unit(3, rng)
+    traj = fl.evolve_hartree(fl.ModeSystem.lattice(3), phi, np.array([0.7]))
+    assert np.array_equal(traj.at(0.7), phi)
+
+
+def test_at_on_a_backward_trajectory(rng):
+    ms = _random_ms(3, rng)
+    phi = random_unit(3, rng)
+    fwd = fl.evolve_hartree(ms, phi, np.array([0.0, 0.5, 1.0]), tol=1e-12)
+    back = fl.evolve_hartree(ms, fwd.states[-1], np.array([1.0, 0.5, 0.0]), tol=1e-12)
+    assert (back.t_min, back.t_max) == (0.0, 1.0)
+    assert np.linalg.norm(back.at(0.5) - fwd.at(0.5)) <= 1e-10
+
+
 def test_csv_export_schema(tmp_path, rng):
     ms = _random_ms(2, rng)
     traj = fl.evolve_hartree(ms, random_unit(2, rng), np.linspace(0, 1, 3))

@@ -12,7 +12,7 @@ from pathlib import Path
 import focklab
 
 _SRC = Path(focklab.__file__).parent
-ALLOWED = {"numpy", "scipy.sparse", "scipy.special", "scipy.integrate", "scipy.interpolate"}
+ALLOWED = {"numpy", "scipy.sparse", "scipy.special", "scipy.integrate"}
 
 
 def _module_level_imports(tree):
