@@ -21,7 +21,7 @@ dense in the occupation basis and are never assembled as matrices.
 """
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,9 +91,11 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
     """U(t) v; unitary and number-conserving.  At t = 0 the series is J_0(0) = 1
     times a unit phase, so the result equals v (a zero part may change sign).
 
-    Raises KrylovError when the result is not finite or its norm differs
-    from ||v|| by more than plan.tol * ||v||.
+    Raises ValueError for a non-finite t, and KrylovError when the result is
+    not finite or its norm differs from ||v|| by more than plan.tol * ||v||.
     """
+    if not isfinite(t):
+        raise ValueError(f"propagation time t must be finite, got {t}")
     if v.basis != plan.basis:
         raise SectorError("vector does not live on the plan's basis")
     lo, hi = plan.interval
@@ -126,14 +128,15 @@ def number_moment(v: FockVector, delta):
     return float(np.sqrt(np.sum(weights * np.abs(v.coeffs) ** 2)))
 
 
-def fluctuation_apply(ms, n, trajectory, v: FockVector, t, plan=None):
+def fluctuation_apply(n, trajectory, v: FockVector, t):
     """W(t, 0) v: displace by sqrt(n) phi_0, evolve, undo by sqrt(n) phi_t.
 
     Returns (vector, combined_truncation_loss).  The basis must be truncated
-    with headroom for displacement size sqrt(n).  Any trajectory that covers
-    [0, t] serves, however it is sampled: phi_0 and phi_t come from its
-    ``at``.  A prebuilt plan for the 1/n-scaled Hamiltonian on this basis can
-    be passed to reuse one Hamiltonian build over many times.
+    with headroom for displacement size sqrt(n).  The Hamiltonian is the
+    trajectory's mode system's, built on v's basis.  Any trajectory covering
+    [0, t] serves, however sampled: phi_0 and phi_t come from its ``at``.
+    Accurate for small n only: the undoing displacement errs by about eps
+    e^{2n}, beyond the loss reported (see ``weyl_apply``).
     """
     basis = v.basis
     if basis.sector[0] != "truncated":
@@ -145,14 +148,8 @@ def fluctuation_apply(ms, n, trajectory, v: FockVector, t, plan=None):
         )
     if not trajectory.t_min - TIME_TOL <= t <= trajectory.t_max + TIME_TOL:
         raise SectorError(f"trajectory does not cover t={t}")
-    if plan is None:
-        plan = make_plan(build_hamiltonian(ms, n, basis))
-    elif plan.basis != basis:
-        raise SectorError("plan basis does not match the vector basis")
-
-    phi0 = trajectory.at(0.0)
-    phit = trajectory.at(t)
-    w1, loss1 = weyl_apply(sqrt(n) * phi0, v)
+    plan = make_plan(build_hamiltonian(trajectory.ms, n, basis))
+    w1, loss1 = weyl_apply(sqrt(n) * trajectory.at(0.0), v)
     w2 = evolve_fock(plan, w1, t)
-    w3, loss3 = weyl_apply(-sqrt(n) * phit, w2)
+    w3, loss3 = weyl_apply(-sqrt(n) * trajectory.at(t), w2)
     return w3, loss1 + loss3

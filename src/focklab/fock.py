@@ -141,9 +141,12 @@ def unrank(d, sector, idx):
 class FockBasis:
     """Occupation-number basis; indices follow from ``rank``."""
 
-    d: int
     sector: tuple
     occs: np.ndarray          # (dim, d) int array, row i = occupation tuple i
+
+    @property
+    def d(self):
+        return self.occs.shape[1]
 
     @property
     def dim(self):
@@ -190,16 +193,16 @@ class FockBasis:
 
 
 @lru_cache(maxsize=256)
-def _enumerate_cached(d, sector, cap):
+def _enumerate_cached(d, sector):
     dim = sector_dimension(d, sector)
-    if dim > cap:
+    if dim > DEFAULT_STATE_CAP:
         raise CapacityError(
-            f"basis (d={d}, sector={sector}) has {dim} states, cap is {cap}"
+            f"basis (d={d}, sector={sector}) has {dim} states, cap is {DEFAULT_STATE_CAP}"
         )
-    return FockBasis(d=d, sector=sector, occs=unrank(d, sector, np.arange(dim)))
+    return FockBasis(sector=sector, occs=unrank(d, sector, np.arange(dim)))
 
 
-def enumerate_basis(d, sector, cap=DEFAULT_STATE_CAP):
+def enumerate_basis(d, sector):
     """Build (or fetch the cached) occupation basis for the given sector."""
     d = _integer(d, "mode count")
     if d < 1:
@@ -210,7 +213,7 @@ def enumerate_basis(d, sector, cap=DEFAULT_STATE_CAP):
     n = _integer(n, "sector size")
     if n < 0:
         raise ValueError("sector size must be >= 0")
-    return _enumerate_cached(d, (kind, n), int(cap))
+    return _enumerate_cached(d, (kind, n))
 
 
 @dataclass
@@ -429,20 +432,21 @@ def second_quantize(A, basis):
     """dGamma(A) = sum_pq A_pq a+_p a_q on the given basis.
 
     dGamma(1) is the total number operator; any A commutes with N here since
-    hopping conserves the total occupation.
+    hopping conserves the total occupation.  An A Hermitian to HERMITICITY_TOL
+    is assembled as its exact Hermitian part, as ``ModeSystem`` stores h.
     """
-    mat = _dgamma(A, basis)
     A = np.asarray(A, dtype=complex)
+    if A.shape != (basis.d, basis.d):
+        raise ValueError(f"one-particle matrix must be {basis.d}x{basis.d}")
     hermitian = bool(np.max(np.abs(A - A.conj().T)) <= HERMITICITY_TOL)
-    return SparseOperator(basis=basis, matrix=mat, hermitian=hermitian)
+    if hermitian:
+        A = A / 2.0 + A.conj().T / 2.0
+    return SparseOperator(basis=basis, matrix=_dgamma(A, basis), hermitian=hermitian)
 
 
 def _dgamma(A, basis):
-    """The CSR matrix of ``second_quantize``, without the Hermiticity check."""
-    A = np.asarray(A, dtype=complex)
+    """The CSR matrix of ``second_quantize`` for a complex d x d ``A``."""
     d = basis.d
-    if A.shape != (d, d):
-        raise ValueError(f"one-particle matrix must be {d}x{d}")
     occs = basis.occs
     # mode by mode: a BLAS occs @ diag(A) may reorder the sum and move last bits
     diag = sum(A[q, q] * occs[:, q] for q in range(d))
@@ -525,6 +529,9 @@ def weyl_apply(alpha, v):
     Requires a truncated basis (displacement does not conserve particle
     number).  The loss reported is 1 - ||C(alpha) v||^2 relative to a unit
     input, which equals the probability mass pushed above the truncation.
+    Undoing a displacement errs by about eps e^{2 |alpha|^2}, unreported: on
+    one mode weyl_apply(-a, weyl_apply(a, vacuum)) misses the vacuum by 1.7e-9,
+    9.0e-3 and 2.0e4 at |a|^2 = 8, 16, 24, each call reporting loss <= 2.2e-15.
     """
     basis = v.basis
     if basis.sector[0] != "truncated":

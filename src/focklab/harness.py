@@ -466,20 +466,18 @@ class FitResult:
     r2: float
 
 
-def fit_rate(report, t, zero_floor=0.0):
+def fit_rate(report, t):
     """OLS of log(trace_dist) on log(n) at time t.
 
-    Refuses with ExactRegimeError when any distance is at or below
-    ``zero_floor`` (the exact-mean-field regime has nothing to fit).
+    Refuses with ExactRegimeError when any distance is zero (the
+    exact-mean-field regime has nothing to fit).
     """
     rows = sorted(report.rows_at(t), key=lambda r: r.n)
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows at t={t}, have {len(rows)}")
     dists = np.array([r.trace_dist for r in rows], dtype=float)
-    if np.any(dists <= zero_floor):
-        raise ExactRegimeError(
-            f"distances at t={t} are zero within floor {zero_floor}: exact regime"
-        )
+    if np.any(dists <= 0.0):
+        raise ExactRegimeError(f"distances at t={t} are zero: exact regime")
     x = np.log(np.array([r.n for r in rows], dtype=float))
     y = np.log(dists)
     A = np.stack([x, np.ones_like(x)], axis=1)
@@ -518,8 +516,7 @@ def _excitation(config, phi, m, *key):
     ``(config.seed, *key, m)``; None for m = 0."""
     if m == 0:
         return None
-    basis = enumerate_basis(config.ms.d, fixed(m))
-    return random_excitation(phi, m, basis, seed=(config.seed, *key, m))
+    return random_excitation(phi, m, seed=(config.seed, *key, m))
 
 
 def _superposition_spec(config, n):

@@ -126,7 +126,7 @@ def _integrate(ms, phi0, t_span, tol, t_eval=None):
     return sol
 
 
-def _finish(ms, times, states, tol=DEFAULT_HARTREE_TOL):
+def _finish(ms, times, states, tol):
     norms = np.linalg.norm(states, axis=1)
     energies = np.array([hartree_energy(ms, s) for s in states])
     drift = np.max(np.abs(norms - norms[0]))

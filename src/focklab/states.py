@@ -112,21 +112,25 @@ def coherent_state(phi, n, basis):
 
 @dataclass
 class ExcitationState:
-    """m-particle excitation orthogonal to the condensate in its first variable."""
+    """m-particle excitation orthogonal to the condensate in its first variable;
+    m is the size of the fixed sector ``psi`` lives in."""
 
-    m: int
     psi: FockVector
     orthogonal_to: np.ndarray
 
     def __post_init__(self):
+        if self.psi.basis.sector[0] != "fixed":
+            raise SectorError("excitation vector must live in a fixed(m) sector")
         if self.m < 1:
             raise ValueError("excitation needs m >= 1")
-        if self.psi.basis.sector != ("fixed", self.m):
-            raise SectorError("excitation vector must live in the fixed(m) sector")
         check_unit(self.psi.coeffs, "excitation")
         self.orthogonal_to = check_unit(self.orthogonal_to)
         if not _orthogonality_defect(self.orthogonal_to, self.psi) <= ORTHOGONALITY_TOL:
             raise ValueError("excitation is not first-variable orthogonal to phi")
+
+    @property
+    def m(self):
+        return self.psi.basis.n_max
 
 
 def _orthogonality_defect(phi, psi):
@@ -134,8 +138,9 @@ def _orthogonality_defect(phi, psi):
     return field_apply("annihilate", np.conj(phi), psi).norm()
 
 
-def random_excitation(phi, m, basis, seed):
-    """Deterministic random psi_m built on the orthogonal complement of phi.
+def random_excitation(phi, m, seed):
+    """Deterministic random psi_m on the fixed(m) sector of len(phi) modes,
+    built on the orthogonal complement of phi.
 
     The complement modes come from a QR factorization of [phi | identity], so
     orthogonality holds by construction; the overall phase is fixed by making
@@ -145,8 +150,7 @@ def random_excitation(phi, m, basis, seed):
     d = len(phi)
     if d < 2:
         raise ValueError("need d >= 2 for a nontrivial orthogonal complement")
-    if basis.sector != ("fixed", m) or basis.d != d:
-        raise SectorError("basis must be the fixed(m) sector on the same modes")
+    basis = enumerate_basis(d, fixed(m))
     q, _ = np.linalg.qr(np.concatenate([phi[:, None], np.eye(d)], axis=1))
     complement = [q[:, j] for j in range(1, d)]
 
@@ -160,11 +164,11 @@ def random_excitation(phi, m, basis, seed):
     psi = np.zeros(basis.dim, dtype=complex)
     for c, occ in zip(coeff, virt.occs):
         w = vacuum(enumerate_basis(d, fixed(0)))
-        for g, reps in zip(complement, occ):
-            w = _create_power(g, reps, w)
+        for j in np.flatnonzero(occ):
+            w = _create_power(complement[j], occ[j], w)
         psi += c * w.coeffs
     vec = FockVector(basis, psi).normalized()
-    return ExcitationState(m=m, psi=vec, orthogonal_to=phi)
+    return ExcitationState(psi=vec, orthogonal_to=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ def test_time_zero_is_identity(rng):
     # no t == 0 branch: the series is J_0(0) = 1 times a unit phase, and the
     # norm check still runs
     phi = random_unit(3, rng)
-    exc = fl.states.random_excitation(phi, 1, fl.enumerate_basis(3, fl.fixed(1)), seed=3)
+    exc = fl.states.random_excitation(phi, 1, seed=3)
     for sector in (fl.fixed(4), fl.truncated(4)):
         b = fl.enumerate_basis(3, sector)
         plan = fl.make_plan(fl.build_hamiltonian(_contact_ms(3), 4, b))
@@ -231,6 +231,14 @@ def test_norm_defect_beyond_tol_raises(rng):
         fl.evolve_fock(plan, v, 5.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_raises(rng, t):
+    b = fl.enumerate_basis(2, fl.fixed(3))
+    plan = fl.make_plan(fl.build_hamiltonian(_contact_ms(2), 3, b))
+    with pytest.raises(ValueError, match="time t must be finite"):
+        fl.evolve_fock(plan, random_fock(b, rng), t)
+
+
 def test_plan_rejects_loose_tol():
     b = fl.enumerate_basis(2, fl.fixed(2))
     H = fl.build_hamiltonian(_contact_ms(2), 2, b)
@@ -298,31 +306,30 @@ def fluctuation_setup(rng):
     traj = fl.trajectory_for_interpolation(ms, phi, 2.0, tol=1e-12)
     n = 4
     basis = fl.enumerate_basis(2, fl.truncated(40))
-    plan = fl.make_plan(fl.build_hamiltonian(ms, n, basis))
-    return ms, n, traj, basis, plan
+    return ms, n, traj, basis
 
 
 def test_fluctuation_identity_at_t0(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
-    out, loss = fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), 0.0, plan=plan)
+    ms, n, traj, basis = fluctuation_setup
+    out, loss = fl.fluctuation_apply(n, traj, fl.vacuum(basis), 0.0)
     assert (out - fl.vacuum(basis)).norm() < 1e-6
     assert loss < 1e-6
 
 
 def test_fluctuation_unitary_within_budget(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
+    ms, n, traj, basis = fluctuation_setup
     for t in (0.25, 0.5, 1.0):
-        out, loss = fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), t, plan=plan)
+        out, loss = fl.fluctuation_apply(n, traj, fl.vacuum(basis), t)
         assert abs(out.norm() - 1.0) < 1e-6
 
 
 def test_fluctuation_moment_growth_has_exponential_envelope(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
+    ms, n, traj, basis = fluctuation_setup
     ts = np.linspace(0.0, 2.0, 9)
     for delta in (0.5, 1.0, 2.0):
         logs = []
         for t in ts:
-            out, _ = fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), t, plan=plan)
+            out, _ = fl.fluctuation_apply(n, traj, fl.vacuum(basis), t)
             logs.append(np.log(fl.number_moment(out, delta)))
         logs = np.array(logs)
         slope, intercept = np.polyfit(ts, logs, 1)
@@ -332,21 +339,21 @@ def test_fluctuation_moment_growth_has_exponential_envelope(fluctuation_setup):
 
 
 def test_fluctuation_does_not_depend_on_trajectory_sampling(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
+    ms, n, traj, basis = fluctuation_setup
     coarse = fl.evolve_hartree(ms, traj.states[0], np.array([0.0, 2.0]), tol=1e-12)
-    dense, _ = fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), 1.0, plan=plan)
-    sparse, _ = fl.fluctuation_apply(ms, n, coarse, fl.vacuum(basis), 1.0, plan=plan)
+    dense, _ = fl.fluctuation_apply(n, traj, fl.vacuum(basis), 1.0)
+    sparse, _ = fl.fluctuation_apply(n, coarse, fl.vacuum(basis), 1.0)
     assert np.array_equal(dense.coeffs, sparse.coeffs)
 
 
 def test_fluctuation_requires_headroom(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
+    ms, n, traj, basis = fluctuation_setup
     small = fl.enumerate_basis(2, fl.truncated(10))
     with pytest.raises(fl.SectorError):
-        fl.fluctuation_apply(ms, n, traj, fl.vacuum(small), 0.5)
+        fl.fluctuation_apply(n, traj, fl.vacuum(small), 0.5)
 
 
 def test_fluctuation_requires_coverage(fluctuation_setup):
-    ms, n, traj, basis, plan = fluctuation_setup
+    ms, n, traj, basis = fluctuation_setup
     with pytest.raises(fl.SectorError):
-        fl.fluctuation_apply(ms, n, traj, fl.vacuum(basis), 5.0, plan=plan)
+        fl.fluctuation_apply(n, traj, fl.vacuum(basis), 5.0)

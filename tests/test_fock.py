@@ -80,9 +80,13 @@ def test_index_of_rejects_non_integer_occupations(occ):
     assert b.index_of(np.array([1, 1], dtype=np.int32)) == 1
 
 
-def test_capacity_cap_raises_before_enumerating():
+def test_capacity_cap_raises_before_enumerating(monkeypatch):
+    def unrank(*args):
+        raise AssertionError("enumerated a basis above the cap")
+
+    monkeypatch.setattr(fl.fock, "unrank", unrank)
     with pytest.raises(fl.CapacityError):
-        fl.enumerate_basis(8, fl.truncated(40), cap=10_000)
+        fl.enumerate_basis(8, fl.truncated(40))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +274,15 @@ def test_second_quantize_single_hop():
     A = np.array([[0, 0], [1, 0]], dtype=complex)  # e1 e0^T: moves 0 -> 1
     out = fl.second_quantize(A, b).apply(fl.basis_state(b, (1, 0)))
     assert out.coeffs[b.index_of((0, 1))] == pytest.approx(1.0)
+
+
+def test_second_quantize_assembles_the_hermitian_part():
+    # A is Hermitian to HERMITICITY_TOL, but sqrt(o_q (o_p + 1)) scales its
+    # 1e-13 asymmetry past that tolerance on fixed(40)
+    A = np.array([[1, 0.5 + 1e-13j], [0.5, 2]])
+    dG = fl.second_quantize(A, fl.enumerate_basis(2, fl.fixed(40)))
+    assert dG.hermitian
+    assert abs(dG.matrix - dG.matrix.getH()).max() == 0.0
 
 
 def test_dgamma_one_equals_number_operator_entrywise():

@@ -148,15 +148,15 @@ def test_coherent_state_on_poisson_cutoff(d, n, seed):
 
 def test_unique_excitation_for_two_modes():
     phi = np.array([1.0, 0.0], dtype=complex)
-    exc = fl.random_excitation(phi, 2, _fixed(2, 2), seed=123)
+    exc = fl.random_excitation(phi, 2, seed=123)
     assert exc.psi.coeffs[exc.psi.basis.index_of((0, 2))] == pytest.approx(1.0)
 
 
 def test_excitation_reproducible_per_seed(rng):
     phi = random_unit(3, rng)
-    a = fl.random_excitation(phi, 1, _fixed(3, 1), seed=42)
-    b = fl.random_excitation(phi, 1, _fixed(3, 1), seed=42)
-    c = fl.random_excitation(phi, 1, _fixed(3, 1), seed=43)
+    a = fl.random_excitation(phi, 1, seed=42)
+    b = fl.random_excitation(phi, 1, seed=42)
+    c = fl.random_excitation(phi, 1, seed=43)
     assert np.array_equal(a.psi.coeffs, b.psi.coeffs)
     assert not np.allclose(a.psi.coeffs, c.psi.coeffs)
 
@@ -166,14 +166,27 @@ def test_excitation_orthogonality_sweep(rng):
         d = int(rng.integers(2, 5))
         m = int(rng.integers(1, 4))
         phi = random_unit(d, rng)
-        exc = fl.random_excitation(phi, m, _fixed(d, m), seed=trial)
+        exc = fl.random_excitation(phi, m, seed=trial)
         defect = fl.field_apply("annihilate", np.conj(phi), exc.psi).norm()
         assert defect < 1e-12
 
 
+def test_excitation_size_is_its_sector(rng):
+    phi = random_unit(3, rng)
+    exc = fl.random_excitation(phi, 2, seed=0)
+    assert exc.m == 2 and exc.psi.basis == _fixed(3, 2)
+    vac = fl.vacuum(_fixed(3, 0))
+    with pytest.raises(ValueError):
+        fl.ExcitationState(psi=vac, orthogonal_to=phi)
+    wide = fl.FockVector(fl.enumerate_basis(3, fl.truncated(2)),
+                         np.eye(10)[1])  # the one-particle state (1, 0, 0)
+    with pytest.raises(fl.SectorError):
+        fl.ExcitationState(psi=wide, orthogonal_to=phi)
+
+
 def test_excitation_needs_two_modes():
     with pytest.raises(ValueError):
-        fl.random_excitation(np.array([1.0 + 0j]), 1, _fixed(1, 1), seed=0)
+        fl.random_excitation(np.array([1.0 + 0j]), 1, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +203,7 @@ def test_theta_m0_equals_product_for_every_method(rng):
 
 def test_theta_two_particle_hand_case():
     phi = np.array([1.0, 0.0], dtype=complex)
-    exc = fl.random_excitation(phi, 1, _fixed(2, 1), seed=0)
+    exc = fl.random_excitation(phi, 1, seed=0)
     # psi_1 is forced to e_1; theta = sqrt(2) S(phi x psi) = |1,1>
     for method in ("symmetrize", "creation_polynomial", "weyl_projection"):
         th = fl.theta_state(phi, exc, 2, method, _fixed(2, 2))
@@ -199,7 +212,7 @@ def test_theta_two_particle_hand_case():
 
 def test_theta_methods_agree_random(rng):
     phi = random_unit(3, rng)
-    exc = fl.random_excitation(phi, 2, _fixed(3, 2), seed=5)
+    exc = fl.random_excitation(phi, 2, seed=5)
     b = _fixed(3, 6)
     t1 = fl.theta_state(phi, exc, 6, "symmetrize", b)
     t2 = fl.theta_state(phi, exc, 6, "creation_polynomial", b)
@@ -212,14 +225,14 @@ def test_theta_methods_agree_random(rng):
 
 def test_theta_rejects_oversized_excitation(rng):
     phi = random_unit(2, rng)
-    exc = fl.random_excitation(phi, 3, _fixed(2, 3), seed=1)
+    exc = fl.random_excitation(phi, 3, seed=1)
     with pytest.raises(ValueError):
         fl.theta_state(phi, exc, 2, "creation_polynomial", _fixed(2, 2))
 
 
 def test_theta_rejects_nonorthogonal_excitation(rng):
     phi = random_unit(2, rng)
-    exc = fl.random_excitation(phi, 1, _fixed(2, 1), seed=3)
+    exc = fl.random_excitation(phi, 1, seed=3)
     other = random_unit(2, rng)  # excitation built for phi, used with other
     with pytest.raises(ValueError):
         fl.theta_state(other, exc, 3, "creation_polynomial", _fixed(2, 3))
@@ -227,7 +240,7 @@ def test_theta_rejects_nonorthogonal_excitation(rng):
 
 def test_theta_into_truncated_basis(rng):
     phi = random_unit(2, rng)
-    exc = fl.random_excitation(phi, 1, _fixed(2, 1), seed=2)
+    exc = fl.random_excitation(phi, 1, seed=2)
     tb = fl.enumerate_basis(2, fl.truncated(10))
     th = fl.theta_state(phi, exc, 4, "creation_polynomial", tb)
     assert th.sector_norms()[4] == pytest.approx(1.0, abs=1e-12)
@@ -253,8 +266,8 @@ def test_theta_overlap_respects_factorial_bound(rng):
     n, m = 8, 1
     phi1 = random_unit(2, rng)
     phi2 = random_unit(2, rng)
-    e1 = fl.random_excitation(phi1, m, _fixed(2, m), seed=0)
-    e2 = fl.random_excitation(phi2, m, _fixed(2, m), seed=1)
+    e1 = fl.random_excitation(phi1, m, seed=0)
+    e2 = fl.random_excitation(phi2, m, seed=1)
     g = fl.gram_overlap("theta", (phi1, e1), (phi2, e2), n)
     base = abs(np.vdot(phi1, phi2))
     bound = (m + 1) * 1.0 * n**m * base ** (n - 2 * m)
@@ -340,8 +353,8 @@ def test_combined_gram_matches_closed_form(kind, d, n, k, seed):
 def test_superposition_norm_is_one_theta(rng):
     phi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     phi2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e1 = fl.random_excitation(phi1, 1, _fixed(3, 1), seed=0)
-    e2 = fl.random_excitation(phi2, 1, _fixed(3, 1), seed=1)
+    e1 = fl.random_excitation(phi1, 1, seed=0)
+    e2 = fl.random_excitation(phi2, 1, seed=1)
     spec = fl.SuperpositionSpec(
         kind="theta", coeffs=[0.8, 0.6], phis=[phi1, phi2], excitations=[e1, e2]
     )
@@ -363,8 +376,8 @@ def test_superposition_degenerate_components_rejected():
 def test_theta_schedule_must_be_nondecreasing(rng):
     phi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     phi2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e1 = fl.random_excitation(phi1, 2, _fixed(3, 2), seed=0)
-    e2 = fl.random_excitation(phi2, 1, _fixed(3, 1), seed=1)
+    e1 = fl.random_excitation(phi1, 2, seed=0)
+    e2 = fl.random_excitation(phi2, 1, seed=1)
     with pytest.raises(ValueError):
         fl.SuperpositionSpec(
             kind="theta", coeffs=[1.0, 1.0], phis=[phi1, phi2], excitations=[e1, e2]
@@ -374,8 +387,8 @@ def test_theta_schedule_must_be_nondecreasing(rng):
 def test_theta_superposition_rejects_inadmissible_m(rng):
     phi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     phi2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e1 = fl.random_excitation(phi1, 2, _fixed(3, 2), seed=0)
-    e2 = fl.random_excitation(phi2, 2, _fixed(3, 2), seed=1)
+    e1 = fl.random_excitation(phi1, 2, seed=0)
+    e2 = fl.random_excitation(phi2, 2, seed=1)
     spec = fl.SuperpositionSpec(
         kind="theta", coeffs=[1.0, 1.0], phis=[phi1, phi2], excitations=[e1, e2]
     )
@@ -401,8 +414,8 @@ def test_gram_converges_to_identity_with_n(rng):
 def test_theta_gram_below_factorial_bound_as_n_grows(rng):
     phi1 = np.array([1.0, 0.0], dtype=complex)
     phi2 = np.array([0.6, 0.8], dtype=complex)
-    e1 = fl.random_excitation(phi1, 1, _fixed(2, 1), seed=0)
-    e2 = fl.random_excitation(phi2, 1, _fixed(2, 1), seed=1)
+    e1 = fl.random_excitation(phi1, 1, seed=0)
+    e2 = fl.random_excitation(phi2, 1, seed=1)
     for n in (8, 16, 32):
         g = abs(fl.gram_overlap("theta", (phi1, e1), (phi2, e2), n))
         bound = 2.0 * n * 0.6 ** (n - 2)

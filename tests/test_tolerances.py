@@ -14,6 +14,7 @@ import focklab as fl
 from focklab.dynamics import _bessel_series
 from focklab.states import _check_components, _combine_components, component_states
 from focklab.tolerances import (
+    DEFAULT_HARTREE_TOL,
     DEFAULT_KRYLOV_TOL,
     GRAM_FLOOR,
     INDEPENDENCE_TOL,
@@ -119,12 +120,11 @@ def test_every_unit_check_has_the_same_threshold(entry):
             fl.theta_state(p, None, 2, "creation_polynomial",
                            fl.enumerate_basis(2, fl.fixed(2)))
         elif entry == "random_excitation":
-            fl.states.random_excitation(p, 1, fl.enumerate_basis(2, fl.fixed(1)), seed=0)
+            fl.states.random_excitation(p, 1, seed=0)
         elif entry == "excitation":
-            exc = fl.states.random_excitation(np.array([0.6, 0.8]), 1,
-                                              fl.enumerate_basis(2, fl.fixed(1)), seed=0)
-            fl.states.ExcitationState(m=1, psi=fl.FockVector(exc.psi.basis,
-                                                             exc.psi.coeffs * factor),
+            exc = fl.states.random_excitation(np.array([0.6, 0.8]), 1, seed=0)
+            fl.states.ExcitationState(psi=fl.FockVector(exc.psi.basis,
+                                                        exc.psi.coeffs * factor),
                                       orthogonal_to=exc.orthogonal_to)
         elif entry == "evolve_hartree":
             fl.evolve_hartree(_ms(2), p, [0.0])
@@ -252,4 +252,4 @@ def test_hartree_drift_checks_fail_on_nan(monkeypatch, drift):
     if drift == "norm":
         states[1, 0] = np.nan
     with pytest.raises(fl.IntegrationError, match=f"{drift} drift"):
-        hartree._finish(_ms(2), np.array([0.0, 1.0]), states)
+        hartree._finish(_ms(2), np.array([0.0, 1.0]), states, DEFAULT_HARTREE_TOL)
