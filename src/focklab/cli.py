@@ -114,7 +114,7 @@ def _cmd_sweep(args):
     _write_report(report, args.format or config.out_format, out, stem)
     for t, fit in report.fits.items():  # superposition reports carry no fits
         if fit == "exact":
-            print(f"t={t}: exact regime (zero distances), no rate to fit")
+            print(f"t={t}: exact regime (distances at rounding level), no rate to fit")
         elif fit is None:
             print(f"t={t}: not enough rows to fit")
         else:
@@ -144,7 +144,7 @@ def _cmd_fit(args):
     try:
         fit = fit_rate(report, args.t)
     except ExactRegimeError:
-        print("exact regime: all distances are zero, refusing to fit")
+        print("exact regime: distances are at rounding level, refusing to fit")
         return EXIT_OK
     except ValueError as e:  # too few rows at --t
         raise ConfigError(f"{args.csv_path}: {e}") from e

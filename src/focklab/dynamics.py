@@ -122,8 +122,8 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
 
 def number_moment(v: FockVector, delta):
     """||(N+1)^delta v|| computed sector-wise."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
     weights = (v.basis.totals + 1.0) ** (2.0 * delta)
     return float(np.sqrt(np.sum(weights * np.abs(v.coeffs) ** 2)))
 

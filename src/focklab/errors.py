@@ -33,4 +33,4 @@ class KrylovError(FocklabError):
 
 
 class ExactRegimeError(FocklabError):
-    """Rate fitting refused: distances are exactly zero (exact regime)."""
+    """Rate fitting refused: distances are at rounding level (exact regime)."""

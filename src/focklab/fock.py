@@ -30,11 +30,16 @@ adjoint of a*(f) is a(conj(f)).  The Weyl displacement is
 
 and, since the modes commute, the product over p of the one-mode factors
 exp(-conj(alpha_p) a_p) (all applied first) and exp(alpha_p a+_p).  Each is
-one closed-form triangular (n_max + 1)^2 matrix acting on the lines of
-states that differ only in mode p.  Annihilation stays inside the truncated
-basis and creation only raises, so dropping what leaves the basis after each
-factor gives exactly the projection of the untruncated image: 1 -
-||C(alpha) v||^2 is the exact truncation loss.
+one closed-form triangular (n_max + 1)^2 matrix.  ``weyl_apply`` takes one
+of two routes to the projection of the untruncated image, whichever needs
+fewer multiply-adds.  A wide input is displaced factor by factor on the
+lines of states that differ only in mode p: annihilation stays inside the
+truncated basis and creation only raises, so dropping what leaves the basis
+after each factor is exact.  An input on few basis states (a vacuum, the
+sector of a theta state) is displaced in closed form,
+w(o) = sum_s v_s prod_p <o_p| C(alpha_p) |k_sp>, from the columns of the
+one-mode displacements that its occupations k_sp select.
+Either way 1 - ||C(alpha) v||^2 is the exact truncation loss.
 """
 
 from dataclasses import dataclass
@@ -511,16 +516,77 @@ def weyl_headroom(alpha_norm):
     use the smaller exact Poisson cutoff ``states._poisson_cutoff`` instead.
     """
     a = float(alpha_norm)
-    return int(np.ceil(a * a + 8.0 * a + 16.0))
+    k = a * a + 8.0 * a + 16.0
+    if not (a >= 0.0 and k < np.inf):
+        raise ValueError(
+            f"alpha_norm must be finite and >= 0 with (|alpha| + 4)^2 finite, got {alpha_norm!r}")
+    return int(np.ceil(k))
 
 
-def _mode_factor(z, n_max):
-    """Matrix of e^{z a+} on one mode occupied 0..n_max: the entry at
-    (o + j, o) is z^j / j! sqrt((o + j)! / o!), the product of the j steps
-    z sqrt(o + i) / i.  Its transpose is the matrix of e^{z a}."""
-    r, c = np.ogrid[:n_max + 1, :n_max + 1]
+def _mode_factor(z, n_max, cols=None):
+    """Matrix of e^{z a+} on one mode occupied 0..n_max, or its first ``cols``
+    columns: the entry at (o + j, o) is z^j / j! sqrt((o + j)! / o!), the
+    product of the j steps z sqrt(o + i) / i.  Its transpose is the matrix
+    of e^{z a}."""
+    r = np.arange(n_max + 1)[:, None]
+    c = np.arange(n_max + 1 if cols is None else cols)
     step = np.where(r > c, z * np.sqrt(r) / np.maximum(r - c, 1), 1.0)
-    return np.tril(np.cumprod(step, axis=0))
+    return np.where(r >= c, np.cumprod(step, axis=0), 0.0)
+
+
+def _lines(basis, p):
+    """States equal off mode p form one line, indexed by the rank of the other
+    occupations in the (d-1)-mode truncated basis; a state sits at cell
+    (line, o_p) of a row-major (lines, n_max + 1) grid."""
+    if basis.d == 1:
+        return 0
+    others = basis.occs[:, np.arange(basis.d) != p]
+    return rank(enumerate_basis(basis.d - 1, basis.sector), others)
+
+
+def _displace_support(alpha, v, support):
+    """C(alpha) v for v supported on the states ``support``, in closed form:
+    w(o) = sum_s v_s prod_p U_p[o_p, k_sp], where U_p[:, k], the k-th column
+    of the one-mode displacement, is e^{-|alpha_p|^2/2} sum_i F_c[:, i] F_a[k, i]
+    with F_c the matrix of e^{alpha_p a+} and F_a that of e^{-conj(alpha_p) a+}.
+    Only the columns k_sp are formed, from the first K = max_s k_sp + 1
+    columns of F_c and the leading K x K block of F_a, so the annihilation
+    entries, which grow down each column, stop at row K - 1.  Modes 1..d-1
+    multiply out on the lines of mode 0 into a (lines, s) matrix, and mode 0
+    is one product with it."""
+    basis = v.basis
+    n_max, ks = basis.n_max, basis.occs[support]
+    cols = []
+    for p, k in enumerate(ks.T):
+        top = int(k.max()) + 1
+        f_c = _mode_factor(alpha[p], n_max, top)
+        f_a = _mode_factor(-np.conj(alpha[p]), top - 1)
+        cols.append(np.exp(-abs(alpha[p]) ** 2 / 2.0) * (f_c @ f_a[k].T))
+    m = v.coeffs[support]
+    if basis.d > 1:
+        for u, o in zip(cols[1:], enumerate_basis(basis.d - 1, basis.sector).occs.T):
+            m = m * u[o]
+    return (m @ cols[0].T).take((n_max + 1) * _lines(basis, 0) + basis.occs[:, 0])
+
+
+def _displace_grid(alpha, v):
+    """C(alpha) v by the normal-ordered factors, one mode at a time on the
+    (lines, n_max + 1) grid of that mode: every annihilation factor first,
+    then every creation factor.  Grid cells above the truncation start at
+    zero and are dropped after each factor."""
+    basis = v.basis
+    d, n_max, width = basis.d, basis.n_max, basis.n_max + 1
+    modes = np.flatnonzero(alpha)
+    cells = [width * _lines(basis, p) + basis.occs[:, p] for p in modes]
+    w = v.coeffs
+    for create in (False, True):
+        for p, cell in zip(modes, cells):
+            grid = np.zeros(comb(n_max + d - 1, d - 1) * width, complex)
+            grid[cell] = w
+            f = (_mode_factor(alpha[p], n_max).T if create
+                 else _mode_factor(-np.conj(alpha[p]), n_max))
+            w = (grid.reshape(-1, width) @ f).take(cell)
+    return w * np.exp(-float(np.vdot(alpha, alpha).real) / 2.0)
 
 
 def weyl_apply(alpha, v):
@@ -529,9 +595,25 @@ def weyl_apply(alpha, v):
     Requires a truncated basis (displacement does not conserve particle
     number).  The loss reported is 1 - ||C(alpha) v||^2 relative to a unit
     input, which equals the probability mass pushed above the truncation.
-    Undoing a displacement errs by about eps e^{2 |alpha|^2}, unreported: on
-    one mode weyl_apply(-a, weyl_apply(a, vacuum)) misses the vacuum by 1.7e-9,
-    9.0e-3 and 2.0e4 at |a|^2 = 8, 16, 24, each call reporting loss <= 2.2e-15.
+
+    Two routes give the same projection of the untruncated image.  An input
+    on s basis states with occupations k_s is displaced in closed form, as
+    one contraction of the one-mode columns U_p[:, k_sp] of C(alpha_p) (see
+    ``_displace_support``); a wide input by the normal-ordered factors on
+    the grid of each mode (``_displace_grid``).  The route is the one with
+    fewer multiply-adds: the closed form takes about
+    s (n_max + 1) (lines + sum_p (max_s k_sp + 1)), with lines = C(n_max +
+    d - 1, d - 1) the states of d - 1 modes, and the grid 2 (n_max + 1)^2
+    lines per mode with alpha_p != 0.  So a basis state, a vacuum or a
+    theta state's sector takes the closed form, and a displaced state,
+    which fills the basis, takes the grid.
+
+    Near o + j = n_max the factors grow like e^{|alpha_p| sqrt(n_max)}: past
+    |alpha|^2 of about 750 the grid route overflows, and so does the closed
+    form once a column it needs does; that raises SectorError.  Undoing a
+    displacement errs by about eps e^{2 |alpha|^2}, unreported: on one mode
+    weyl_apply(-a, weyl_apply(a, vacuum)) misses the vacuum by 1.7e-9,
+    8.4e-3 and 1.4e4 at |a|^2 = 8, 16, 24, each call reporting loss <= 2.7e-15.
     """
     basis = v.basis
     if basis.sector[0] != "truncated":
@@ -541,31 +623,18 @@ def weyl_apply(alpha, v):
         raise ValueError(f"alpha must have length d={basis.d}")
     if not np.all(np.isfinite(alpha)):
         raise ValueError(f"displacement alpha must be finite, got {alpha}")
-    d, n_max, occs = basis.d, basis.n_max, basis.occs
+    d, n_max = basis.d, basis.n_max
     a2 = float(np.vdot(alpha, alpha).real)
     if a2 == 0.0 or v.norm() == 0.0:
         return v.copy(), 0.0
-    # states equal off mode p form one line, indexed by the rank of the
-    # other occupations in the (d-1)-mode truncated basis; a state sits at
-    # cell (line, o_p) of a row-major (lines, n_max + 1) grid
-    modes, width = np.flatnonzero(alpha), n_max + 1
-    lines = [rank(enumerate_basis(d - 1, basis.sector), np.delete(occs, p, axis=1))
-             if d > 1 else 0 for p in modes]
-    cells = [width * line + occs[:, p] for p, line in zip(modes, lines)]
-    w = v.coeffs
-    # annihilation factors first; grid cells above the truncation start at
-    # zero and are dropped after each factor.  Near o + j = n_max the factors
-    # grow like e^{|alpha_p| sqrt(n_max)}: past |alpha|^2 of about 750 they
-    # overflow, and the check below turns that into an error.
+    support = np.flatnonzero(v.coeffs)
+    lines = comb(n_max + d - 1, d - 1)
+    few = len(support) * (lines + d + int(basis.occs[support].max(axis=0).sum()))
     with np.errstate(over="ignore", invalid="ignore"):
-        for create in (False, True):
-            for p, cell in zip(modes, cells):
-                grid = np.zeros(comb(n_max + d - 1, d - 1) * width, complex)
-                grid[cell] = w
-                f = (_mode_factor(alpha[p], n_max).T if create
-                     else _mode_factor(-np.conj(alpha[p]), n_max))
-                w = (grid.reshape(-1, width) @ f).take(cell)
-        w = w * np.exp(-a2 / 2.0)
+        if few <= 2 * np.count_nonzero(alpha) * lines * (n_max + 1):
+            w = _displace_support(alpha, v, support)
+        else:
+            w = _displace_grid(alpha, v)
     if not np.all(np.isfinite(w)):
         raise SectorError(
             f"Weyl displacement overflows at |alpha|^2 = {a2:.4g} on n_max = {n_max}"

@@ -45,7 +45,8 @@ from .states import (
     component_states,
     random_excitation,
 )
-from .tolerances import DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, TIME_TOL, check_unit
+from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL, TIME_TOL,
+                         check_unit)
 
 CSV_HEADER = [
     "n", "m", "t",
@@ -469,15 +470,16 @@ class FitResult:
 def fit_rate(report, t):
     """OLS of log(trace_dist) on log(n) at time t.
 
-    Refuses with ExactRegimeError when any distance is zero (the
-    exact-mean-field regime has nothing to fit).
+    Refuses with ExactRegimeError when any distance is at most
+    EXACT_REGIME_TOL: at rounding level the exact-mean-field regime has
+    nothing to fit.
     """
     rows = sorted(report.rows_at(t), key=lambda r: r.n)
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows at t={t}, have {len(rows)}")
     dists = np.array([r.trace_dist for r in rows], dtype=float)
-    if np.any(dists <= 0.0):
-        raise ExactRegimeError(f"distances at t={t} are zero: exact regime")
+    if np.any(dists <= EXACT_REGIME_TOL):
+        raise ExactRegimeError(f"distances at t={t} are at rounding level: exact regime")
     x = np.log(np.array([r.n for r in rows], dtype=float))
     y = np.log(dists)
     A = np.stack([x, np.ones_like(x)], axis=1)

@@ -295,6 +295,13 @@ def test_moment_of_coherent_state_poisson_oracle():
     assert fl.number_moment(v, delta) == pytest.approx(sqrt(total), abs=1e-8)
 
 
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+def test_moment_rejects_invalid_delta(bad):
+    b = fl.enumerate_basis(2, fl.truncated(3))
+    with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+        fl.number_moment(fl.vacuum(b), bad)
+
+
 # ---------------------------------------------------------------------------
 # fluctuation propagator
 

@@ -455,7 +455,7 @@ def _series_weyl(alpha, v):
 
 @given(d=st.integers(1, 3), n_max=st.integers(0, 14), size=st.floats(0, 2),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-@settings(deadline=None, max_examples=40)
+@settings(deadline=None, max_examples=80)
 def test_weyl_matches_power_series_oracle(d, n_max, size, seed, data):
     # the creation factor cancels the intermediate back to norm <= 1, so
     # both routes round in proportion to the intermediate's norm (up to 30
@@ -464,6 +464,13 @@ def test_weyl_matches_power_series_oracle(d, n_max, size, seed, data):
     alpha = size * random_unit(d, rng)
     alpha[data.draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 0.0
     v = random_fock(fl.enumerate_basis(d, fl.truncated(n_max)), rng)
+    if data.draw(st.booleans()):
+        # 1 to n_max + 1 states at random positions, most of them high in the basis
+        support = data.draw(st.integers(1, n_max + 1))
+        keep = rng.choice(v.basis.dim, min(support, v.basis.dim), replace=False)
+        coeffs = np.zeros_like(v.coeffs)
+        coeffs[keep] = v.coeffs[keep]
+        v = fl.FockVector(v.basis, coeffs / np.linalg.norm(coeffs))
     got, loss = fl.weyl_apply(alpha, v)
     want, intermediate = _series_weyl(alpha, v)
     tol = 1e-12 * max(1.0, intermediate)
@@ -496,15 +503,45 @@ def test_weyl_vacuum_is_coherent_state_at_large_n(n, d, rng):
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
 
 
-def test_weyl_overflow_raises_instead_of_returning_nan():
-    # on one mode the factors stay finite up to n of about 750
+def test_weyl_overflow_raises_instead_of_returning_nan(rng):
+    # the closed form displaces the vacuum from the columns it needs alone,
+    # which stay finite at n = 800; a dense input takes the grid passes,
+    # whose factors overflow on one mode past n of about 750
     phi = np.array([1.0 + 0j])
-    b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(600))))
-    got, _ = fl.weyl_apply(sqrt(600) * phi, fl.vacuum(b))
-    assert np.max(np.abs(got.coeffs - fl.coherent_state(phi, 600, b).coeffs)) < 1e-13
-    b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(800))))
+    for n in (600, 800):
+        b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(n))))
+        got, _ = fl.weyl_apply(sqrt(n) * phi, fl.vacuum(b))
+        assert np.max(np.abs(got.coeffs - fl.coherent_state(phi, n, b).coeffs)) < 1e-13
     with pytest.raises(fl.SectorError, match="overflows"):
-        fl.weyl_apply(sqrt(800) * phi, fl.vacuum(b))
+        fl.weyl_apply(sqrt(800) * phi, random_fock(b, rng))
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 12), (2, 6), (3, 4)])
+def test_weyl_dense_input_is_the_sum_of_its_basis_states(d, n_max, rng, monkeypatch):
+    # a dense input takes the grid passes and each basis state the closed
+    # form; by linearity the two must agree
+    from focklab import fock
+
+    routes = []
+    for name in ("_displace_grid", "_displace_support"):
+        def spy(*args, _name=name, _f=getattr(fock, name)):
+            routes.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(fock, name, spy)
+    b = fl.enumerate_basis(d, fl.truncated(n_max))
+    alpha = 1.1 * random_unit(d, rng)
+    v = random_fock(b, rng)
+    got, _ = fl.weyl_apply(alpha, v)
+    want = sum(c * fl.weyl_apply(alpha, fl.basis_state(b, tuple(o)))[0].coeffs
+               for c, o in zip(v.coeffs, b.occs))
+    assert routes == ["_displace_grid"] + ["_displace_support"] * b.dim
+    assert np.max(np.abs(got.coeffs - want)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf, 1e160])
+def test_weyl_headroom_rejects_invalid_norm(bad):
+    with pytest.raises(ValueError, match="alpha_norm must be finite and >= 0"):
+        fl.weyl_headroom(bad)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(np.inf, 0)])

@@ -18,6 +18,7 @@ from focklab.harness import (
 )
 from focklab.invariants import run_invariant_suite
 from focklab.states import POISSON_TAIL_FLOOR, _poisson_cutoff
+from focklab.tolerances import EXACT_REGIME_TOL
 
 
 def _theta_doc(n_list=(4, 6, 8), t_list=(0.5,), m=1, v=None):
@@ -391,11 +392,15 @@ def test_free_potential_control_is_exact():
     cfg = fl.ExperimentConfig.from_dict(doc)
     rep = fl.run_convergence_sweep(cfg)
     assert max(r.trace_dist for r in rep.rows) < 1e-9
-    # distances at rounding level read as zero: the exact regime is refused
-    for r in rep.rows:
-        r.trace_dist = 0.0
+    # the distances are rounding noise (about 4e-14), not a rate to fit
+    assert rep.fits[0.5] == "exact"
     with pytest.raises(fl.ExactRegimeError):
         fl.fit_rate(rep, 0.5)
+    # at the floor the regime is exact; just above it a rate is fit
+    with pytest.raises(fl.ExactRegimeError):
+        fl.fit_rate(_synthetic_report(lambda n: EXACT_REGIME_TOL * 32 / n), 1.0)
+    fit = fl.fit_rate(_synthetic_report(lambda n: 1.01 * EXACT_REGIME_TOL * 32 / n), 1.0)
+    assert fit.slope == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_superposition_sweep_logs_cross_terms_and_weights():
