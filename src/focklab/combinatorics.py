@@ -1,7 +1,7 @@
 """Closed-form combinatorics of the partially factorized states.
 
-Everything factorial-shaped is done with log-gamma so nothing overflows up to
-n = 10^6.  The displaced-state coefficient family A_k is produced by a
+Everything factorial-shaped is done with log-gamma so every value stays
+finite up to n = 10^6.  The displaced-state coefficient family A_k is produced by a
 self-normalized three-term recurrence (a Charlier-polynomial recurrence with
 the normalizing prefactor folded in), which keeps every intermediate in
 [-1, 1]; the alternating Laguerre sum is only ever used as an

@@ -135,8 +135,11 @@ def fluctuation_apply(n, trajectory, v: FockVector, t):
     with headroom for displacement size sqrt(n).  The Hamiltonian is the
     trajectory's mode system's, built on v's basis.  Any trajectory covering
     [0, t] serves, however sampled: phi_0 and phi_t come from its ``at``.
-    Accurate for small n only: the undoing displacement errs by about eps
-    e^{2n}, beyond the loss reported (see ``weyl_apply``).
+    What the truncation dropped is missing at amplitude level, so the result
+    errs by about the square root of the loss reported.  The undoing
+    displacement takes a wide vector, so ``weyl_apply`` raises
+    ``CapacityError`` past 4 sites at n = 16 and 5 sites at n = 3 on a
+    ``weyl_headroom`` basis.
     """
     basis = v.basis
     if basis.sector[0] != "truncated":

@@ -25,21 +25,22 @@ Smeared operators follow the linear-in-argument convention
 so that [a(f), a*(g)] = sum_p f_p g_p with no complex conjugate, and the
 adjoint of a*(f) is a(conj(f)).  The Weyl displacement is
 
-    C(alpha) = exp(a*(alpha) - a(conj(alpha)))
-             = exp(-|alpha|^2/2) exp(a*(alpha)) exp(-a(conj(alpha))),
+    C(alpha) = exp(a*(alpha) - a(conj(alpha))) = prod_p C(alpha_p),
 
-and, since the modes commute, the product over p of the one-mode factors
-exp(-conj(alpha_p) a_p) (all applied first) and exp(alpha_p a+_p).  Each is
-one closed-form triangular (n_max + 1)^2 matrix.  ``weyl_apply`` takes one
-of two routes to the projection of the untruncated image, whichever needs
-fewer multiply-adds.  A wide input is displaced factor by factor on the
-lines of states that differ only in mode p: annihilation stays inside the
-truncated basis and creation only raises, so dropping what leaves the basis
-after each factor is exact.  An input on few basis states (a vacuum, the
-sector of a theta state) is displaced in closed form,
-w(o) = sum_s v_s prod_p <o_p| C(alpha_p) |k_sp>, from the columns of the
-one-mode displacements that its occupations k_sp select.
-Either way 1 - ||C(alpha) v||^2 is the exact truncation loss.
+a product of commuting one-mode displacements.  Each one-mode block comes
+from the spectral form of X = a + a+ on a box of levels above the
+truncation, cached per box size, and has every entry bounded by 1, so at
+any |alpha| a displacement and its undoing err by rounding plus the
+amplitude the truncation drops.  ``weyl_apply`` takes one of two routes to
+the projection of the untruncated image, whichever needs fewer
+multiply-adds.  A wide input is displaced one mode at a time, each pass
+keeping the states whose displaced modes alone hold at most n_max, since
+no later pass lowers their occupation; the basis entries are gathered at
+the end.  An input on few basis states
+(a vacuum, the sector of a theta state) is displaced in closed form,
+w(o) = sum_s v_s prod_p <o_p| C(alpha_p) |k_sp>, from the one-mode columns
+that its occupations k_sp select.  Either way 1 - ||C(alpha) v||^2 is the
+exact truncation loss.
 """
 
 from dataclasses import dataclass
@@ -523,70 +524,97 @@ def weyl_headroom(alpha_norm):
     return int(np.ceil(k))
 
 
-def _mode_factor(z, n_max, cols=None):
-    """Matrix of e^{z a+} on one mode occupied 0..n_max, or its first ``cols``
-    columns: the entry at (o + j, o) is z^j / j! sqrt((o + j)! / o!), the
-    product of the j steps z sqrt(o + i) / i.  Its transpose is the matrix
-    of e^{z a}."""
-    r = np.arange(n_max + 1)[:, None]
-    c = np.arange(n_max + 1 if cols is None else cols)
-    step = np.where(r > c, z * np.sqrt(r) / np.maximum(r - c, 1), 1.0)
-    return np.where(r >= c, np.cumprod(step, axis=0), 0.0)
+@lru_cache(maxsize=4)
+def _spectrum(levels):
+    """Eigenvalues and eigenvectors of the tridiagonal X = a + a+ on ``levels``
+    levels of one mode."""
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(np.zeros(levels), np.sqrt(np.arange(1.0, levels)))
 
 
-def _lines(basis, p):
-    """States equal off mode p form one line, indexed by the rank of the other
-    occupations in the (d-1)-mode truncated basis; a state sits at cell
-    (line, o_p) of a row-major (lines, n_max + 1) grid."""
-    if basis.d == 1:
-        return 0
-    others = basis.occs[:, np.arange(basis.d) != p]
-    return rank(enumerate_basis(basis.d - 1, basis.sector), others)
+def _displacement(z, n_max, cols):
+    """Rows 0..n_max and columns ``cols`` of the one-mode displacement C(z).
+
+    With X = a + a+ = V diag(lam) V^T on a box of N levels and c = -i z / |z|,
+    <j| C(z) |k> = c^j conj(c)^k sum_i V[j, i] V[k, i] e^{i |z| lam_i}, so no
+    entry exceeds 1.  The box edge reflects what reaches it, so the box holds
+    the image of the highest column with one unit of |z| more than the
+    Poisson headroom, N >= weyl_headroom(sqrt(max(cols)) + |z| + 1): without
+    that unit, rows near n_max of a vacuum column err by up to 2e-9.  N is
+    rounded up to a multiple of 64 so that few sizes are eigensolved and
+    cached."""
+    if z == 0:
+        return np.eye(n_max + 1)[:, cols]
+    r = abs(z)
+    need = max(n_max + 1, weyl_headroom(np.sqrt(cols.max()) + r + 1.0))
+    lam, vec = _spectrum(-(-need // 64) * 64)
+    left, right = vec[: n_max + 1], vec[cols].T
+    block = (left * np.cos(r * lam)) @ right + 1j * ((left * np.sin(r * lam)) @ right)
+    c = np.exp(1j * (np.angle(z) - np.pi / 2) * np.arange(n_max + 1))
+    return c[:, None] * block * np.conj(c[cols])
 
 
 def _displace_support(alpha, v, support):
     """C(alpha) v for v supported on the states ``support``, in closed form:
-    w(o) = sum_s v_s prod_p U_p[o_p, k_sp], where U_p[:, k], the k-th column
-    of the one-mode displacement, is e^{-|alpha_p|^2/2} sum_i F_c[:, i] F_a[k, i]
-    with F_c the matrix of e^{alpha_p a+} and F_a that of e^{-conj(alpha_p) a+}.
-    Only the columns k_sp are formed, from the first K = max_s k_sp + 1
-    columns of F_c and the leading K x K block of F_a, so the annihilation
-    entries, which grow down each column, stop at row K - 1.  Modes 1..d-1
-    multiply out on the lines of mode 0 into a (lines, s) matrix, and mode 0
-    is one product with it."""
+    w(o) = sum_s v_s prod_p U_p[o_p, k_sp], where U_p[:, k] is the k-th
+    column of the one-mode displacement, formed once for each occupation
+    k_sp that occurs.  Modes 1..d-1 multiply out on the lines of mode 0 (the
+    states of the other modes, ranked in their (d-1)-mode basis) into a
+    (lines, s) matrix, and mode 0 is one product with it."""
     basis = v.basis
-    n_max, ks = basis.n_max, basis.occs[support]
     cols = []
-    for p, k in enumerate(ks.T):
-        top = int(k.max()) + 1
-        f_c = _mode_factor(alpha[p], n_max, top)
-        f_a = _mode_factor(-np.conj(alpha[p]), top - 1)
-        cols.append(np.exp(-abs(alpha[p]) ** 2 / 2.0) * (f_c @ f_a[k].T))
+    for z, k in zip(alpha, basis.occs[support].T):
+        distinct, at = np.unique(k, return_inverse=True)
+        cols.append(_displacement(z, basis.n_max, distinct)[:, at])
     m = v.coeffs[support]
-    if basis.d > 1:
-        for u, o in zip(cols[1:], enumerate_basis(basis.d - 1, basis.sector).occs.T):
-            m = m * u[o]
-    return (m @ cols[0].T).take((n_max + 1) * _lines(basis, 0) + basis.occs[:, 0])
+    if basis.d == 1:
+        return m @ cols[0].T
+    rest = enumerate_basis(basis.d - 1, basis.sector)
+    for u, o in zip(cols[1:], rest.occs.T):
+        m = m * u[o]
+    return (m @ cols[0].T)[rank(rest, basis.occs[:, 1:]), basis.occs[:, 0]]
 
 
 def _displace_grid(alpha, v):
-    """C(alpha) v by the normal-ordered factors, one mode at a time on the
-    (lines, n_max + 1) grid of that mode: every annihilation factor first,
-    then every creation factor.  Grid cells above the truncation start at
-    zero and are dropped after each factor."""
-    basis = v.basis
-    d, n_max, width = basis.d, basis.n_max, basis.n_max + 1
-    modes = np.flatnonzero(alpha)
-    cells = [width * _lines(basis, p) + basis.occs[:, p] for p in modes]
-    w = v.coeffs
-    for create in (False, True):
-        for p, cell in zip(modes, cells):
-            grid = np.zeros(comb(n_max + d - 1, d - 1) * width, complex)
-            grid[cell] = w
-            f = (_mode_factor(alpha[p], n_max).T if create
-                 else _mode_factor(-np.conj(alpha[p]), n_max))
-            w = (grid.reshape(-1, width) @ f).take(cell)
-    return w * np.exp(-float(np.vdot(alpha, alpha).real) / 2.0)
+    """C(alpha) v one displaced mode at a time, exactly.  Once a mode has been
+    displaced its occupation no longer changes, and the final gather keeps
+    only totals <= n_max; so the intermediate x[i, r] pairs a state i of the
+    modes displaced so far (the newest first) with a state r of the others,
+    each of total <= n_max and ranked in its own truncated basis, and drops
+    nothing the result keeps.  Of the k others, the state (q, r'), q the
+    next mode's occupation, sits at column C(q + |r'| + k - 1, k) + rank(r');
+    the displaced modes' states (t, i) come out in basis order, by total
+    t + |i| and then by i.  A pass gathers, for a slice of the states r', the
+    columns for q = 0..n_max - |r'| (past n_max, x's last column, which stays
+    zero) and multiplies them by the one-mode block; a slice holds about as
+    many entries as the basis.  The largest x must fit in
+    ``DEFAULT_STATE_CAP``."""
+    basis, n = v.basis, v.basis.n_max
+    moved, kept = np.flatnonzero(alpha), np.flatnonzero(alpha == 0)
+    size = max(comb(n + j, j) * comb(n + basis.d - j, basis.d - j) for j in range(len(moved) + 1))
+    if size > DEFAULT_STATE_CAP:
+        raise CapacityError(f"Weyl grid of {size} entries exceeds the cap {DEFAULT_STATE_CAP}")
+    table, occ, totals = _binomials(n, basis.d), np.arange(n + 1), np.zeros(1, np.int64)
+    x = np.zeros((1, basis.dim + 1), complex)
+    x[0, rank(basis, basis.occs[:, np.concatenate([moved, kept])])] = v.coeffs
+    for j, p in enumerate(moved):
+        block, k = np.ascontiguousarray(_displacement(alpha[p], n, occ).T), basis.d - j
+        s, i = np.nonzero(occ[:, None] >= totals)
+        ends = np.diff(table[k - 1], append=comb(n + k, k))
+        rest = np.repeat(occ, np.diff(ends, prepend=0))
+        y = np.zeros((len(s), len(rest) + 1), complex)
+        step = max(1, basis.dim // ((n + 1) * len(x)))
+        for lo in range(0, len(rest), step):
+            tot = rest[lo : lo + step, None] + occ[: n + 1 - rest[lo]]  # q + |r'|
+            cols = table[k - 1].take(tot, mode="clip") + np.arange(lo, lo + len(tot))[:, None]
+            g = x.take(np.where(tot > n, -1, cols), axis=1).reshape(-1, tot.shape[1])
+            z = (g @ block[: tot.shape[1]]).reshape(len(x), len(tot), n + 1)
+            y[:, lo : lo + len(tot)] = z[i, :, s - totals[i]]
+        x, totals = y, s
+    i = rank(enumerate_basis(len(moved), basis.sector), basis.occs[:, moved[::-1]])
+    r = rank(enumerate_basis(len(kept), basis.sector), basis.occs[:, kept]) if len(kept) else 0
+    return x[i, r]
 
 
 def weyl_apply(alpha, v):
@@ -596,24 +624,24 @@ def weyl_apply(alpha, v):
     number).  The loss reported is 1 - ||C(alpha) v||^2 relative to a unit
     input, which equals the probability mass pushed above the truncation.
 
-    Two routes give the same projection of the untruncated image.  An input
-    on s basis states with occupations k_s is displaced in closed form, as
-    one contraction of the one-mode columns U_p[:, k_sp] of C(alpha_p) (see
-    ``_displace_support``); a wide input by the normal-ordered factors on
-    the grid of each mode (``_displace_grid``).  The route is the one with
-    fewer multiply-adds: the closed form takes about
-    s (n_max + 1) (lines + sum_p (max_s k_sp + 1)), with lines = C(n_max +
-    d - 1, d - 1) the states of d - 1 modes, and the grid 2 (n_max + 1)^2
-    lines per mode with alpha_p != 0.  So a basis state, a vacuum or a
-    theta state's sector takes the closed form, and a displaced state,
-    which fills the basis, takes the grid.
-
-    Near o + j = n_max the factors grow like e^{|alpha_p| sqrt(n_max)}: past
-    |alpha|^2 of about 750 the grid route overflows, and so does the closed
-    form once a column it needs does; that raises SectorError.  Undoing a
-    displacement errs by about eps e^{2 |alpha|^2}, unreported: on one mode
-    weyl_apply(-a, weyl_apply(a, vacuum)) misses the vacuum by 1.7e-9,
-    8.4e-3 and 1.4e4 at |a|^2 = 8, 16, 24, each call reporting loss <= 2.7e-15.
+    C(alpha) is the product over the modes of the one-mode displacements
+    C(alpha_p), each taken from the spectral form of ``_displacement``, whose
+    entries are bounded by 1; undoing a displacement is therefore accurate
+    to rounding plus what the truncation dropped.  Two routes give the same
+    projection of the untruncated image.  An input on s basis states is
+    displaced in closed form, as one contraction of the one-mode columns
+    that its occupations select (see ``_displace_support``); a wide input by
+    one pass of the one-mode block per displaced mode (``_displace_grid``).
+    The route is the one with fewer multiply-adds, counted with the box N of
+    ``_displacement`` taken as n_max + 1 and divided by n_max + 1: the
+    closed form takes about s lines + (n_max + 1) sum_p u_p, with
+    lines = C(n_max + d - 1, d - 1) the states of d - 1 modes and u_p the
+    distinct occupations of displaced mode p on the support; the grid
+    (n_max + 1)^2 per displaced mode plus C(n_max + j, j) C(n_max + d - j,
+    d - j) for its pass after j others.  So a basis state, a vacuum or a
+    theta state's sector takes the closed form, and a displaced state, which
+    fills the basis, takes the grid.  The grid raises ``CapacityError``
+    when a pass would hold more than ``DEFAULT_STATE_CAP`` entries.
     """
     basis = v.basis
     if basis.sector[0] != "truncated":
@@ -623,22 +651,14 @@ def weyl_apply(alpha, v):
         raise ValueError(f"alpha must have length d={basis.d}")
     if not np.all(np.isfinite(alpha)):
         raise ValueError(f"displacement alpha must be finite, got {alpha}")
-    d, n_max = basis.d, basis.n_max
-    a2 = float(np.vdot(alpha, alpha).real)
-    if a2 == 0.0 or v.norm() == 0.0:
+    d, n, m = basis.d, basis.n_max, np.count_nonzero(alpha)
+    if m == 0 or v.norm() == 0.0:
         return v.copy(), 0.0
     support = np.flatnonzero(v.coeffs)
-    lines = comb(n_max + d - 1, d - 1)
-    few = len(support) * (lines + d + int(basis.occs[support].max(axis=0).sum()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if few <= 2 * np.count_nonzero(alpha) * lines * (n_max + 1):
-            w = _displace_support(alpha, v, support)
-        else:
-            w = _displace_grid(alpha, v)
-    if not np.all(np.isfinite(w)):
-        raise SectorError(
-            f"Weyl displacement overflows at |alpha|^2 = {a2:.4g} on n_max = {n_max}"
-        )
+    few = len(support) * comb(n + d - 1, d - 1) + (n + 1) * sum(
+        len(np.unique(k)) for k in basis.occs[support][:, alpha != 0].T)
+    many = sum((n + 1) ** 2 + comb(n + j, j) * comb(n + d - j, d - j) for j in range(m))
+    w = _displace_support(alpha, v, support) if few < many else _displace_grid(alpha, v)
     out = FockVector(basis, w)
     loss = 1.0 - (out.norm() ** 2) / (v.norm() ** 2)
     return out, max(loss, 0.0)
@@ -663,6 +683,14 @@ def sector_project(n, v):
 # complex coefficients as [re, im] pairs)
 
 
+def _written(doc, path):
+    """``doc``, also written to ``path`` as JSON unless path is None."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return doc
+
+
 def _c2pair(z):
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -673,19 +701,12 @@ def dump_basis_json(basis, path=None):
         "sector": {"kind": basis.sector[0], "n": basis.sector[1]},
         "states": basis.occs.tolist(),
     }
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    return doc
+    return _written(doc, path)
 
 
 def dump_vector_json(v, path=None):
-    doc = dump_basis_json(v.basis)
-    doc = {"basis": doc, "coeffs": [_c2pair(z) for z in v.coeffs]}
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    return doc
+    doc = {"basis": dump_basis_json(v.basis), "coeffs": [_c2pair(z) for z in v.coeffs]}
+    return _written(doc, path)
 
 
 def dump_operator_json(op, path=None):
@@ -699,7 +720,4 @@ def dump_operator_json(op, path=None):
         "hermitian": bool(op.hermitian),
         "entries": entries,
     }
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-    return doc
+    return _written(doc, path)

@@ -470,14 +470,16 @@ class FitResult:
 def fit_rate(report, t):
     """OLS of log(trace_dist) on log(n) at time t.
 
-    Refuses with ExactRegimeError when any distance is at most
-    EXACT_REGIME_TOL: at rounding level the exact-mean-field regime has
-    nothing to fit.
+    Refuses a non-finite distance with ValueError, and with ExactRegimeError
+    any distance at most EXACT_REGIME_TOL: at rounding level the
+    exact-mean-field regime has nothing to fit.
     """
     rows = sorted(report.rows_at(t), key=lambda r: r.n)
     if len(rows) < 3:
         raise ValueError(f"need at least 3 rows at t={t}, have {len(rows)}")
     dists = np.array([r.trace_dist for r in rows], dtype=float)
+    if not np.all(np.isfinite(dists)):
+        raise ValueError(f"distances at t={t} must be finite, got {dists.tolist()}")
     if np.any(dists <= EXACT_REGIME_TOL):
         raise ExactRegimeError(f"distances at t={t} are at rounding level: exact regime")
     x = np.log(np.array([r.n for r in rows], dtype=float))

@@ -88,7 +88,7 @@ def _poisson_cutoff(n):
 def coherent_state(phi, n, basis):
     """C(sqrt(n) phi)|0>, mean particle number n: the per-mode Poisson product
     prod_p e^{-|a_p|^2/2} a_p^o_p / sqrt(o_p!), a = sqrt(n) phi, magnitudes in
-    log space so that no power overflows at large n.
+    log space so that every power stays finite at large n.
 
     The particle number is Poisson(n), so the state's squared norm on a
     truncated basis is 1 - pdtrc(n_max, n); a basis whose dropped mass exceeds

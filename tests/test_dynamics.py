@@ -353,6 +353,18 @@ def test_fluctuation_does_not_depend_on_trajectory_sampling(fluctuation_setup):
     assert np.array_equal(dense.coeffs, sparse.coeffs)
 
 
+def test_fluctuation_at_paper_scale(rng):
+    # at n = 24 the undoing displacement takes a wide input; 60 levels past
+    # the headroom the truncation drops nothing above rounding
+    ms, n = _contact_ms(2, g=1.0), 24
+    traj = fl.evolve_hartree(ms, random_unit(2, rng), np.array([0.0, 1.0]), tol=1e-12)
+    basis = fl.enumerate_basis(2, fl.truncated(fl.weyl_headroom(sqrt(n)) + 60))
+    out, _ = fl.fluctuation_apply(n, traj, fl.vacuum(basis), 0.0)
+    assert (out - fl.vacuum(basis)).norm() < 1e-12
+    out, _ = fl.fluctuation_apply(n, traj, fl.vacuum(basis), 1.0)
+    assert abs(out.norm() - 1.0) < 1e-10
+
+
 def test_fluctuation_requires_headroom(fluctuation_setup):
     ms, n, traj, basis = fluctuation_setup
     small = fl.enumerate_basis(2, fl.truncated(10))

@@ -7,8 +7,10 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 
 import focklab as fl
+from focklab.fock import DEFAULT_STATE_CAP
 from focklab.states import _tensor_from_fixed
 
 from conftest import random_fock, random_hermitian, random_unit
@@ -423,16 +425,18 @@ def test_weyl_unitarity_within_loss(rng):
 
 
 def test_weyl_composition_phase(rng):
+    # up to |alpha|^2 = 50, where the second factor acts on a wide input
     d = 2
-    alpha = 0.8 * random_unit(d, rng)
-    beta = 0.6 * random_unit(d, rng)
-    b = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(1.5)))
-    v = fl.vacuum(b)
-    two, _ = fl.weyl_apply(beta, v)
-    two, _ = fl.weyl_apply(alpha, two)
-    one, _ = fl.weyl_apply(alpha + beta, v)
-    phase = np.exp(-1j * np.vdot(alpha, beta).imag)
-    assert (two - phase * one).norm() < 1e-8
+    for size_a, size_b in ((0.8, 0.6), (4.0, 3.0), (sqrt(50.0), 2.0)):
+        alpha = size_a * random_unit(d, rng)
+        beta = size_b * random_unit(d, rng)
+        b = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(size_a + size_b)))
+        v = fl.vacuum(b)
+        two, _ = fl.weyl_apply(beta, v)
+        two, _ = fl.weyl_apply(alpha, two)
+        one, _ = fl.weyl_apply(alpha + beta, v)
+        phase = np.exp(-1j * np.vdot(alpha, beta).imag)
+        assert (two - phase * one).norm() < 1e-8
 
 
 def _series_weyl(alpha, v):
@@ -457,9 +461,9 @@ def _series_weyl(alpha, v):
        seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(deadline=None, max_examples=80)
 def test_weyl_matches_power_series_oracle(d, n_max, size, seed, data):
-    # the creation factor cancels the intermediate back to norm <= 1, so
-    # both routes round in proportion to the intermediate's norm (up to 30
-    # at |alpha| = 2 on truncated(14), one mode)
+    # the oracle's creation factor cancels its intermediate back to norm
+    # <= 1, so the oracle rounds in proportion to the intermediate's norm
+    # (up to 30 at |alpha| = 2 on truncated(14), one mode)
     rng = np.random.default_rng(seed)
     alpha = size * random_unit(d, rng)
     alpha[data.draw(st.lists(st.booleans(), min_size=d, max_size=d))] = 0.0
@@ -503,23 +507,50 @@ def test_weyl_vacuum_is_coherent_state_at_large_n(n, d, rng):
     assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
 
 
-def test_weyl_overflow_raises_instead_of_returning_nan(rng):
-    # the closed form displaces the vacuum from the columns it needs alone,
-    # which stay finite at n = 800; a dense input takes the grid passes,
-    # whose factors overflow on one mode past n of about 750
+def test_weyl_stays_bounded_at_large_n(rng):
+    # every one-mode entry is bounded by 1, so neither the vacuum nor a dense
+    # input can overflow at n = 800; undoing the dense input's displacement
+    # misses it by at most the amplitude the truncation dropped, sqrt(loss)
     phi = np.array([1.0 + 0j])
     for n in (600, 800):
         b = fl.enumerate_basis(1, fl.truncated(fl.weyl_headroom(sqrt(n))))
         got, _ = fl.weyl_apply(sqrt(n) * phi, fl.vacuum(b))
         assert np.max(np.abs(got.coeffs - fl.coherent_state(phi, n, b).coeffs)) < 1e-13
-    with pytest.raises(fl.SectorError, match="overflows"):
-        fl.weyl_apply(sqrt(800) * phi, random_fock(b, rng))
+    v = random_fock(b, rng)
+    out, loss = fl.weyl_apply(sqrt(800) * phi, v)
+    assert np.all(np.isfinite(out.coeffs))
+    assert out.norm() <= 1.0 + 1e-12
+    back, _ = fl.weyl_apply(-sqrt(800) * phi, out)
+    assert (back - v).norm() <= 2 * sqrt(loss) + 1e-12
 
 
-@pytest.mark.parametrize("d,n_max", [(1, 12), (2, 6), (3, 4)])
-def test_weyl_dense_input_is_the_sum_of_its_basis_states(d, n_max, rng, monkeypatch):
-    # a dense input takes the grid passes and each basis state the closed
-    # form; by linearity the two must agree
+@pytest.mark.parametrize("d,a2", [(1, 16), (1, 64), (1, 100), (1, 400), (3, 32)])
+def test_weyl_round_trip_misses_only_the_dropped_amplitude(d, a2, rng):
+    # undoing a displacement returns the vacuum up to the amplitude the
+    # truncation dropped: sqrt of the Poisson tail above n_max, which is
+    # 1e-8 on a weyl_headroom basis and below rounding 60 levels higher;
+    # on 3 modes the undoing step takes the grid on up to 632,710 states
+    alpha = sqrt(a2) * random_unit(d, rng)
+    for extra in (60, 0):
+        b = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(sqrt(a2)) + extra))
+        out, _ = fl.weyl_apply(alpha, fl.vacuum(b))
+        back, _ = fl.weyl_apply(-alpha, out)
+        dropped = 0.0 if extra else 2 * sqrt(pdtrc(b.n_max, a2))
+        assert (back - fl.vacuum(b)).norm() <= dropped + 1e-12
+
+
+def test_weyl_grid_refuses_array_above_cap(rng):
+    # a dense input on 6 modes at n_max = 22 takes the grid, whose pass for
+    # the third mode would pair C(25, 3)^2 states of 3 + 3 modes, above the
+    # cap, though the basis holds 376,740 states
+    b = fl.enumerate_basis(6, fl.truncated(22))
+    assert comb(25, 3) ** 2 > DEFAULT_STATE_CAP > b.dim
+    with pytest.raises(fl.CapacityError, match="Weyl grid"):
+        fl.weyl_apply(0.5 * random_unit(6, rng), random_fock(b, rng))
+
+
+def _spy_routes(monkeypatch):
+    """The names of the Weyl routes taken, in call order."""
     from focklab import fock
 
     routes = []
@@ -528,8 +559,46 @@ def test_weyl_dense_input_is_the_sum_of_its_basis_states(d, n_max, rng, monkeypa
             routes.append(_name)
             return _f(*args)
         monkeypatch.setattr(fock, name, spy)
+    return routes
+
+
+@pytest.mark.parametrize("d,n", [(4, 8), (5, 1)])
+def test_weyl_grid_undoes_wide_inputs_on_many_modes(d, n, rng, monkeypatch):
+    # fluctuation_apply undoes a wide input on a weyl_headroom(sqrt(n))
+    # basis: 249,900 states on 4 modes at n = 8 and 142,506 on 5 modes at
+    # n = 1, whose grid passes hold at most 1,382,976 and 1,149,876 entries
+    alpha = sqrt(n) * random_unit(d, rng)
+    b = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(sqrt(n))))
+    routes = _spy_routes(monkeypatch)
+    out, _ = fl.weyl_apply(alpha, fl.vacuum(b))
+    back, _ = fl.weyl_apply(-alpha, out)
+    assert routes == ["_displace_support", "_displace_grid"]
+    assert (back - fl.vacuum(b)).norm() <= 2 * sqrt(pdtrc(b.n_max, n)) + 1e-12
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 12), (2, 6), (3, 4)])
+def test_weyl_dense_input_is_the_sum_of_its_basis_states(d, n_max, rng, monkeypatch):
+    # a dense input takes the grid passes and each basis state the closed
+    # form; by linearity the two must agree
+    routes = _spy_routes(monkeypatch)
     b = fl.enumerate_basis(d, fl.truncated(n_max))
     alpha = 1.1 * random_unit(d, rng)
+    v = random_fock(b, rng)
+    got, _ = fl.weyl_apply(alpha, v)
+    want = sum(c * fl.weyl_apply(alpha, fl.basis_state(b, tuple(o)))[0].coeffs
+               for c, o in zip(v.coeffs, b.occs))
+    assert routes == ["_displace_grid"] + ["_displace_support"] * b.dim
+    assert np.max(np.abs(got.coeffs - want)) < 1e-12
+
+
+@pytest.mark.parametrize("d,zero", [(4, [1]), (5, [0, 3])])
+def test_weyl_grid_keeps_undisplaced_modes(d, zero, rng, monkeypatch):
+    # the grid passes over the displaced modes only; the others stay in
+    # the columns of its intermediate until the final gather
+    routes = _spy_routes(monkeypatch)
+    b = fl.enumerate_basis(d, fl.truncated(3))
+    alpha = 1.1 * random_unit(d, rng)
+    alpha[zero] = 0.0
     v = random_fock(b, rng)
     got, _ = fl.weyl_apply(alpha, v)
     want = sum(c * fl.weyl_apply(alpha, fl.basis_state(b, tuple(o)))[0].coeffs

@@ -185,6 +185,15 @@ def test_fit_refuses_exact_regime():
         fl.fit_rate(_synthetic_report(lambda n: 0.0), 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_rejects_non_finite_distance(bad):
+    # nan <= EXACT_REGIME_TOL is false, so only an explicit check keeps a
+    # nan row from fitting to FitResult(nan, nan, r2=1.0)
+    dists = {4: 0.1, 8: bad, 16: 0.02}
+    with pytest.raises(ValueError, match="must be finite"):
+        fl.fit_rate(_synthetic_report(dists.get, ns=(4, 8, 16)), 1.0)
+
+
 def test_fit_needs_three_rows():
     with pytest.raises(ValueError):
         fl.fit_rate(_synthetic_report(lambda n: 1.0 / n, ns=(4, 8)), 1.0)

@@ -262,6 +262,19 @@ def test_product_overlap_power():
     assert got == pytest.approx(0.9**20, abs=1e-12)
 
 
+@pytest.mark.parametrize("n,m,d", [(24, 1, 2), (24, 2, 3), (40, 1, 2)])
+def test_theta_weyl_oracle_at_paper_scale(n, m, d, rng):
+    # C*(sqrt(n) phi) theta has sector norms a_k at k + m, in closed form;
+    # the undoing displacement acts on a sector of a weyl_headroom basis
+    phi = random_unit(d, rng)
+    exc = fl.random_excitation(phi, m, seed=(n, m, d))
+    basis = fl.enumerate_basis(d, fl.truncated(fl.weyl_headroom(sqrt(n))))
+    th = fl.theta_state(phi, exc, n, "creation_polynomial", basis)
+    disp, _ = fl.weyl_apply(-sqrt(n) * phi, th)
+    a = fl.theta_weyl_coefficients(n, m).a
+    assert np.max(np.abs(disp.sector_norms()[m : n + 1] - a)) < 1e-12
+
+
 def test_theta_overlap_respects_factorial_bound(rng):
     n, m = 8, 1
     phi1 = random_unit(2, rng)
