@@ -10,8 +10,7 @@ import argparse
 import copy
 import os
 
-from focklab import ExperimentConfig, fit_rate, run_convergence_sweep
-from focklab.errors import ExactRegimeError
+from focklab import ExperimentConfig, run_convergence_sweep
 
 BASE = {
     "mode_system": {
@@ -44,12 +43,13 @@ def main():
         path = os.path.join(args.out, f"convergence_{family}.csv")
         report.to_csv(path)
         print(f"{family}: wrote {path}")
-        for t in report.times():
-            try:
-                fit = fit_rate(report, t)
-                print(f"  t={t}: slope {fit.slope:+.4f}  r2 {fit.r2:.4f}")
-            except ExactRegimeError:
+        for t, fit in report.fits.items():  # fitted by the sweep itself
+            if fit is None:
+                print(f"  t={t}: no fit (fewer than 3 rows or a non-finite distance)")
+            elif fit == "exact":
                 print(f"  t={t}: exact regime")
+            else:
+                print(f"  t={t}: slope {fit.slope:+.4f}  r2 {fit.r2:.4f}")
 
 
 if __name__ == "__main__":

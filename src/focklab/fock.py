@@ -198,14 +198,19 @@ class FockBasis:
         return slice(comb(n + self.d - 1, self.d), comb(n + self.d, self.d))
 
 
-@lru_cache(maxsize=256)
-def _enumerate_cached(d, sector):
+def _capacity(d, sector):
+    """The dimension of the sector; CapacityError above ``DEFAULT_STATE_CAP``."""
     dim = sector_dimension(d, sector)
     if dim > DEFAULT_STATE_CAP:
         raise CapacityError(
             f"basis (d={d}, sector={sector}) has {dim} states, cap is {DEFAULT_STATE_CAP}"
         )
-    return FockBasis(sector=sector, occs=unrank(d, sector, np.arange(dim)))
+    return dim
+
+
+@lru_cache(maxsize=256)
+def _enumerate_cached(d, sector):
+    return FockBasis(sector=sector, occs=unrank(d, sector, np.arange(_capacity(d, sector))))
 
 
 def enumerate_basis(d, sector):
@@ -302,11 +307,9 @@ class SparseOperator:
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
-        if self.hermitian:
-            delta = (self.matrix - self.matrix.getH()).tocoo()
-            if delta.nnz and not np.max(np.abs(delta.data)) <= HERMITICITY_TOL:
-                raise ValueError(
-                    f"operator flagged Hermitian but is not ({HERMITICITY_TOL})")
+        if self.hermitian and not abs(self.matrix - self.matrix.getH()).max() <= HERMITICITY_TOL:
+            raise ValueError(
+                f"operator flagged Hermitian but is not ({HERMITICITY_TOL})")
 
     def apply(self, v):
         if v.basis != self.basis:
@@ -450,12 +453,13 @@ def second_quantize(A, basis):
     return SparseOperator(basis=basis, matrix=_dgamma(A, basis), hermitian=hermitian)
 
 
-def _dgamma(A, basis):
-    """The CSR matrix of ``second_quantize`` for a complex d x d ``A``."""
+def _dgamma(A, basis, diagonal=0.0):
+    """The CSR matrix of ``second_quantize`` for a complex d x d ``A``, plus
+    the real ``diagonal`` (one entry per state), in one COO-to-CSR assembly."""
     d = basis.d
     occs = basis.occs
     # mode by mode: a BLAS occs @ diag(A) may reorder the sum and move last bits
-    diag = sum(A[q, q] * occs[:, q] for q in range(d))
+    diag = sum(A[q, q] * occs[:, q] for q in range(d)) + diagonal
     nz = np.flatnonzero(diag)
     rows, cols, vals = [nz], [nz], [diag[nz]]
     for p, q in zip(*np.nonzero(A)):
@@ -496,8 +500,8 @@ def build_hamiltonian(ms: ModeSystem, n_scale, basis):
     occ = basis.occs.astype(float)
     quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)
     # the Hermiticity pledge is checked once, on H itself
-    H = _dgamma(ms.h, basis) + sparse.diags(quad / (2.0 * n_scale))
-    return SparseOperator(basis=basis, matrix=H.tocsr(), hermitian=True)
+    return SparseOperator(basis=basis, matrix=_dgamma(ms.h, basis, quad / (2.0 * n_scale)),
+                          hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +516,10 @@ def weyl_headroom(alpha_norm):
     is at most ``POISSON_TAIL_FLOOR`` (1e-16) for |alpha|^2 <= 662, and above
     it from |alpha|^2 = 663 up (1.007e-16 there, 3.0e-16 at 5000, below 1e-15
     up to 1e8): ``coherent_state`` raises ``SectorError`` on such a basis.
-    It sizes the bases where ``weyl_apply`` runs (``fluctuation_apply``, the
-    Weyl-projection theta oracle, the invariant suite); coherent sweep cells
-    use the smaller exact Poisson cutoff ``states._poisson_cutoff`` instead.
+    It sizes the bases of ``fluctuation_apply`` and of the invariant suite.
+    The Weyl-projection theta oracle, which reads one sector of the
+    projection, displaces on truncated(n), and coherent sweep cells use the
+    smaller exact Poisson cutoff ``states._poisson_cutoff``.
     """
     a = float(alpha_norm)
     k = a * a + 8.0 * a + 16.0
@@ -525,12 +530,13 @@ def weyl_headroom(alpha_norm):
 
 
 @lru_cache(maxsize=4)
-def _spectrum(levels):
-    """Eigenvalues and eigenvectors of the tridiagonal X = a + a+ on ``levels``
-    levels of one mode."""
+def _spectrum(levels, rows):
+    """Eigenvalues of the tridiagonal X = a + a+ on ``levels`` levels of one
+    mode, and rows 0..rows-1 of its eigenvectors: only those are kept."""
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(np.zeros(levels), np.sqrt(np.arange(1.0, levels)))
+    lam, vec = eigh_tridiagonal(np.zeros(levels), np.sqrt(np.arange(1.0, levels)))
+    return lam, np.asfortranarray(vec[:rows])  # LAPACK order, for the same bits
 
 
 def _displacement(z, n_max, cols):
@@ -541,14 +547,14 @@ def _displacement(z, n_max, cols):
     entry exceeds 1.  The box edge reflects what reaches it, so the box holds
     the image of the highest column with one unit of |z| more than the
     Poisson headroom, N >= weyl_headroom(sqrt(max(cols)) + |z| + 1): without
-    that unit, rows near n_max of a vacuum column err by up to 2e-9.  N is
-    rounded up to a multiple of 64 so that few sizes are eigensolved and
-    cached."""
+    that unit, rows near n_max of a vacuum column err by up to 2e-9.  N, and
+    the n_max + 1 rows of V that are read (cols <= n_max), are rounded up to
+    multiples of 64 so that few keys are eigensolved and cached."""
     if z == 0:
         return np.eye(n_max + 1)[:, cols]
     r = abs(z)
     need = max(n_max + 1, weyl_headroom(np.sqrt(cols.max()) + r + 1.0))
-    lam, vec = _spectrum(-(-need // 64) * 64)
+    lam, vec = _spectrum(-(-need // 64) * 64, -(-(n_max + 1) // 64) * 64)
     left, right = vec[: n_max + 1], vec[cols].T
     block = (left * np.cos(r * lam)) @ right + 1j * ((left * np.sin(r * lam)) @ right)
     c = np.exp(1j * (np.angle(z) - np.pi / 2) * np.arange(n_max + 1))
@@ -683,11 +689,12 @@ def sector_project(n, v):
 # complex coefficients as [re, im] pairs)
 
 
-def _written(doc, path):
-    """``doc``, also written to ``path`` as JSON unless path is None."""
+def _written(doc, path, indent=None):
+    """``doc``, also written to ``path`` as JSON unless path is None; the one
+    place that writes a JSON file."""
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
+            json.dump(doc, fh, indent=indent)
     return doc
 
 

@@ -33,7 +33,7 @@ from scipy.special import pdtrc
 from .combinatorics import admissible_m
 from .dynamics import evolve_fock, make_plan
 from .errors import ConfigError, DegeneracyError, ExactRegimeError
-from .fock import build_hamiltonian, enumerate_basis, fixed, truncated
+from .fock import _capacity, _written, build_hamiltonian, enumerate_basis, fixed, truncated
 from .hartree import evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
@@ -417,10 +417,7 @@ class ConvergenceReport:
                 for r in sorted(self.rows, key=lambda r: (r.n, r.t))
             ],
         }
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-        return doc
+        return _written(doc, path, indent=1)
 
 
 def report_from_csv(path):
@@ -550,7 +547,8 @@ def _sweep(config, threads, family, score):
 
     First the targets of ``_hartree_targets``, once per time.  Then one cell
     per n: the basis (for coherent states truncated at ``_poisson_cutoff(n)``,
-    the smallest n_max whose Poisson(n) tail is at most POISSON_TAIL_FLOOR;
+    the smallest n_max whose Poisson(n) tail is at most POISSON_TAIL_FLOOR,
+    after checking that truncated(n), which it contains, fits the state cap;
     the fixed(n) sector otherwise), the propagator plan and the normalized
     combination of the components with its Gram matrix and coefficients.  At
     each t, in increasing order, the state evolves on from the previous time;
@@ -566,6 +564,8 @@ def _sweep(config, threads, family, score):
     coherent = config.kind == "coherent"
 
     def cell(n):
+        if coherent:  # the cutoff search takes about 8.5 sqrt(n) steps
+            _capacity(config.ms.d, truncated(n))
         sector = truncated(_poisson_cutoff(n)) if coherent else fixed(n)
         basis = enumerate_basis(config.ms.d, sector)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),

@@ -2,7 +2,6 @@
 as one pass/fail battery with a machine-readable verdict.
 """
 
-import json
 import time
 from dataclasses import dataclass, field
 from math import exp, sqrt
@@ -14,6 +13,7 @@ from .dynamics import number_moment
 from .errors import FocklabError
 from .fock import (
     FockVector,
+    _written,
     basis_state,
     enumerate_basis,
     field_apply,
@@ -67,10 +67,7 @@ class SuiteReport:
                 for c in self.checks
             ],
         }
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=1)
-        return doc
+        return _written(doc, path, indent=1)
 
     def summary(self):
         lines = []
@@ -145,9 +142,7 @@ def check_number_identity():
         basis = enumerate_basis(d, spec)
         dG = second_quantize(np.eye(d), basis).matrix
         N = number_operator(basis).matrix
-        delta = (dG - N).tocoo()
-        if delta.nnz:
-            worst = max(worst, float(np.max(np.abs(delta.data))))
+        worst = max(worst, float(abs(dG - N).max()))
     return worst == 0.0, f"max entry difference {worst:.2e}"
 
 

@@ -8,12 +8,11 @@ between Hermitian matrices use the eigenvalues of the difference:
 trace norm = sum |lam|, Hilbert-Schmidt = sqrt(sum lam^2), operator = max |lam|.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockVector, _lowered, _lowerings
+from .fock import FockVector, _written, ladder_apply
 from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this import site
 from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_unit
 
@@ -57,28 +56,20 @@ class OneParticleDM:
             "upper": upper,
             "trace_raw": float(self.trace_raw),
         }
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        return doc
+        return _written(doc, path)
 
 
 def transition_matrix(v: FockVector):
     """T_pq = <v, a+_p a_q v> = <a_p v, a_q v>; Hermitian with trace <N>.
 
-    T = W^H W, with the columns a_p v of W written from the occupations: each
-    state o with o_p > 0 sends sqrt(o_p) v(o) to the rank of o - e_p (in the
-    basis itself when truncated, in fixed(n - 1) for a fixed(n) sector).
+    T = W^H W, where column p of W is ``ladder_apply("annihilate", p, v)``
+    (on the basis itself when truncated, on fixed(n - 1) for a fixed(n)
+    sector).
     """
-    basis = v.basis
-    d = basis.d
-    if basis.sector == ("fixed", 0):
+    d = v.basis.d
+    if v.basis.sector == ("fixed", 0):
         return np.zeros((d, d), dtype=complex)
-    out = _lowered(basis)
-    W = np.zeros((out.dim, d), dtype=complex)
-    for p, src, tgt, amp in _lowerings(np.ones(d), basis, out):
-        # "+ 0" turns -0.0 parts into 0.0, as the sparse product it replaced did
-        W[tgt, p] = amp * v.coeffs[src] + 0
+    W = np.stack([ladder_apply("annihilate", p, v).coeffs for p in range(d)], axis=1)
     return W.conj().T @ W
 
 

@@ -30,11 +30,9 @@ from .fock import (
     enumerate_basis,
     field_apply,
     fixed,
-    sector_project,
     truncated,
     vacuum,
     weyl_apply,
-    weyl_headroom,
 )
 from .tolerances import (DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL, ORTHOGONALITY_TOL,
                          OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL, POISSON_TAIL_FLOOR,
@@ -221,14 +219,16 @@ def _theta_symmetrize(phi, psi, n, m):
 
 
 def _theta_weyl(phi, psi, n, m):
-    """d_{n,m} P_n C(sqrt(n) phi) acting on the embedded excitation."""
-    d = len(phi)
-    work = enumerate_basis(d, truncated(weyl_headroom(sqrt(n))))
-    seed = _embed_sector(psi.coeffs, m, work)
-    displaced, _loss = weyl_apply(sqrt(n) * phi, seed)
-    proj = sector_project(n, displaced)
-    scaled = exp(log_dnm(n, m)) * proj.coeffs[work.sector_slice(n)]
-    return scaled
+    """d_{n,m} P_n C(sqrt(n) phi) acting on the embedded excitation.
+
+    ``weyl_apply`` returns the projection of the untruncated image onto its
+    basis, so its sector n does not depend on how far the basis reaches above
+    n: the excitation is displaced on truncated(n), and the sector is sliced
+    out of it (the mass above n, reported as truncation loss, is not needed).
+    """
+    work = enumerate_basis(len(phi), truncated(n))
+    displaced, _loss = weyl_apply(sqrt(n) * phi, _embed_sector(psi.coeffs, m, work))
+    return exp(log_dnm(n, m)) * displaced.coeffs[work.sector_slice(n)]
 
 
 def theta_state(phi, excitation, n, method, basis):
@@ -236,8 +236,7 @@ def theta_state(phi, excitation, n, method, basis):
     vacuum as psi_0, which makes theta_{n,0} the condensate phi^(x)n.
 
     method: "creation_polynomial" (the closed form sweeps use) or the oracles
-    "symmetrize" and "weyl_projection"; all return a unit vector (the weyl
-    route up to its truncation loss, < 1e-10 under the headroom rule).
+    "symmetrize" and "weyl_projection"; all return a unit vector, to rounding.
     """
     phi = check_unit(phi)
     m = 0 if excitation is None else excitation.m

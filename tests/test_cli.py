@@ -1,7 +1,11 @@
 """Subcommands, exit codes, and output files of the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 from math import sqrt
+from pathlib import Path
 
 import pytest
 
@@ -397,6 +401,27 @@ def test_capacity_error_exit_code(theta_config):
     big = tmp / "big.json"
     big.write_text(json.dumps(doc))
     assert main(["converge", "--config", str(big)]) == 3
+
+
+def test_coherent_sweep_beyond_the_cap_exits_3_before_the_cutoff_search(theta_config):
+    # the Poisson cutoff search takes about 8.5 sqrt(n) steps (hours at
+    # n = 1e13); the basis holds truncated(n), which is refused first
+    path, doc, tmp = theta_config
+    doc = dict(doc, state={"family": "coherent", "phi": doc["state"]["phi"]},
+               n_list=[10**13])
+    huge = tmp / "huge.json"
+    huge.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "focklab.cli", "converge", "--config", str(huge)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 3
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("capacity error:")
 
 
 def test_check_negative_exit_is_one(monkeypatch, capsys):

@@ -5,11 +5,13 @@ from math import comb, factorial, sqrt
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import pdtrc
 
 import focklab as fl
+from focklab import fock
 from focklab.fock import DEFAULT_STATE_CAP
 from focklab.states import _tensor_from_fixed
 
@@ -353,8 +355,69 @@ def test_hermiticity_is_checked_once_per_hamiltonian(monkeypatch, rng):
     assert diag.count_nonzero() == np.count_nonzero(diag.diagonal())
 
 
+def _hamiltonian_case(name):
+    """(mode system, sector, n_scale) of a named Hamiltonian test case."""
+    rng = np.random.default_rng(11)
+    return {
+        "contact3-truncated29": (fl.ModeSystem.lattice(3), fl.truncated(29), 29),
+        "contact4-fixed18": (fl.ModeSystem.lattice(4), fl.fixed(18), 18),
+        "gaussian4-truncated9": (fl.ModeSystem.lattice(4, potential=("gaussian", 0.7, 1.3)),
+                                 fl.truncated(9), 9),
+        "neighbor2-truncated20": (fl.ModeSystem.lattice(2, 0.5, ("neighbor", 2.0)),
+                                  fl.truncated(20), 20),
+        "dense3-truncated8": (fl.ModeSystem.dense(random_hermitian(3, rng),
+                                                  rng.standard_normal((3, 3))),
+                              fl.truncated(8), 8),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["contact3-truncated29", "contact4-fixed18",
+                                  "gaussian4-truncated9", "neighbor2-truncated20",
+                                  "dense3-truncated8"])
+def test_hamiltonian_is_the_two_pass_assembly_bit_for_bit(name):
+    # one COO-to-CSR assembly of dGamma(h) and the interaction diagonal gives
+    # the matrix of dGamma(h) + diags(quad / 2n), converted to CSR once more
+    ms, sector, n = _hamiltonian_case(name)
+    b = fl.enumerate_basis(ms.d, sector)
+    occ = b.occs.astype(float)
+    quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)
+    want = (fock._dgamma(ms.h, b) + sp.diags(quad / (2.0 * n))).tocsr()
+    got = fl.build_hamiltonian(ms, n, b).matrix
+    assert got.data.dtype == want.data.dtype
+    for part in ("indptr", "indices", "data"):
+        assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def test_hermiticity_pledge_rejects_a_non_hermitian_matrix():
+    b = fl.enumerate_basis(2, fl.fixed(1))
+    with pytest.raises(ValueError, match="flagged Hermitian"):
+        fl.SparseOperator(b, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), hermitian=True)
+    assert fl.SparseOperator(b, sp.csr_matrix((2, 2)), hermitian=True).hermitian
+
+
 # ---------------------------------------------------------------------------
 # Weyl displacement
+
+
+@pytest.mark.parametrize("cols", [np.arange(71), np.array([0, 5, 70])])
+def test_displacement_caches_only_the_rows_it_reads(cols):
+    # the cache keeps rows 0..n_max of the eigenvectors (rounded up to 64),
+    # and the block is the one the full eigenvector matrix gives, bit for bit
+    from scipy.linalg import eigh_tridiagonal
+
+    z, n_max = 3.0 - 1.5j, 70
+    got = fock._displacement(z, n_max, cols)
+    need = max(n_max + 1, fl.weyl_headroom(sqrt(cols.max()) + abs(z) + 1.0))
+    box = -(-need // 64) * 64
+    hits = fock._spectrum.cache_info().hits
+    lam, kept = fock._spectrum(box, 128)
+    assert fock._spectrum.cache_info().hits == hits + 1
+    assert kept.shape == (128, box) and box > 128
+    lam, vec = eigh_tridiagonal(np.zeros(box), np.sqrt(np.arange(1.0, box)))
+    left, right, r = vec[: n_max + 1], vec[cols].T, abs(z)
+    block = (left * np.cos(r * lam)) @ right + 1j * ((left * np.sin(r * lam)) @ right)
+    c = np.exp(1j * (np.angle(z) - np.pi / 2) * np.arange(n_max + 1))
+    assert got.tobytes() == (c[:, None] * block * np.conj(c[cols])).tobytes()
 
 
 def test_weyl_zero_is_identity(rng):

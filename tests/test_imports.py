@@ -63,3 +63,40 @@ def test_the_import_pin_sees_each_form(tmp_path):
     )
     assert _offenders(path) == ["mod.py:6: scipy.linalg", "mod.py:7: scipy.optimize",
                                 "mod.py:9: mpmath", "mod.py:13: pandas"]
+
+
+def _json_dump_calls(tree):
+    """The enclosing function of every ``json.dump`` call and ``from json
+    import dump``, in source order (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "json"):
+            found.append(func)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend(func for alias in node.names if alias.name == "dump")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_json_files_are_written_only_by_fock_written():
+    calls = {path.name: _json_dump_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(_SRC.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {"fock.py": ["_written"]}
+
+
+def test_the_json_dump_pin_sees_each_form():
+    tree = ast.parse(
+        "import json\n"
+        "json.dump({}, None)\n"
+        "def f(fh):\n    json.dumps({})\n    json.dump({}, fh, indent=1)\n"
+        "class A:\n    def g(self):\n        from json import dump\n"
+    )
+    assert _json_dump_calls(tree) == [None, "f", "g"]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
+from focklab.fock import rank
 from focklab.states import _tensor_from_fixed
 
 from conftest import random_fock, random_hermitian, random_unit
@@ -40,6 +41,35 @@ def _ladder_transition(v):
     W = np.stack([fl.ladder_matrix("annihilate", p, v.basis)[0] @ v.coeffs
                   for p in range(d)], axis=1)
     return W.conj().T @ W
+
+
+def _scatter_transition(v):
+    """T = W^H W with W written from the occupations: each state o with
+    o_p > 0 sends sqrt(o_p) v(o) to the rank of o - e_p in the lowered basis."""
+    basis, d = v.basis, v.basis.d
+    out = basis if basis.sector[0] == "truncated" else fl.enumerate_basis(
+        d, fl.fixed(basis.n_max - 1))
+    W = np.zeros((out.dim, d), dtype=complex)
+    for p in range(d):
+        src = np.flatnonzero(basis.occs[:, p])
+        lowered = basis.occs[src]
+        lowered[:, p] -= 1
+        W[rank(out, lowered), p] = np.sqrt(basis.occs[src, p]) * v.coeffs[src] + 0
+    return W.conj().T @ W
+
+
+@pytest.mark.parametrize("d, sector", [(3, fl.truncated(29)), (4, fl.fixed(18)),
+                                       (4, fl.truncated(9)), (2, fl.truncated(20)),
+                                       (3, fl.truncated(8))])
+def test_transition_matrix_equals_the_occupation_scatter_bitwise(d, sector, rng):
+    # a complex vector, and a real one with negative entries and zeros of
+    # both signs, whose conjugates put signed zeros into W^H
+    basis = fl.enumerate_basis(d, sector)
+    real = rng.standard_normal(basis.dim)
+    zero = rng.random(basis.dim) < 0.3
+    real[zero] = rng.choice([0.0, -0.0], zero.sum())
+    for v in (random_fock(basis, rng), fl.FockVector(basis, real)):
+        assert fl.transition_matrix(v).tobytes() == _scatter_transition(v).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -262,6 +262,30 @@ def test_product_overlap_power():
     assert got == pytest.approx(0.9**20, abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weyl_oracle_displaces_on_truncated_n(d, rng, monkeypatch):
+    # the sector n of the projected image does not depend on how far the
+    # basis reaches above n, so the oracle needs no headroom
+    from focklab import states
+
+    seen = []
+    weyl_apply = states.weyl_apply
+
+    def spy(alpha, v):
+        seen.append(v.basis.sector)
+        return weyl_apply(alpha, v)
+
+    monkeypatch.setattr(states, "weyl_apply", spy)
+    for n in range(1, 9):
+        for m in range(min(3, n) + 1):
+            phi = random_unit(d, rng)
+            exc = None if m == 0 else fl.random_excitation(phi, m, seed=(d, n, m))
+            want = fl.theta_state(phi, exc, n, "creation_polynomial", _fixed(d, n))
+            got = fl.theta_state(phi, exc, n, "weyl_projection", _fixed(d, n))
+            assert np.max(np.abs(got.coeffs - want.coeffs)) < 1e-13
+            assert seen.pop() == ("truncated", n)
+
+
 @pytest.mark.parametrize("n,m,d", [(24, 1, 2), (24, 2, 3), (40, 1, 2)])
 def test_theta_weyl_oracle_at_paper_scale(n, m, d, rng):
     # C*(sqrt(n) phi) theta has sector norms a_k at k + m, in closed form;
