@@ -110,21 +110,13 @@ def _parse_mode_system(d):
             d, ("geometry", "sites", "hopping", "potential"),
             ("sites", "potential"), "mode_system",
         )
-        if type(d["sites"]) is not int:
-            raise ConfigError(f"mode_system.sites: expected an integer, got {d['sites']!r}")
         pot = d["potential"]
         _require_keys(pot, ("kind", "g", "sigma"), ("kind", "g"), "mode_system.potential")
-        g = _parse_real(pot["g"], "mode_system.potential.g")
-        if pot["kind"] == "gaussian":
-            spec = ("gaussian", g, _parse_real(pot.get("sigma", 1.0),
-                                               "mode_system.potential.sigma"))
-        elif pot["kind"] in ("contact", "neighbor"):
-            spec = (pot["kind"], g)
-        else:
-            raise ConfigError(f"unknown potential kind {pot['kind']!r}")
+        params = [_parse_real(pot[k], f"mode_system.potential.{k}")
+                  for k in ("g", "sigma") if k in pot]
         return ModeSystem.lattice(
             d["sites"], hopping=_parse_real(d.get("hopping", 1.0), "mode_system.hopping"),
-            potential=spec,
+            potential=(pot["kind"], *params),
         )
     if geom == "dense":
         _require_keys(d, ("geometry", "h", "v"), ("h", "v"), "mode_system")
@@ -168,12 +160,13 @@ def _parse_m(x, where, a_cap):
 @dataclass
 class ComponentSpec:
     """A unit phi, its coefficient and, for the theta kind, its m schedule
-    and excitation seed (None for a single family)."""
+    and the prefix of its excitation's draw key: ``()`` for a single family,
+    ``(excitation_seed,)`` for a superposition component."""
 
     phi: np.ndarray
     coeff: complex
     m_schedule: MSchedule = None
-    excitation_seed: int = None
+    seed_key: tuple = ()
 
 
 @dataclass
@@ -198,7 +191,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc, seed_override=None):
         """Parse and validate ``doc``; every malformed value is a ConfigError,
-        including conversion failures and failed ModeSystem checks.  Numpy
+        including conversion failures and failed ModeSystem checks, and a
+        lattice too large for the state cap is a CapacityError.  Numpy
         warnings on extreme values are silenced: such values fail a check."""
         try:
             with np.errstate(all="ignore"):
@@ -256,7 +250,7 @@ class ExperimentConfig:
                                    f"{where}.excitation_seed")
                 # a single family accepts and hashes excitation_seed, but its
                 # draw is keyed by (seed, m) alone
-                cs.excitation_seed = None if single else seed
+                cs.seed_key = () if single else (seed,)
             components.append(cs)
         cfg = ExperimentConfig(ms=ms, family=family, kind=kind, components=components)
 
@@ -512,22 +506,16 @@ def _hartree_targets(config):
     return targets
 
 
-def _excitation(config, phi, m, *key):
-    """Seeded random m-particle excitation orthogonal to ``phi``, drawn from
-    ``(config.seed, *key, m)``; None for m = 0."""
-    if m == 0:
-        return None
-    return random_excitation(phi, m, seed=(config.seed, *key, m))
-
-
 def _superposition_spec(config, n):
-    """The state's components at particle number n, each theta excitation
-    drawn from ``(seed, excitation_seed, m)``, or ``(seed, m)`` for a single
-    family."""
+    """The state's components at particle number n.  A theta component's
+    excitation of size m = ``m_schedule.value(n)`` is the random excitation
+    orthogonal to its phi drawn from ``(seed, *seed_key, m)``, that is
+    ``(seed, excitation_seed, m)`` in a superposition and ``(seed, m)`` for a
+    single family; it is None for m = 0."""
     comps = config.components
-    excs = [_excitation(config, c.phi, c.m_schedule.value(n),
-                        *([] if c.excitation_seed is None else [c.excitation_seed]))
-            for c in comps] if config.kind == "theta" else []
+    ms = [c.m_schedule.value(n) for c in comps] if config.kind == "theta" else []
+    excs = [None if m == 0 else random_excitation(c.phi, m, seed=(config.seed, *c.seed_key, m))
+            for c, m in zip(comps, ms)]
     return SuperpositionSpec(kind=config.kind, coeffs=[c.coeff for c in comps],
                              phis=[c.phi for c in comps], excitations=excs)
 

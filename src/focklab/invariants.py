@@ -22,7 +22,6 @@ from .fock import (
     ladder_matrix,
     number_operator,
     second_quantize,
-    sector_project,
     truncated,
     weyl_apply,
     weyl_headroom,
@@ -212,8 +211,7 @@ def check_coherent_identity(rng):
         coh = coherent_state(phi, n, basis)
         N = number_operator(basis)
         worst = max(worst, abs(N.expectation(coh) - n))
-        proj = sector_project(n, coh)
-        scaled = exp(comb.log_dnm(n, 0)) * proj.coeffs[basis.sector_slice(n)]
+        scaled = exp(comb.log_dnm(n, 0)) * coh.coeffs[basis.sector_slice(n)]
         prod = product_state(phi, n, enumerate_basis(d, fixed(n)))
         worst = max(worst, float(np.linalg.norm(scaled - prod.coeffs)))
     return worst <= 1e-8, f"worst coherent identity defect {worst:.2e}"

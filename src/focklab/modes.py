@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
 from .tolerances import HERMITICITY_TOL
 
 
@@ -56,36 +57,48 @@ class ModeSystem:
     def lattice(sites, hopping=1.0, potential=("contact", 1.0)):
         """Periodic 1D lattice with ``sites`` points.
 
-        The one-body part is the discrete Laplacian ``hopping * (2*I - shifts)``.
-        ``potential`` selects the pair kernel:
+        ``sites`` is an int >= 1 (a bool or a float, 2.0 included, raises
+        ValueError) with ``sites**2``, the entries of ``h``, at most
+        ``DEFAULT_STATE_CAP``; a larger lattice raises CapacityError before
+        any d x d array is allocated.  The one-body part is the discrete
+        Laplacian ``hopping * (2*I - shifts)``.  ``potential`` selects the pair
+        kernel:
 
-        * ``("contact", g)``      -- v(p, q) = g * delta_pq
-        * ``("neighbor", g)``     -- g on nearest-neighbor pairs (periodic)
-        * ``("gaussian", g, s)``  -- g * exp(-dist(p,q)^2 / (2 s^2))
+        * ``("contact", g)``          -- v(p, q) = g * delta_pq
+        * ``("neighbor", g)``         -- g on nearest-neighbor pairs (periodic)
+        * ``("gaussian", g[, s])``    -- g * exp(-dist(p,q)^2 / (2 s^2)),
+          with the width s > 0 defaulting to 1
+
+        Any other kind, a sigma on contact or neighbor, or a sigma <= 0 raises
+        a one-line ValueError that names the kind or sigma.
         """
-        L = int(sites)
-        if L < 1:
-            raise ValueError("need at least one site")
-        h = 2.0 * np.eye(L, dtype=complex)
-        for p in range(L):
-            h[p, (p + 1) % L] -= 1.0
-            h[p, (p - 1) % L] -= 1.0
+        from .fock import DEFAULT_STATE_CAP  # fock imports this module
+
+        if type(sites) is not int or sites < 1:
+            raise ValueError(f"sites: expected an integer >= 1, got {sites!r}")
+        if sites**2 > DEFAULT_STATE_CAP:
+            raise CapacityError(f"h of {sites} sites: {sites**2} entries, cap {DEFAULT_STATE_CAP}")
+        kind, g, s, *extra = (*potential, 1.0)  # the gaussian width s defaults to 1
+        if kind not in ("contact", "neighbor", "gaussian"):
+            raise ValueError(f"unknown pair potential kind {kind!r}")
+        if len(extra) > (kind == "gaussian") or not s > 0:
+            raise ValueError(f"sigma: one width > 0, for a gaussian only; got {potential!r}")
+        h = 2.0 * np.eye(sites, dtype=complex)
+        for p in range(sites):
+            h[p, (p + 1) % sites] -= 1.0
+            h[p, (p - 1) % sites] -= 1.0
         h *= hopping
 
-        kind = potential[0]
-        dist = np.abs(np.arange(L)[:, None] - np.arange(L)[None, :])
-        dist = np.minimum(dist, L - dist)
+        dist = np.abs(np.arange(sites)[:, None] - np.arange(sites)[None, :])
+        dist = np.minimum(dist, sites - dist)
         if kind == "contact":
-            v = potential[1] * np.eye(L)
+            v = g * np.eye(sites)
         elif kind == "neighbor":
-            v = potential[1] * (dist == 1).astype(float)
-        elif kind == "gaussian":
-            g, s = potential[1], potential[2]
-            v = g * np.exp(-(dist.astype(float) ** 2) / (2.0 * s * s))
+            v = g * (dist == 1).astype(float)
         else:
-            raise ValueError(f"unknown pair potential kind {kind!r}")
+            v = g * np.exp(-(dist.astype(float) ** 2) / (2.0 * s * s))
         v = (v + v.T) / 2.0
-        return ModeSystem(d=L, h=h, v=v)
+        return ModeSystem(d=sites, h=h, v=v)
 
     def mean_field_potential(self, phi):
         """(v * |phi|^2)(p) = sum_q v(p, q) |phi_q|^2."""

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import sqrt
 from pathlib import Path
 
@@ -162,6 +163,15 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["output", "dir"], None),
     (["output", "dir"], 5),
     (["output", "dir"], [1]),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "contact", "g": 1.0,
+                                                         "sigma": 5.0})),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "neighbor", "g": 1.0,
+                                                         "sigma": 5.0})),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "gaussian", "g": 1.0,
+                                                         "sigma": 0})),
+    (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "gaussian", "g": 1.0,
+                                                         "sigma": -1})),
+    (["mode_system"], dict(_LATTICE, sites=True)),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
@@ -171,7 +181,8 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
         "excitation-seed-string", "excitation-seed-negative", "excitation-seed-float",
         "hartree-tol-string", "hartree-tol-bool", "krylov-tol-string",
         "log-a-string", "log-a-bool", "constant-stray-a", "dir-null", "dir-int",
-        "dir-list"])
+        "dir-list", "contact-sigma", "neighbor-sigma", "gaussian-sigma-zero",
+        "gaussian-sigma-negative", "sites-bool"])
 def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -401,6 +412,22 @@ def test_capacity_error_exit_code(theta_config):
     big = tmp / "big.json"
     big.write_text(json.dumps(doc))
     assert main(["converge", "--config", str(big)]) == 3
+
+
+@pytest.mark.parametrize("sites", [10**6, 2237])
+def test_lattice_beyond_the_cap_exits_3_before_allocating(theta_config, capsys, sites):
+    # h alone would hold sites**2 entries: 14.6 TiB at 10**6 sites
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(_LATTICE, sites=sites))))
+    tracemalloc.start()
+    try:
+        assert main(["converge", "--config", str(path)]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("capacity error:")
 
 
 def test_coherent_sweep_beyond_the_cap_exits_3_before_the_cutoff_search(theta_config):

@@ -100,3 +100,30 @@ def test_the_json_dump_pin_sees_each_form():
         "class A:\n    def g(self):\n        from json import dump\n"
     )
     assert _json_dump_calls(tree) == [None, "f", "g"]
+
+
+_POTENTIAL_KINDS = {"contact", "neighbor", "gaussian"}
+
+
+def _potential_kind_names(tree):
+    """Lines of the string constants that name a pair-potential kind; a
+    docstring is never equal to a bare kind name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in _POTENTIAL_KINDS]
+
+
+def test_only_modes_names_the_potential_kinds():
+    found = {path.name: _potential_kind_names(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(_SRC.glob("*.py"))}
+    assert [name for name, lines in found.items() if lines] == ["modes.py"]
+
+
+def test_the_potential_kind_pin_sees_a_planted_dispatch():
+    tree = ast.parse(
+        '"""Dispatch on contact, neighbor or gaussian."""\n'
+        "def parse(pot):\n"
+        "    if pot['kind'] == 'gaussian':\n        return pot.get('sigma', 1.0)\n"
+        "    elif pot['kind'] in ('contact', \"neighbor\"):\n        return None\n"
+        "    return {'kind': 'yukawa'}\n"
+    )
+    assert _potential_kind_names(tree) == [3, 5, 5]

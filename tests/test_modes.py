@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import focklab as fl
+from focklab.fock import DEFAULT_STATE_CAP
 
 
 def test_lattice_laplacian_structure():
@@ -89,3 +92,67 @@ def test_lattice_config_parse():
 def test_unknown_potential_kind_rejected():
     with pytest.raises(ValueError):
         fl.ModeSystem.lattice(3, potential=("yukawa", 1.0))
+
+
+def _lattice_doc(sites, hopping, potential):
+    return {
+        "mode_system": {"geometry": "lattice", "sites": sites, "hopping": hopping,
+                        "potential": potential},
+        "state": {"family": "product", "phi": [[1, 0]] + [[0, 0]] * (sites - 1)},
+        "n_list": [2],
+        "t_list": [0.1],
+    }
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _lattice_potentials(draw):
+    """A valid potential object of every kind; gaussian with and without sigma."""
+    pot = {"kind": draw(st.sampled_from(["contact", "neighbor", "gaussian"])),
+           "g": draw(_finite | st.integers(-5, 5))}
+    if pot["kind"] == "gaussian" and draw(st.booleans()):
+        pot["sigma"] = draw(st.floats(1e-3, 1e3) | st.integers(1, 5))
+    return pot
+
+
+@given(sites=st.integers(1, 9), hopping=_finite, pot=_lattice_potentials())
+@settings(deadline=None, max_examples=80)
+def test_lattice_config_parse_is_the_constructor_bit_for_bit(sites, hopping, pot):
+    cfg = fl.ExperimentConfig.from_dict(_lattice_doc(sites, hopping, pot))
+    params = [float(pot[k]) for k in ("g", "sigma") if k in pot]
+    lattice = fl.ModeSystem.lattice(sites, hopping=float(hopping),
+                                    potential=(pot["kind"], *params))
+    for got, want in ((cfg.ms.h, lattice.h), (cfg.ms.v, lattice.v)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sites", [2.7, 2.0, True, 0, -1, "3", None])
+def test_lattice_sites_must_be_an_int_at_least_1(sites):
+    with pytest.raises(ValueError, match="sites"):
+        fl.ModeSystem.lattice(sites)
+
+
+def test_gaussian_width_defaults_to_1():
+    default = fl.ModeSystem.lattice(3, potential=("gaussian", 1.0))
+    explicit = fl.ModeSystem.lattice(3, potential=("gaussian", 1.0, 1.0))
+    assert default.v.tobytes() == explicit.v.tobytes()
+    assert default.h.tobytes() == explicit.h.tobytes()
+
+
+@pytest.mark.parametrize("potential", [
+    ("contact", 1.0, 5.0), ("neighbor", 1.0, 5.0), ("gaussian", 1.0, 0.0),
+    ("gaussian", 1.0, -1.0), ("gaussian", 1.0, float("nan")), ("gaussian", 1.0, 1.0, 1.0),
+])
+def test_lattice_rejects_a_sigma_it_would_not_use(potential):
+    with pytest.raises(ValueError, match="sigma") as info:
+        fl.ModeSystem.lattice(3, potential=potential)
+    assert "\n" not in str(info.value)
+
+
+def test_lattice_beyond_the_state_cap_is_refused_before_allocating():
+    assert 2236**2 <= DEFAULT_STATE_CAP < 2237**2
+    for sites in (2237, 10**12):
+        with pytest.raises(fl.CapacityError, match="cap"):
+            fl.ModeSystem.lattice(sites)
