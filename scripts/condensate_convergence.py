@@ -45,7 +45,7 @@ def main():
         print(f"{family}: wrote {path}")
         for t, fit in report.fits.items():  # fitted by the sweep itself
             if fit is None:
-                print(f"  t={t}: no fit (fewer than 3 rows or a non-finite distance)")
+                print(f"  t={t}: no fit (fewer than 3 distinct n or a non-finite distance)")
             elif fit == "exact":
                 print(f"  t={t}: exact regime")
             else:

@@ -116,7 +116,7 @@ def _cmd_sweep(args):
         if fit == "exact":
             print(f"t={t}: exact regime (distances at rounding level), no rate to fit")
         elif fit is None:
-            print(f"t={t}: not enough rows to fit")
+            print(f"t={t}: no fit (fewer than 3 distinct n or a non-finite distance)")
         else:
             print(f"t={t}: slope {fit.slope:+.4f}  r2 {fit.r2:.4f}")
     return EXIT_OK
@@ -146,7 +146,7 @@ def _cmd_fit(args):
     except ExactRegimeError:
         print("exact regime: distances are at rounding level, refusing to fit")
         return EXIT_OK
-    except ValueError as e:  # too few rows at --t
+    except ValueError as e:  # fewer than 3 distinct n or a non-finite distance at --t
         raise ConfigError(f"{args.csv_path}: {e}") from e
     if args.format == "json":
         print(json.dumps({"t": args.t, "slope": fit.slope,

@@ -28,8 +28,8 @@ import scipy.sparse as sp
 from scipy.special import jv
 
 from .errors import KrylovError, SectorError
-from .fock import (FockVector, SparseOperator, build_hamiltonian, weyl_apply,
-                   weyl_headroom)
+from .fock import (FockVector, SparseOperator, _is_truncated, build_hamiltonian,
+                   weyl_apply, weyl_headroom)
 from .tolerances import DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL
 
 
@@ -142,7 +142,7 @@ def fluctuation_apply(n, trajectory, v: FockVector, t):
     ``weyl_headroom`` basis.
     """
     basis = v.basis
-    if basis.sector[0] != "truncated":
+    if not _is_truncated(basis):
         raise SectorError("the fluctuation propagator needs a truncated basis")
     need = weyl_headroom(sqrt(n))
     if basis.n_max < need:

@@ -8,13 +8,21 @@ Ordering convention (fixes all file formats): states are grouped by total
 occupation (ascending) and, within each sector, enumerated in descending
 lexicographic order, so for d=2, total=2 the order is (2,0), (1,1), (0,2).
 
+Layout: fixed(n) on d modes is truncated(n) on modes 1..d-1, with column 0
+set to n_0 = n - total, in the same order.  So a sector is described by the
+number of trailing columns that vary freely (d - 1 for fixed(n), d for
+truncated(n)) and the lowest total it holds (n or 0); dimensions, ranks,
+slices and ladder targets read that layout, and only this module names the
+sector kinds.
+
 Index kernel: one closed form, the combinatorial number system, maps rows to
 indices and back.  With the suffix totals s_i = n_i + ... + n_{d-1}, the
-states before a row within its sector number sum_{i=1}^{d-1} C(s_i + d-i-1,
-d-i), and on a truncated basis the lower sectors add C(s_0 + d-1, d) more.
+states before a row number sum_i C(s_i + d-i-1, d-i) over the free columns
+i: on a truncated basis the i = 0 term counts the lower sectors.
 Both directions read one cached table of C(s + k - 1, k): ``rank`` adds one
-lookup per column, walking from the last column, and ``unrank`` inverts it
-with one binary search per column; every basis is ``unrank`` of 0..dim-1.
+lookup per free column, walking from the last column, and ``unrank`` inverts
+it with one binary search per free column; every basis is ``unrank`` of
+0..dim-1.
 Ladder and field operators act on coefficient vectors through these ranks,
 one mode at a time, without assembling a matrix.
 
@@ -68,29 +76,46 @@ def _integer(x, what):
         raise ValueError(f"{what} must be an integer, got {x!r}") from None
 
 
+def _sector(kind, n):
+    """The sector spec (kind, n), n an integer >= 0."""
+    n = _integer(n, f"{kind} sector size")
+    if n < 0:
+        raise ValueError(f"{kind} sector needs n >= 0, got {n}")
+    return kind, n
+
+
 def fixed(n):
     """Sector spec: all occupation tuples with total exactly n."""
-    n = _integer(n, "sector size")
-    if n < 0:
-        raise ValueError("fixed sector needs n >= 0")
-    return ("fixed", n)
+    return _sector("fixed", n)
 
 
 def truncated(n_max):
     """Sector spec: all occupation tuples with total <= n_max."""
-    n_max = _integer(n_max, "truncation n_max")
-    if n_max < 0:
-        raise ValueError("truncated sector needs n_max >= 0")
-    return ("truncated", n_max)
+    return _sector("truncated", n_max)
+
+
+def _layout(d, sector):
+    """(free, lowest) of a sector on d modes: the number of trailing columns
+    that vary freely, with totals up to n, and the lowest total the sector
+    holds.  fixed(n) is truncated(n) on modes 1..d-1 with column 0 = n - total."""
+    kind, n = sector
+    if kind == "fixed":
+        return d - 1, n
+    if kind == "truncated":
+        return d, 0
+    raise ValueError(f"unknown sector kind {kind!r}")
+
+
+def _is_truncated(basis):
+    """True on a truncated basis, whose column 0 varies freely; False on a
+    fixed sector, where it is n - total."""
+    return _layout(basis.d, basis.sector)[0] == basis.d
 
 
 def sector_dimension(d, sector):
-    kind, n = sector
-    if kind == "fixed":
-        return comb(n + d - 1, d - 1)
-    if kind == "truncated":
-        return comb(n + d, d)
-    raise ValueError(f"unknown sector kind {kind!r}")
+    """C(n + free, free): the sector's free columns hold any total up to n."""
+    free, _ = _layout(d, sector)
+    return comb(sector[1] + free, free)
 
 
 @lru_cache(maxsize=32)
@@ -112,16 +137,17 @@ def _binomials(n_max, d):
 def rank(basis, occs):
     """Index in ``basis`` of every row of the (m, d) occupation array ``occs``.
 
-    Walks the columns from the last one, adding C(s_i + d-i-1, d-i) for each
-    suffix total s_i (see the module docstring); column 0 counts only on a
-    truncated basis.  Rows must lie in the basis; ``FockBasis.index_of`` is
-    the checked single-state form.
+    Walks the free columns from the last one, adding C(s_i + d-i-1, d-i) for
+    each suffix total s_i (see the module docstring); column 0 is free only
+    on a truncated basis.  Rows must lie in the basis; ``FockBasis.index_of``
+    is the checked single-state form.
     """
     d = basis.d
+    free, _ = _layout(d, basis.sector)
     table = _binomials(basis.n_max, d)
     s = np.zeros(len(occs), np.int64)
     idx = np.zeros(len(occs), np.int64)
-    for i in range(d - 1, -1 if basis.sector[0] == "truncated" else 0, -1):
+    for i in range(d - 1, d - 1 - free, -1):
         s += occs[:, i]
         idx += table[d - i - 1].take(s)
     return idx
@@ -129,14 +155,16 @@ def rank(basis, occs):
 
 def unrank(d, sector, idx):
     """(m, d) occupation rows of the basis indices ``idx``, the inverse of
-    ``rank``: column by column, s_i is the largest suffix total whose count
-    C(s_i + d-i-1, d-i) does not exceed what is left of the index."""
-    kind, n = sector
+    ``rank``: free column by free column, s_i is the largest suffix total
+    whose count C(s_i + d-i-1, d-i) does not exceed what is left of the
+    index; a column that is not free takes s_0 = n."""
+    free, _ = _layout(d, sector)
+    n = sector[1]
     table = _binomials(n, d)
     left = np.asarray(idx, dtype=np.int64)
     suffix = np.zeros((len(left), d + 1), np.int64)  # s_0, ..., s_{d-1}, s_d = 0
     suffix[:, 0] = n
-    for i in range(0 if kind == "truncated" else 1, d):
+    for i in range(d - free, d):
         row = table[d - i - 1]
         s = suffix[:, i] = row.searchsorted(left, side="right") - 1
         left = left - row.take(s)
@@ -180,22 +208,22 @@ class FockBasis:
     def index_of(self, occ):
         """Index of one occupation tuple; KeyError if it is not in the basis."""
         row = np.asarray(occ)
-        kind, n = self.sector
+        _, lowest = _layout(self.d, self.sector)
         if (row.dtype.kind not in "iu" or row.shape != (self.d,) or row.min() < 0
-                or row.sum() > n or (kind == "fixed" and row.sum() != n)):
+                or not lowest <= row.sum() <= self.n_max):
             raise KeyError(tuple(occ))
         return int(rank(self, row.astype(np.int64)[None, :])[0])
 
-    def sector_slice(self, n):
-        """Contiguous slice of the states with total occupation n."""
-        kind, cap = self.sector
-        if kind == "fixed":
-            if n != cap:
-                raise SectorError(f"basis holds only sector {cap}, asked for {n}")
-            return slice(0, self.dim)
-        if not 0 <= n <= cap:
-            raise SectorError(f"sector {n} outside truncation n_max={cap}")
-        return slice(comb(n + self.d - 1, self.d), comb(n + self.d, self.d))
+    def sector_slice(self, m):
+        """Contiguous slice of the states with total occupation m: the
+        C(m + d-1, d-1) states after the rank of (m, 0, ..., 0), which is
+        C(m + d-1, d) when column 0 is free and 0 otherwise.  SectorError
+        for a total the basis does not hold."""
+        free, lowest = _layout(self.d, self.sector)
+        if not lowest <= m <= self.n_max:
+            raise SectorError(f"sector {m} outside the basis {self.sector}")
+        start = comb(m + self.d - 1, self.d) if free == self.d else 0
+        return slice(start, start + comb(m + self.d - 1, self.d - 1))
 
 
 def _capacity(d, sector):
@@ -218,13 +246,8 @@ def enumerate_basis(d, sector):
     d = _integer(d, "mode count")
     if d < 1:
         raise ValueError("need d >= 1 modes")
-    kind, n = sector
-    if kind not in ("fixed", "truncated"):
-        raise ValueError(f"unknown sector kind {kind!r}")
-    n = _integer(n, "sector size")
-    if n < 0:
-        raise ValueError("sector size must be >= 0")
-    return _enumerate_cached(d, (kind, n))
+    _layout(d, sector)  # ValueError for an unknown kind
+    return _enumerate_cached(d, _sector(*sector))
 
 
 @dataclass
@@ -284,9 +307,10 @@ class FockVector:
 
 
 def vacuum(basis):
-    if basis.sector[0] == "fixed" and basis.n_max != 0:
-        raise SectorError("vacuum lives in sector 0")
-    return basis_state(basis, (0,) * basis.d)
+    """The vacuum; SectorError on a basis without total 0."""
+    c = np.zeros(basis.dim, dtype=complex)
+    c[basis.sector_slice(0)] = 1.0
+    return FockVector(basis, c)
 
 
 def basis_state(basis, occ):
@@ -360,22 +384,15 @@ def _smearing(kind, f, basis):
     return f
 
 
-def _lowered(basis):
-    """The basis a(f) maps into: fixed(n - 1) for fixed(n), or a truncated
-    basis itself (its top sector lowers into sector n_max - 1)."""
-    if basis.sector[0] == "truncated":
+def _ladder_target(basis, step):
+    """The basis a(f) (step -1) or a*(f) (step +1) maps into: a truncated
+    basis itself (a*(f) drops what would leave its top sector), or the
+    sector of total n + step for a fixed sector of total n."""
+    if _is_truncated(basis):
         return basis
-    if basis.n_max == 0:
-        raise SectorError("cannot annihilate on the fixed(0) sector")
-    return enumerate_basis(basis.d, fixed(basis.n_max - 1))
-
-
-def _raised(basis):
-    """The basis a*(f) maps into: fixed(n + 1) for fixed(n), or a truncated
-    basis itself (what would leave its top sector is dropped)."""
-    if basis.sector[0] == "truncated":
-        return basis
-    return enumerate_basis(basis.d, fixed(basis.n_max + 1))
+    if basis.n_max + step < 0:
+        raise SectorError(f"cannot annihilate on the sector {basis.sector}")
+    return enumerate_basis(basis.d, (basis.sector[0], basis.n_max + step))
 
 
 def _lowerings(f, basis, out):
@@ -399,9 +416,9 @@ def field_matrix(kind, f, basis):
     sector has no image: what a*(f) would push above n_max is dropped."""
     f = _smearing(kind, f, basis)
     if kind == "create":
-        raised = _raised(basis)
+        raised = _ladder_target(basis, 1)
         return field_matrix("annihilate", f, raised)[0].T.tocsr(), raised
-    out = _lowered(basis)
+    out = _ladder_target(basis, -1)
     rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0, complex)]
     for p, src, tgt, amp in _lowerings(f, basis, out):
         rows.append(tgt)
@@ -421,12 +438,12 @@ def field_apply(kind, f, v):
     each state o of the raised basis."""
     f = _smearing(kind, f, v.basis)
     if kind == "annihilate":
-        out = _lowered(v.basis)
+        out = _ladder_target(v.basis, -1)
         w = np.zeros(out.dim, complex)
         for p, src, tgt, amp in _lowerings(f, v.basis, out):
             w[tgt] += f[p] * amp * v.coeffs[src]
     else:
-        out = _raised(v.basis)
+        out = _ladder_target(v.basis, 1)
         w = np.zeros(out.dim, complex)
         for p, src, tgt, amp in _lowerings(f, out, v.basis):
             w[src] += f[p] * amp * v.coeffs[tgt]
@@ -650,7 +667,7 @@ def weyl_apply(alpha, v):
     when a pass would hold more than ``DEFAULT_STATE_CAP`` entries.
     """
     basis = v.basis
-    if basis.sector[0] != "truncated":
+    if not _is_truncated(basis):
         raise SectorError("Weyl displacement needs a truncated basis")
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.shape != (basis.d,):
@@ -673,11 +690,8 @@ def weyl_apply(alpha, v):
 def sector_project(n, v):
     """P_n: zero every coefficient outside total occupation n."""
     basis = v.basis
-    kind, cap = basis.sector
-    if kind != "truncated":
+    if not _is_truncated(basis):
         raise SectorError("sector projection is defined on truncated bases")
-    if not 0 <= n <= cap:
-        raise SectorError(f"sector {n} not contained in truncation n_max={cap}")
     c = np.zeros_like(v.coeffs)
     sl = basis.sector_slice(n)
     c[sl] = v.coeffs[sl]

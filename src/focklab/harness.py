@@ -33,7 +33,7 @@ from scipy.special import pdtrc
 from .combinatorics import admissible_m
 from .dynamics import evolve_fock, make_plan
 from .errors import ConfigError, DegeneracyError, ExactRegimeError
-from .fock import _capacity, _written, build_hamiltonian, enumerate_basis, fixed, truncated
+from .fock import _written, build_hamiltonian, enumerate_basis, fixed, truncated
 from .hartree import evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
@@ -417,7 +417,8 @@ class ConvergenceReport:
 def report_from_csv(path):
     """Reload a persisted sweep (config hash is not recoverable from CSV); a
     file that cannot be read as the sweep schema, or that holds a non-finite
-    number or a missing or negative distance, raises ConfigError."""
+    number, a missing or negative distance, n < 1 or m < 0, raises
+    ConfigError."""
     rows = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -426,13 +427,15 @@ def report_from_csv(path):
                 raise ConfigError(f"{path} does not carry the sweep CSV schema")
             for rec in reader:
                 row = {k: None if rec[k] == "" else float(rec[k]) for k in CSV_HEADER}
+                row |= {"n": int(rec["n"]), "m": int(rec["m"]), "t": float(rec["t"])}
                 if (not all(x is None or isfinite(x) for x in row.values())
                         or not all(row[k] is not None and row[k] >= 0
-                                    for k in ("trace_dist", "hs_dist", "op_dist"))):
+                                    for k in ("trace_dist", "hs_dist", "op_dist"))
+                        or row["n"] < 1 or row["m"] < 0):
                     raise ConfigError(f"{path} line {reader.line_num}: a number is not "
-                                      f"finite or a distance is missing or negative")
-                rows.append(SweepRow(**row | {"n": int(rec["n"]), "m": int(rec["m"]),
-                                              "t": float(rec["t"])}))
+                                      f"finite, a distance is missing or negative, "
+                                      f"n < 1 or m < 0")
+                rows.append(SweepRow(**row))
     except (OSError, ValueError, TypeError, csv.Error) as e:
         raise ConfigError(f"cannot read {path}: {e}") from e
     return ConvergenceReport(config_hash="", family="", seed=0, rows=rows)
@@ -461,13 +464,17 @@ class FitResult:
 def fit_rate(report, t):
     """OLS of log(trace_dist) on log(n) at time t.
 
-    Refuses a non-finite distance with ValueError, and with ExactRegimeError
-    any distance at most EXACT_REGIME_TOL: at rounding level the
-    exact-mean-field regime has nothing to fit.
+    Refuses with ValueError an n < 1, fewer than 3 distinct n at t (a
+    repeated time repeats rows, not points) and a non-finite distance, and
+    with ExactRegimeError any distance at most EXACT_REGIME_TOL: at rounding
+    level the exact-mean-field regime has nothing to fit.
     """
     rows = sorted(report.rows_at(t), key=lambda r: r.n)
-    if len(rows) < 3:
-        raise ValueError(f"need at least 3 rows at t={t}, have {len(rows)}")
+    if rows and rows[0].n < 1:
+        raise ValueError(f"particle numbers must be >= 1, got n={rows[0].n}")
+    distinct = len({r.n for r in rows})
+    if distinct < 3:
+        raise ValueError(f"need at least 3 distinct n at t={t}, have {distinct}")
     dists = np.array([r.trace_dist for r in rows], dtype=float)
     if not np.all(np.isfinite(dists)):
         raise ValueError(f"distances at t={t} must be finite, got {dists.tolist()}")
@@ -536,8 +543,8 @@ def _sweep(config, threads, family, score):
     First the targets of ``_hartree_targets``, once per time.  Then one cell
     per n: the basis (for coherent states truncated at ``_poisson_cutoff(n)``,
     the smallest n_max whose Poisson(n) tail is at most POISSON_TAIL_FLOOR,
-    after checking that truncated(n), which it contains, fits the state cap;
-    the fixed(n) sector otherwise), the propagator plan and the normalized
+    the fixed(n) sector otherwise; ``enumerate_basis`` refuses one above the
+    state cap), the propagator plan and the normalized
     combination of the components with its Gram matrix and coefficients.  At
     each t, in increasing order, the state evolves on from the previous time;
     the row holds the three distances from its reduced density matrix rho to
@@ -552,8 +559,6 @@ def _sweep(config, threads, family, score):
     coherent = config.kind == "coherent"
 
     def cell(n):
-        if coherent:  # the cutoff search takes about 8.5 sqrt(n) steps
-            _capacity(config.ms.d, truncated(n))
         sector = truncated(_poisson_cutoff(n)) if coherent else fixed(n)
         basis = enumerate_basis(config.ms.d, sector)
         plan = make_plan(build_hamiltonian(config.ms, n, basis),

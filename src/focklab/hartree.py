@@ -111,16 +111,19 @@ def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
 
 
 def _integrate(ms, phi0, t_span, tol, t_eval=None):
-    """The DOP853 solution over t_span, at t_eval or else at every step end."""
-    sol = solve_ivp(
-        lambda _t, y: hartree_rhs(ms, y),
-        t_span,
-        phi0,
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=tol,
-        atol=tol * 1e-2,
-    )
+    """The DOP853 solution over t_span, at t_eval or else at every step end.
+    A blow-up shows as the failure below, not as numpy warnings, and the
+    drift checks of ``_finish`` catch any NaN."""
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            lambda _t, y: hartree_rhs(ms, y),
+            t_span,
+            phi0,
+            method="DOP853",
+            t_eval=t_eval,
+            rtol=tol,
+            atol=tol * 1e-2,
+        )
     if not sol.success:
         raise IntegrationError(f"integrator failed: {sol.message}")
     return sol

@@ -64,10 +64,10 @@ def transition_matrix(v: FockVector):
 
     T = W^H W, where column p of W is ``ladder_apply("annihilate", p, v)``
     (on the basis itself when truncated, on fixed(n - 1) for a fixed(n)
-    sector).
+    sector).  A basis with n_max = 0 holds only the vacuum: T = 0.
     """
     d = v.basis.d
-    if v.basis.sector == ("fixed", 0):
+    if v.basis.n_max == 0:
         return np.zeros((d, d), dtype=complex)
     W = np.stack([ladder_apply("annihilate", p, v).coeffs for p in range(d)], axis=1)
     return W.conj().T @ W

@@ -391,10 +391,12 @@ _CSV_HEADER = "n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtim
     None,
     _CSV_HEADER + "4,1,0.5,abc,0.1,0.1,,,\n",
     _CSV_HEADER + "4,1,0.5,0.1,0.1,0.1,,,\n6,1,0.5,0.05,0.05,0.05,,,\n",
+    _CSV_HEADER + "4,1,0.5,0.1,0.1,0.1,,,\n4,1,0.5,0.09,0.09,0.09,,,\n"
+    "4,1,0.5,0.08,0.08,0.08,,,\n",
     *(_CSV_HEADER + "6,1,0.5,0.1,0.1,0.1,,,\n10,1,0.5,0.07,0.07,0.07,,,\n"
       f"14,1,0.5,{bad},0.05,0.05,,,\n" for bad in ("nan", "inf", "-0.5")),
-], ids=["missing", "non-numeric", "too-few-rows", "nan-distance", "inf-distance",
-        "negative-distance"])
+], ids=["missing", "non-numeric", "too-few-rows", "one-distinct-n", "nan-distance",
+        "inf-distance", "negative-distance"])
 def test_unreadable_fit_input_exits_2_with_one_line(tmp_path, capsys, text):
     path = tmp_path / "sweep.csv"
     if text is not None:
@@ -430,25 +432,67 @@ def test_lattice_beyond_the_cap_exits_3_before_allocating(theta_config, capsys, 
     assert len(err) == 1 and err[0].startswith("capacity error:")
 
 
+def _cli(*argv):
+    """``python -m focklab.cli argv`` in a fresh process, whose stdout also
+    carries what C libraries print."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", "focklab.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
 def test_coherent_sweep_beyond_the_cap_exits_3_before_the_cutoff_search(theta_config):
-    # the Poisson cutoff search takes about 8.5 sqrt(n) steps (hours at
-    # n = 1e13); the basis holds truncated(n), which is refused first
+    # the cutoff search bisects in about 50 tail evaluations at n = 1e13
+    # (stepping up one K at a time took hours); the basis truncated at that
+    # cutoff is then refused before anything is allocated
     path, doc, tmp = theta_config
     doc = dict(doc, state={"family": "coherent", "phi": doc["state"]["phi"]},
                n_list=[10**13])
     huge = tmp / "huge.json"
     huge.write_text(json.dumps(doc))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src")]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run(
-        [sys.executable, "-m", "focklab.cli", "converge", "--config", str(huge)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("converge", "--config", huge)
     assert proc.returncode == 3
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("capacity error:")
+
+
+@pytest.mark.parametrize("row", ["0,0,0.5,0.1,0.1,0.1,,,", "4,-1,0.5,0.1,0.1,0.1,,,"],
+                         ids=["n-zero", "m-negative"])
+def test_fit_input_with_n_below_1_or_m_below_0_exits_2_with_one_line(tmp_path, row):
+    # an n = 0 row used to reach the fit: a numpy warning on stderr, LAPACK
+    # DLASCL lines on stdout, then "SVD did not converge"
+    path = tmp_path / "sweep.csv"
+    path.write_text(_CSV_HEADER + row + "\n6,1,0.5,0.07,0.07,0.07,,,\n"
+                    "10,1,0.5,0.05,0.05,0.05,,,\n")
+    proc = _cli("fit", path, "--t", "0.5")
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {path} line 2:")
+
+
+def test_repeated_time_rows_are_not_points_of_the_fit(theta_config, capsys):
+    # two distinct n, each row written twice, once fitted to slope -0.97
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, n_list=[4, 8], t_list=[0.5, 0.5])))
+    assert main(["converge", "--config", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "t=0.5: no fit (fewer than 3 distinct n or a non-finite distance)"]
+    report = json.loads((tmp / "out" / "convergence.json").read_text())
+    assert report["fits"] == {"0.5": None} and len(report["rows"]) == 4
+
+
+def test_huge_pair_strength_fails_in_one_line(theta_config):
+    # the integrator blows up; its numpy warnings used to print 20 lines first
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(
+        _LATTICE, sites=3, hopping=1.0, potential={"kind": "contact", "g": 8e307}),
+        state={"family": "product", "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]})))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: integrator failed:")
 
 
 def test_check_negative_exit_is_one(monkeypatch, capsys):

@@ -117,6 +117,41 @@ def test_rank_enumerates_the_basis(basis):
     assert np.array_equal(rank(basis, basis.occs), np.arange(basis.dim))
 
 
+@settings(max_examples=80, deadline=None)
+@given(basis=bases)
+def test_sector_slices_index_of_and_vacuum_follow_the_totals(basis):
+    # every total m from -1 to n_max + 1: held ones slice exactly their rows
+    # and take index_of, the others raise; the vacuum exists iff 0 is held
+    d, totals = basis.d, basis.totals
+    for m in range(-1, basis.n_max + 2):
+        rows = [np.full(d, m) * (np.arange(d) == p) for p in (0, d - 1)]
+        if np.any(totals == m):
+            sl = basis.sector_slice(m)
+            assert np.array_equal(np.arange(basis.dim)[sl], np.flatnonzero(totals == m))
+            assert all(sl.start <= basis.index_of(row) < sl.stop for row in rows)
+        else:
+            with pytest.raises(fl.SectorError):
+                basis.sector_slice(m)
+            for row in rows:
+                with pytest.raises(KeyError):
+                    basis.index_of(row)
+    if np.any(totals == 0):
+        assert np.array_equal(fl.vacuum(basis).coeffs, np.eye(basis.dim)[0])
+    else:
+        with pytest.raises(fl.SectorError):
+            fl.vacuum(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(0, 8))
+def test_fixed_sector_is_truncated_on_the_other_modes(d, n):
+    # fixed(n) on d modes is truncated(n) on modes 1..d-1 with n_0 = n - total
+    fixed, rest = fl.enumerate_basis(d, fl.fixed(n)), fl.enumerate_basis(d - 1, fl.truncated(n))
+    assert np.array_equal(fixed.occs[:, 1:], rest.occs)
+    assert np.array_equal(fixed.occs[:, 0], n - rest.totals)
+    assert np.array_equal(rank(fixed, fixed.occs), rank(rest, fixed.occs[:, 1:]))
+
+
 @pytest.mark.parametrize("kind", ["fixed", "truncated"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_unrank_matches_recursive_enumeration(d, kind):

@@ -195,8 +195,18 @@ def test_fit_rejects_non_finite_distance(bad):
 
 
 def test_fit_needs_three_rows():
-    with pytest.raises(ValueError):
-        fl.fit_rate(_synthetic_report(lambda n: 1.0 / n, ns=(4, 8)), 1.0)
+    # of three distinct n: rows of a repeated time, or of one n, are not
+    # points of a log-log fit
+    for ns in ((4, 8), (4, 8, 4, 8), (4, 4, 4)):
+        report = _synthetic_report(lambda n: 1.0 / n, ns=ns)
+        with pytest.raises(ValueError, match="3 distinct n"):
+            fl.fit_rate(report, 1.0)
+        assert report.attach_fits().fits == {1.0: None}
+
+
+def test_fit_rejects_n_below_1():
+    with pytest.raises(ValueError, match="n=0"):
+        fl.fit_rate(_synthetic_report(lambda n: 0.1, ns=(0, 4, 8)), 1.0)
 
 
 def test_merge_rejects_mixed_configs():

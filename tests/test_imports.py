@@ -127,3 +127,93 @@ def test_the_potential_kind_pin_sees_a_planted_dispatch():
         "    return {'kind': 'yukawa'}\n"
     )
     assert _potential_kind_names(tree) == [3, 5, 5]
+
+
+_SECTOR_KINDS = {"fixed", "truncated"}
+_LAYOUT_READERS = {"rank", "unrank", "sector_dimension", "index_of", "sector_slice",
+                   "_ladder_target"}
+
+
+def _names_a_kind(node):
+    """A name ``kind`` or a ``sector[0]`` subscript (a kind's string constant
+    is reported on its own)."""
+    if isinstance(node, ast.Subscript):
+        base = node.value
+        return (isinstance(node.slice, ast.Constant) and node.slice.value == 0
+                and "sector" in (getattr(base, "attr", None), getattr(base, "id", None)))
+    return isinstance(node, ast.Name) and node.id == "kind"
+
+
+def _sector_kind_sites(tree):
+    """The enclosing function of every string constant that names a sector
+    kind, and of every comparison with a kind in a function that reads the
+    layout (marked "compares"), in source order (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Constant) and node.value in _SECTOR_KINDS:
+            found.append(func)
+        elif (func in _LAYOUT_READERS and isinstance(node, ast.Compare)
+              and any(map(_names_a_kind, [node.left, *node.comparators]))):
+            found.append(f"{func} compares")
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_fock_layout_names_the_sector_kinds():
+    found = {path.name: _sector_kind_sites(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(_SRC.glob("*.py"))}
+    assert {name: sites for name, sites in found.items() if sites} == {
+        "fock.py": ["fixed", "truncated", "_layout", "_layout"]}
+
+
+def test_the_sector_kind_pin_sees_a_planted_dispatch():
+    tree = ast.parse(
+        '"""Dispatch on fixed or truncated sectors."""\n'
+        "def rank(basis, occs):\n"
+        "    if basis.sector[0] == KIND:\n        return 0\n"
+        "class FockBasis:\n"
+        "    def sector_slice(self, n):\n"
+        "        kind, cap = self.sector\n"
+        "        return slice(0, cap) if kind != FIXED else slice(0, 1)\n"
+        "def coherent_state(basis):\n"
+        "    return basis.sector[0] in ('truncated', \"fixed\")\n"
+        "KIND = 'truncated'\n"
+    )
+    assert _sector_kind_sites(tree) == ["rank compares", "sector_slice compares",
+                                        "coherent_state", "coherent_state", None]
+
+
+def _unused_imports(source):
+    """``line: name`` of every module-level import the module never reads;
+    an import whose lines carry ``# noqa: F401`` is exempt."""
+    tree, lines = ast.parse(source), source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{node.lineno}: {name}" for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            for name in ((a.asname or a.name.split(".")[0]) for a in node.names)
+            if name not in read]
+
+
+def test_every_module_level_import_is_used():
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(_SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_unused_import_pin_sees_a_planted_import():
+    source = (
+        "import os.path\n"
+        "import numpy as np\n"
+        "from math import comb, sqrt\n"
+        "from .fock import (\n    rank,  # noqa: F401\n    unrank,\n)\n"
+        "from .errors import SectorError\n"
+        "def f(x):\n    import json\n    return np.sqrt(x) + sqrt(x) + os.sep\n"
+    )
+    assert _unused_imports(source) == ["3: comb", "8: SectorError"]

@@ -107,6 +107,17 @@ def test_poisson_cutoff_is_smallest_k_within_floor(n):
     assert k <= fl.weyl_headroom(sqrt(n))
 
 
+def test_poisson_cutoff_bisection_matches_the_linear_search():
+    def linear(n):
+        k = int(n)
+        while pdtrc(k, n) > POISSON_TAIL_FLOOR:
+            k += 1
+        return k
+
+    grid = [*range(1001), 0.5, 7.3, 1e4, 1e5, 123456, 1e6]
+    assert [_poisson_cutoff(n) for n in grid] == [linear(n) for n in grid]
+
+
 def test_weyl_headroom_keeps_the_poisson_floor_up_to_n_662():
     # the bound the weyl_headroom docstring states: from n = 663 up the
     # headroom basis drops more than the floor and coherent_state refuses it
