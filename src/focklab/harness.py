@@ -264,7 +264,7 @@ class ExperimentConfig:
         if (not isinstance(t_list, list) or not t_list
                 or any(type(t) not in (int, float) for t in t_list)):
             raise ConfigError("t_list must be a non-empty list of numeric times")
-        cfg.t_list = [float(t) for t in t_list]
+        cfg.t_list = [float(t) + 0.0 for t in t_list]  # -0.0 reads 0.0
         if not all(0 <= t < inf for t in cfg.t_list):
             raise ConfigError("t_list times must be finite and >= 0")
 
@@ -442,7 +442,9 @@ def report_from_csv(path):
 
 
 def merge_reports(reports):
-    """Concatenate sweeps; mixing different configurations is rejected."""
+    """Concatenate sweeps; an empty list or mixed configurations are rejected."""
+    if not reports:
+        raise ValueError("no reports to merge")
     hashes = {r.config_hash for r in reports}
     if len(hashes) > 1:
         raise ConfigError(f"refusing to aggregate mixed configs: {sorted(hashes)}")

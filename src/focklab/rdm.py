@@ -17,6 +17,13 @@ from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this i
 from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_unit
 
 
+def _hermitian(rho, what):
+    """``rho`` unchanged; ValueError unless it is Hermitian to HERMITICITY_TOL."""
+    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian to {HERMITICITY_TOL}")
+    return rho
+
+
 @dataclass
 class OneParticleDM:
     """d x d Hermitian, positive, trace-one matrix plus its raw trace <N>."""
@@ -25,10 +32,7 @@ class OneParticleDM:
     trace_raw: float
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError(
-                f"reduced density matrix is not Hermitian to {HERMITICITY_TOL}")
+        rho = _hermitian(np.asarray(self.rho, dtype=complex), "reduced density matrix")
         evals = np.linalg.eigvalsh(rho)
         if not evals.min() >= PSD_FLOOR:
             raise ValueError(
@@ -85,12 +89,13 @@ def reduced_dm(v: FockVector):
 def distance(rho1, rho2, norm="trace"):
     """Distance between two density matrices in the chosen norm.
 
-    Accepts OneParticleDM or plain Hermitian arrays; norms satisfy
-    operator <= hilbert_schmidt <= trace, and trace <= 2 * hilbert_schmidt
-    whenever one argument is a rank-one projection.
+    Accepts OneParticleDM or plain arrays Hermitian to HERMITICITY_TOL (any
+    other array raises ValueError: the eigenvalues read one triangle); norms
+    satisfy operator <= hilbert_schmidt <= trace, and trace <= 2 *
+    hilbert_schmidt whenever one argument is a rank-one projection.
     """
-    a = rho1.rho if isinstance(rho1, OneParticleDM) else np.asarray(rho1)
-    b = rho2.rho if isinstance(rho2, OneParticleDM) else np.asarray(rho2)
+    a, b = (r.rho if isinstance(r, OneParticleDM) else _hermitian(np.asarray(r), "matrix")
+            for r in (rho1, rho2))
     if a.shape != b.shape:
         raise ValueError("density matrices have different dimensions")
     evals = np.linalg.eigvalsh(a - b)

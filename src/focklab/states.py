@@ -9,11 +9,13 @@ variable is orthogonal to phi.  With c_{n,m} = binom(n, m)^{1/2},
                 = a*(phi)^(n-m) psi_m / sqrt((n-m)!),   ||theta_{n,m}|| = 1.
 
 States are built in closed form: ``_create_power`` writes the amplitudes of
-a*(f)^k v / sqrt(k!) (theta: v = psi_m, or the vacuum for the condensate
+a*(f)^k v / sqrt(k!) at the ranks of o + j, o an occupation of v's support and
+j one of fixed(k) (theta: v = psi_m, or the vacuum for the condensate
 phi^(x)n = theta_{n,0}; excitation: one power per complement mode); a coherent
 state is a per-mode Poisson product.
 Tensor symmetrization and the d_{n,m}-scaled sector projection of the
-Weyl-displaced excitation stay as independent theta oracles.
+Weyl-displaced excitation stay as independent theta oracles; the tensor
+conversions, too, find each state by its ``rank``.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from .fock import (
     enumerate_basis,
     field_apply,
     fixed,
+    rank,
     truncated,
     vacuum,
     weyl_apply,
@@ -48,20 +51,22 @@ def _embed_sector(coeffs, n, basis):
 
 
 def _create_power(f, k, v):
-    """a*(f)^k v / sqrt(k!) for v on a fixed(m) sector, in closed form: at an
-    occupation N of fixed(m + k), with j = N - o >= 0, the sum over the support
-    of v of v(o) sqrt(k!) prod_p f_p^j_p / j_p! sqrt(N_p! / o_p!)."""
-    out = enumerate_basis(v.basis.d, fixed(v.basis.n_max + k))
-    powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]  # f_p^j
+    """a*(f)^k v / sqrt(k!) for v on a fixed(m) sector, in closed form: with j
+    running over fixed(k), the support occupation o of v adds at the ranks of
+    o + j the amplitudes v(o) sqrt(k!) prod_p f_p^j_p / j_p! sqrt((o + j)_p! / o_p!)."""
+    d = v.basis.d
+    out = enumerate_basis(d, fixed(v.basis.n_max + k))
+    j = enumerate_basis(d, fixed(k)).occs
     log_fact = gammaln(np.arange(out.n_max + 1) + 1.0)  # log j!
-    log_target = 0.5 * log_fact[out.occs].sum(axis=1) + 0.5 * log_fact[k]
-    coeffs, modes = np.zeros(out.dim, dtype=complex), np.arange(v.basis.d)
+    powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]  # f_p^j
+    gain, log_j = powers[j, np.arange(d)].prod(axis=1), log_fact[j].sum(axis=1)
+    coeffs = np.zeros(out.dim, dtype=complex)
     for i in np.flatnonzero(v.coeffs):  # one vectorized pass per occupation o
         o = v.basis.occs[i]
-        hit = np.all(out.occs >= o, axis=1)
-        j = out.occs[hit] - o
-        log_amp = log_target[hit] - log_fact[j].sum(axis=1) - 0.5 * log_fact[o].sum()
-        coeffs[hit] += v.coeffs[i] * np.exp(log_amp) * powers[j, modes].prod(axis=1)
+        N = o + j
+        log_amp = (0.5 * log_fact[N].sum(axis=1) + 0.5 * log_fact[k] - log_j
+                   - 0.5 * log_fact[o].sum())
+        coeffs[rank(out, N)] += v.coeffs[i] * np.exp(log_amp) * gain
     return FockVector(out, coeffs)
 
 
@@ -176,30 +181,27 @@ def random_excitation(phi, m, seed):
 # the oracle constructions of theta_{n,m}
 
 
+def _log_multinomial(basis):
+    """log(prod_p o_p! / n!) for each state o of a fixed(n) basis, summed
+    with ``math.lgamma`` mode by mode."""
+    return [sum(lgamma(int(k) + 1) for k in occ) - lgamma(basis.n_max + 1) for occ in basis.occs]
+
+
 def _tensor_from_fixed(v):
-    """Dense symmetric tensor (d,)*n from a fixed-sector vector (oracle sizes only)."""
-    basis = v.basis
-    n = basis.n_max
-    d = basis.d
-    T = np.zeros((d,) * n, dtype=complex)
-    for idx in np.ndindex(*[d] * n):
-        occ = np.bincount(idx, minlength=d)
-        amp = v.coeffs[basis.index_of(occ)]
-        if amp != 0:
-            scale = exp(0.5 * (sum(lgamma(k + 1) for k in occ) - lgamma(n + 1)))
-            T[idx] = amp * scale
-    return T
+    """Dense symmetric tensor (d,)*n from a fixed-sector vector (oracle sizes
+    only): the entry at an index tuple is read at the rank of its occupation."""
+    basis, n, d = v.basis, v.basis.n_max, v.basis.d
+    occs = np.eye(d, dtype=np.int64)[np.indices((d,) * n).reshape(n, d**n)].sum(axis=0)
+    scaled = v.coeffs * np.array([exp(0.5 * x) for x in _log_multinomial(basis)])
+    return scaled[rank(basis, occs)].reshape((d,) * n)
 
 
 def _fixed_from_tensor(T, d, n):
-    """Occupation coefficients of a symmetric tensor."""
+    """Occupation coefficients of a symmetric tensor, read at each state's
+    sorted index tuple."""
     basis = enumerate_basis(d, fixed(n))
-    coeffs = np.zeros(basis.dim, dtype=complex)
-    for i, occ in enumerate(basis.occs):
-        rep = tuple(itertools.chain.from_iterable([p] * int(k) for p, k in enumerate(occ)))
-        scale = exp(0.5 * (lgamma(n + 1) - sum(lgamma(int(k) + 1) for k in occ)))
-        coeffs[i] = scale * T[rep]
-    return coeffs
+    tuples = np.repeat(np.tile(np.arange(d), basis.dim), basis.occs.ravel()).reshape(basis.dim, n)
+    return np.array([exp(-0.5 * x) for x in _log_multinomial(basis)]) * T[tuple(tuples.T)]
 
 
 def _theta_symmetrize(phi, psi, n, m):

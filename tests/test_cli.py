@@ -495,6 +495,19 @@ def test_huge_pair_strength_fails_in_one_line(theta_config):
     assert len(err) == 1 and err[0].startswith("error: integrator failed:")
 
 
+def test_negative_zero_time_is_written_as_zero(theta_config):
+    # float("-0.0") used to reach the CSV rows and the fit lines as -0.0
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(_LATTICE, sites=3, hopping=1.0),
+                                    state={"family": "coherent",
+                                           "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]},
+                                    n_list=[2, 3, 4], t_list=[-0.0, 0.5])))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 0 and "t=0.0: exact regime" in proc.stdout
+    rows = (tmp / "out" / "convergence.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["0.0", "0.5"] * 3
+
+
 def test_check_negative_exit_is_one(monkeypatch, capsys):
     # force a failing suite through the public entry point
     import focklab.cli as cli

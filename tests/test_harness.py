@@ -218,6 +218,12 @@ def test_merge_rejects_mixed_configs():
     assert len(merged.rows) == 2 * len(a.rows)
 
 
+def test_merge_rejects_an_empty_list():
+    # ``reports[0]`` used to raise a bare IndexError
+    with pytest.raises(ValueError, match="no reports to merge"):
+        merge_reports([])
+
+
 # ---------------------------------------------------------------------------
 # sweeps and persistence
 

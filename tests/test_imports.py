@@ -189,6 +189,51 @@ def test_the_sector_kind_pin_sees_a_planted_dispatch():
                                         "coherent_state", "coherent_state", None]
 
 
+_LOOKUPS = {"index_of", "ndindex"}
+
+
+def _reads_occs(node):
+    """An ``occs`` attribute, or a subscript of one, such as ``basis.occs[i]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "occs"
+
+
+def _occupation_lookups(tree):
+    """Lines of every call to ``index_of`` or ``ndindex`` and of every
+    comparison with an ``occs`` attribute, or a subscript of one, as an
+    operand: the ways to find a state other than ``rank``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+            if (isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) in _LOOKUPS
+                     or getattr(node.func, "id", None) in _LOOKUPS))
+            or (isinstance(node, ast.Compare)
+                and any(map(_reads_occs, [node.left, *node.comparators]))))
+
+
+def test_only_fock_finds_states_other_than_by_rank():
+    found = {path.name: _occupation_lookups(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(_SRC.glob("*.py")) if path.name != "fock.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_rank_pin_sees_each_planted_lookup():
+    tree = ast.parse(
+        '"""Find states with index_of or ndindex, or by occs >= o."""\n'
+        "from numpy import ndindex\n"
+        "def scan(out, o, basis, v):\n"
+        "    hit = np.all(out.occs >= o, axis=1)\n"
+        "    same = o == basis.occs[3][1]\n"
+        "    i = basis.index_of((1, 0))\n"
+        "    cells = [v.coeffs[basis.index_of(occ)] for occ in ndindex(2, 2)]\n"
+        "    for idx in np.ndindex(2, 2):\n"
+        "        pass\n"
+        "    occs = out.occs - o\n"
+        "    return occs >= 0, v.occs_total > 0\n"
+    )
+    assert _occupation_lookups(tree) == [4, 5, 6, 7, 7, 8]
+
+
 def _unused_imports(source):
     """``line: name`` of every module-level import the module never reads;
     an import whose lines carry ``# noqa: F401`` is exempt."""

@@ -217,6 +217,19 @@ def test_distance_orthogonal_projectors():
     assert fl.distance(r0, r1, "operator") == pytest.approx(1.0)
 
 
+def test_distance_rejects_a_non_hermitian_array():
+    # eigvalsh reads one triangle: [[1, 5], [0, 0]] used to measure 1.0, as
+    # [[1, 0], [0, 0]] does, and its transpose 10.05
+    bad, zero = np.array([[1.0, 5.0], [0.0, 0.0]]), np.zeros((2, 2))
+    for args in ((bad, zero), (zero, bad), (bad.T, zero)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fl.distance(*args, "trace")
+    near = np.array([[1.0, 1e-13], [0.0, 0.0]])  # within HERMITICITY_TOL
+    assert fl.distance(near, zero, "operator") == pytest.approx(1.0)
+    assert fl.distance(np.diag([1.0, 0.0]), fl.projector(np.array([0.0, 1.0])),
+                       "trace") == pytest.approx(2.0)
+
+
 def test_norm_ordering_random(rng):
     for _ in range(25):
         d = int(rng.integers(2, 6))

@@ -1,23 +1,26 @@
 """Initial-state families and the Gram machinery of their superpositions."""
 
-from math import exp, fsum, sqrt
+from math import exp, fsum, lgamma, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 import focklab as fl
 from focklab.fock import rank
 from focklab.states import (
     POISSON_TAIL_FLOOR,
     _combine_components,
+    _create_power,
+    _fixed_from_tensor,
     _poisson_cutoff,
+    _tensor_from_fixed,
     component_states,
 )
 
-from conftest import random_unit
+from conftest import random_fock, random_unit
 
 
 def _fixed(d, n):
@@ -255,6 +258,93 @@ def test_theta_into_truncated_basis(rng):
     tb = fl.enumerate_basis(2, fl.truncated(10))
     th = fl.theta_state(phi, exc, 4, "creation_polynomial", tb)
     assert th.sector_norms()[4] == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the closed form and the tensor oracles, indexed by rank
+
+
+def _scan_create_power(f, k, v):
+    """a*(f)^k v / sqrt(k!) found by scanning all of fixed(m + k) for the
+    occupations N >= o of each support state o: the form ``_create_power``
+    had before it read the ranks of o + j, with the same float operations."""
+    out = _fixed(v.basis.d, v.basis.n_max + k)
+    powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]
+    log_fact = gammaln(np.arange(out.n_max + 1) + 1.0)
+    log_target = 0.5 * log_fact[out.occs].sum(axis=1) + 0.5 * log_fact[k]
+    coeffs, modes = np.zeros(out.dim, dtype=complex), np.arange(v.basis.d)
+    for i in np.flatnonzero(v.coeffs):
+        o = v.basis.occs[i]
+        hit = np.all(out.occs >= o, axis=1)
+        j = out.occs[hit] - o
+        log_amp = log_target[hit] - log_fact[j].sum(axis=1) - 0.5 * log_fact[o].sum()
+        coeffs[hit] += v.coeffs[i] * np.exp(log_amp) * powers[j, modes].prod(axis=1)
+    return coeffs
+
+
+def _loop_tensor_from_fixed(v):
+    """The symmetric tensor entry by entry, each looked up by ``index_of``."""
+    basis, n, d = v.basis, v.basis.n_max, v.basis.d
+    T = np.zeros((d,) * n, dtype=complex)
+    for idx in np.ndindex(*[d] * n):
+        occ = np.bincount(idx, minlength=d)
+        scale = exp(0.5 * (sum(lgamma(k + 1) for k in occ) - lgamma(n + 1)))
+        T[idx] = v.coeffs[basis.index_of(occ)] * scale
+    return T
+
+
+def _loop_fixed_from_tensor(T, d, n):
+    """The occupation coefficients state by state, each read at its sorted
+    index tuple."""
+    basis = _fixed(d, n)
+    coeffs = np.zeros(basis.dim, dtype=complex)
+    for i, occ in enumerate(basis.occs):
+        rep = sum(([p] * int(k) for p, k in enumerate(occ)), [])
+        scale = exp(0.5 * (lgamma(n + 1) - sum(lgamma(int(k) + 1) for k in occ)))
+        coeffs[i] = scale * T[tuple(rep)]
+    return coeffs
+
+
+def _sparse_vector(rng, d, m):
+    """A complex vector on fixed(m) with about half its entries zero."""
+    basis = _fixed(d, m)
+    c = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    c[rng.random(basis.dim) < 0.5] = 0.0
+    return fl.FockVector(basis, c)
+
+
+def _field(rng, d):
+    """A complex smearing function with about a third of its entries zero."""
+    f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    f[rng.random(d) < 0.3] = 0.0
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), m=st.integers(0, 3), k=st.integers(0, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_create_power_is_bitwise_the_output_scan(d, m, k, seed):
+    rng = np.random.default_rng(seed)
+    f, v = _field(rng, d), _sparse_vector(rng, d, m)
+    got = _create_power(f, k, v)
+    assert got.basis == _fixed(d, m + k)
+    assert np.array_equal(got.coeffs, _scan_create_power(f, k, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_tensor_conversions_invert_and_keep_the_norm(d, n, seed):
+    rng = np.random.default_rng(seed)
+    v = random_fock(_fixed(d, n), rng)
+    T = _tensor_from_fixed(v)
+    assert T.shape == (d,) * n
+    assert np.array_equal(T, np.transpose(T, rng.permutation(n)))  # symmetric
+    assert fsum(np.abs(T.ravel()) ** 2) == pytest.approx(v.norm() ** 2, abs=1e-14)
+    back = _fixed_from_tensor(T, d, n)
+    assert np.max(np.abs(back - v.coeffs)) <= 1e-14
+    # the same float operations as the loops, so the same bits
+    assert np.array_equal(T, _loop_tensor_from_fixed(v))
+    assert np.array_equal(back, _loop_fixed_from_tensor(T, d, n))
 
 
 # ---------------------------------------------------------------------------
