@@ -76,6 +76,28 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
                           interval=(lo, hi), scaled=scaled)
 
 
+def _radius_bound(ms, n_scale, top):
+    """An upper bound on the half-width r of ``make_plan``'s interval for
+    ``build_hamiltonian(ms, n_scale, basis)`` on any basis of totals at most
+    ``top``, from h and v alone: the Chebyshev series of ``evolve_fock`` to
+    time t has about |t| r terms.
+
+    H's diagonal at a state o of total N is sum_p h_pp o_p + q(o) / (2 n),
+    where q(o) weighs v(p, q) by o_p o_q (p != q) and o_p (o_p - 1) (p = q),
+    weights that sum to N^2 - N; D is its mean over the sector, so
+    |H_oo - D_o| <= N (max h_pp - min h_pp) + (N^2 - N) (max v - min v) / (2 n).
+    The row's off-diagonal sum, sum_{p != q} |h_pq| sqrt((o_p + 1) o_q), is
+    at most the same sum of ((o_p + 1) + o_q) / 2, so at most N R + S / 2 with
+    R the largest and S the total off-diagonal absolute row sum of h.  Both
+    grow with N, and r is at most their sum at N = top.
+    """
+    hd = ms.h.diagonal().real
+    rows = np.abs(ms.h - np.diag(ms.h.diagonal())).sum(axis=1)
+    spread = (top * (hd.max() - hd.min())
+              + (top * top - top) / n_scale * (ms.v.max() / 2 - ms.v.min() / 2))
+    return float(spread + top * rows.max() + rows.sum() / 2)
+
+
 def _bessel_series(x):
     """J_k(x) for k below the first index past |x| with |J_k(x)| <
     SERIES_STOP_TOL; past |x| the |J_k(x)| decrease in k."""

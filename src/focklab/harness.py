@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import pdtrc
 
 from .combinatorics import admissible_m
-from .dynamics import evolve_fock, make_plan
-from .errors import ConfigError, DegeneracyError, ExactRegimeError
+from .dynamics import _radius_bound, evolve_fock, make_plan
+from .errors import CapacityError, ConfigError, DegeneracyError, ExactRegimeError
 from .fock import _written, build_hamiltonian, enumerate_basis, fixed, truncated
 from .hartree import evolve_hartree
 from .modes import ModeSystem
@@ -45,8 +45,8 @@ from .states import (
     component_states,
     random_excitation,
 )
-from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL, TIME_TOL,
-                         check_unit)
+from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL,
+                         MAX_TIME_RADIUS, TIME_TOL, check_unit)
 
 CSV_HEADER = [
     "n", "m", "t",
@@ -191,8 +191,10 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc, seed_override=None):
         """Parse and validate ``doc``; every malformed value is a ConfigError,
-        including conversion failures and failed ModeSystem checks, and a
-        lattice too large for the state cap is a CapacityError.  Numpy
+        including conversion failures and failed ModeSystem checks; a
+        lattice too large for the state cap, or a max(t_list) whose
+        propagation at some n needs |t r| above MAX_TIME_RADIUS (r from
+        ``dynamics._radius_bound``), is a CapacityError.  Numpy
         warnings on extreme values are silenced: such values fail a check."""
         try:
             with np.errstate(all="ignore"):
@@ -305,6 +307,16 @@ class ExperimentConfig:
                 _check_components(kind, coeffs, phis, m_n)
             except ValueError as e:
                 raise ConfigError(f"state.components at n={n}: {e}") from e
+
+        # the propagation to max(t_list) sums about |t| r Chebyshev terms, with
+        # r bounded at the top total of the cell's basis
+        t_max = max(cfg.t_list)
+        for n in cfg.n_list:
+            r = _radius_bound(ms, n, _poisson_cutoff(n) if kind == "coherent" else n)
+            if t_max > 0 and not t_max * r <= MAX_TIME_RADIUS:
+                raise CapacityError(f"t_list: t={t_max} at n={n} asks for |t r| = "
+                                    f"{t_max * r:.3g} above {MAX_TIME_RADIUS:g}, with r "
+                                    f"bounding the Gershgorin half-width of H - D")
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}

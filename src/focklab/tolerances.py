@@ -28,8 +28,9 @@ pins:
   double-precision machine epsilon.  ``dynamics.evolve_fock`` stops its
   Chebyshev series at the first index past |t r| where |J_k(t r)| <
   SERIES_STOP_TOL; the dropped tail, at most 2 sum |J_k(t r)| ||v||, stays
-  below 16 * SERIES_STOP_TOL * ||v|| for |t r| <= 1e4.  So the norm defect
-  the propagation checks against ``krylov_tol`` is rounding alone.
+  below 16 * SERIES_STOP_TOL * ||v|| for |t r| <= MAX_TIME_RADIUS = 1e4,
+  the largest a config may ask for.  So the norm defect the propagation
+  checks against ``krylov_tol`` is rounding alone.
 """
 
 import numpy as np
@@ -50,12 +51,16 @@ OVERLAP_BOUND_ATOL = 1e-12  # absolute slack of the theta overlap bound
 POISSON_TAIL_FLOOR = 1e-16  # largest mass a coherent state may lose to truncation
 
 DEFAULT_HARTREE_TOL = 1e-10  # mean-field integrator rtol; its atol is a hundredth
+HARTREE_RTOL_FLOOR = 100 * np.finfo(float).eps  # a smaller mean-field rtol is raised to this
+FIRST_STEP_DEFAULT = 1e-6  # DOP853's first step guess where the scaled state or slope is tiny
+FIRST_STEP_ZERO_TOL = 1e-15  # DOP853 takes scaled slopes this small for zero
 NORM_DRIFT_TOL = 1e-8  # largest mean-field norm drift
 ENERGY_DRIFT_TOL = 1e-6  # largest mean-field energy drift, relative to max(1, |E_0|)
 NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
 DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
 SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficient this small
+MAX_TIME_RADIUS = 1e4  # largest |t| r, r the Gershgorin half-width of H - D, a config may ask
 TIME_TOL = 1e-12  # two times closer than this are the same time
 # exact-regime distances read 4e-14 from rounding alone; a slope fit to them is noise
 EXACT_REGIME_TOL = 1e-12  # largest trace distance that counts as the exact regime

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import sqrt
 from pathlib import Path
@@ -96,6 +97,15 @@ def test_hartree_export(theta_config):
     csv_path = tmp / "out" / "hartree_trajectory.csv"
     assert csv_path.exists()
     assert csv_path.read_text().splitlines()[0].startswith("t,re_phi_0")
+
+
+def test_hartree_tol_below_the_floor_runs_without_a_warning(theta_config):
+    # the integrator raises rtol to 100 eps; scipy's did so with a two-line
+    # UserWarning on stderr
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, tolerances={"hartree_tol": 1e-15})))
+    proc = _cli("hartree", "--config", path)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_fit_subcommand(theta_config, capsys):
@@ -484,15 +494,50 @@ def test_repeated_time_rows_are_not_points_of_the_fit(theta_config, capsys):
 
 
 def test_huge_pair_strength_fails_in_one_line(theta_config):
-    # the integrator blows up; its numpy warnings used to print 20 lines first
+    # the integrator blows up; its numpy warnings used to print 20 lines first.
+    # A uniform kernel (a gaussian far wider than the lattice) adds the same
+    # energy to every state of a sector, so H - D holds no interaction and the
+    # config passes the time guard; the mean-field phase turns at rate 8e307.
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(
+        _LATTICE, sites=3, hopping=1.0,
+        potential={"kind": "gaussian", "g": 8e307, "sigma": 1e10}),
+        state={"family": "product", "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]})))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert err == ["error: integrator failed: Required step size is less than spacing "
+                   "between numbers."]
+
+
+def test_huge_contact_strength_is_refused_before_integrating(theta_config):
+    # a contact kernel of 8e307 spreads H's diagonal within a sector past any
+    # float, so no time t > 0 keeps |t r| finite
     path, doc, tmp = theta_config
     path.write_text(json.dumps(dict(doc, mode_system=dict(
         _LATTICE, sites=3, hopping=1.0, potential={"kind": "contact", "g": 8e307}),
         state={"family": "product", "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]})))
     proc = _cli("converge", "--config", path)
-    assert proc.returncode == 1
+    assert proc.returncode == 3
     err = proc.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: integrator failed:")
+    assert len(err) == 1 and err[0].startswith("capacity error: t_list: t=0.5 at n=4")
+
+
+@pytest.mark.parametrize("t", [1e7, 1e300])
+def test_huge_time_exits_3_at_once(theta_config, t):
+    # t = 1e7 on 3 sites used to run for hours: about 24 mean-field steps per
+    # unit time, then a Chebyshev series of about 7e8 terms
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(_LATTICE, sites=3, hopping=1.0),
+                                    state={"family": "coherent",
+                                           "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]},
+                                    n_list=[2, 3, 4], t_list=[t])))
+    start = time.perf_counter()
+    proc = _cli("converge", "--config", path)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"capacity error: t_list: t={t} at n=2")
 
 
 def test_negative_zero_time_is_written_as_zero(theta_config):

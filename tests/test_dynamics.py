@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.dynamics import _bessel_series
+from focklab.dynamics import _bessel_series, _radius_bound
 
 from conftest import random_fock, random_hermitian, random_unit
 
@@ -210,6 +210,30 @@ def test_evolution_matches_sector_eigh_on_random_systems(d, kind, cap, n, t, see
     v = random_fock(b, rng)
     got = fl.evolve_fock(fl.make_plan(H), v, t)
     assert np.linalg.norm(got.coeffs - _sector_eigh_oracle(H, v, t)) < 1e-11
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 4), lattice=st.booleans(), kind=st.sampled_from([fl.fixed, fl.truncated]),
+       top=st.integers(0, 8), n=st.integers(1, 8),
+       pot=st.sampled_from(["contact", "neighbor", "gaussian", "uniform"]),
+       g=st.floats(-5.0, 5.0), hopping=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_radius_bound_covers_the_plan_interval(d, lattice, kind, top, n, pot, g, hopping, seed):
+    # the time guard of the config parser reads this bound in place of H
+    rng = np.random.default_rng(seed)
+    if lattice:
+        ms = fl.ModeSystem.lattice(d, hopping=hopping,
+                                   potential=("gaussian", g, 1e10) if pot == "uniform" else (pot, g))
+    else:
+        v = np.full((d, d), g) if pot == "uniform" else g * rng.standard_normal((d, d))
+        ms = fl.ModeSystem.dense(hopping * random_hermitian(d, rng), v)
+    H = fl.build_hamiltonian(ms, n, fl.enumerate_basis(d, kind(top)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the interval is found before the scaling, whose complex division
+        # overflows when the half-width is subnormal (a hopping of 1e-311)
+        plan = fl.make_plan(H)
+    lo, hi = plan.interval
+    rounding = 1e-12 * (1.0 + np.max(np.abs(plan.phase)))
+    assert (hi - lo) / 2 <= _radius_bound(ms, n, top) + rounding
 
 
 def test_chained_times_match_one_call(rng):

@@ -1,11 +1,16 @@
 """Mean-field integrator: right-hand side, conservation, exact solutions."""
 
+import warnings
 from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import DOP853, solve_ivp  # the oracle of the stepper, and only here
 
 import focklab as fl
+from focklab.hartree import _A, _B, _D, _E3, _E5, _integrate
 
 from conftest import random_hermitian, random_unit
 
@@ -215,3 +220,67 @@ def test_csv_export_schema(tmp_path, rng):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[-2]) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the stepper against scipy's DOP853, its oracle
+
+
+def test_the_tableau_is_scipys():
+    n = DOP853.n_stages
+    assert np.array_equal(_A, np.vstack([np.pad(DOP853.A, ((0, 0), (0, 4))),
+                                         np.pad(DOP853.B, (0, 4)), DOP853.A_EXTRA]))
+    for ours, theirs in ((_B, DOP853.B), (_E3, DOP853.E3), (_E5, DOP853.E5), (_D, DOP853.D)):
+        assert ours.shape == theirs.shape and np.array_equal(ours, theirs)
+    assert _A.shape == (16, 16) and n == 12
+
+
+def _scipy_dop853(ms, phi, t0, t1, tol, t_eval=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy's note that it raised rtol
+        with np.errstate(all="ignore"):
+            return solve_ivp(lambda _t, y: fl.hartree_rhs(ms, y), (t0, t1), phi,
+                             method="DOP853", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 5), lattice=st.booleans(),
+       pot=st.sampled_from(["contact", "neighbor", "gaussian"]), g=st.floats(-4.0, 4.0),
+       hopping=st.floats(-2.0, 2.0), tol=st.floats(1e-15, 1e-6),
+       t0=st.sampled_from([0.0, 0.25, -1.0]), span=st.floats(-2.5, 2.5),
+       points=st.integers(1, 7), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_states_and_at_are_scipys_bit_for_bit(d, lattice, pot, g, hopping, tol, t0, span,
+                                              points, frac, seed):
+    # forward, backward and one-point grids, tolerances on both sides of the
+    # rtol floor; the sweeps' targets are these states, so any change shows
+    rng = np.random.default_rng(seed)
+    if lattice:
+        ms = fl.ModeSystem.lattice(d, hopping=hopping, potential=(pot, g))
+    else:
+        ms = fl.ModeSystem.dense(hopping * random_hermitian(d, rng), g * rng.standard_normal((d, d)))
+    phi = random_unit(d, rng)
+    grid = np.linspace(t0, t0 + span, points)
+    try:
+        traj = fl.evolve_hartree(ms, phi, grid, tol=tol)
+    except fl.IntegrationError as e:  # a loose tol may drift past the contract
+        assert "drift" in str(e)
+        states = _integrate(ms, phi, grid[0], grid[-1], tol, t_eval=grid).T
+        traj = fl.HartreeTrajectory(ms, grid, states, None, None, tol)
+    if grid[-1] == grid[0]:  # one time, perhaps repeated
+        assert np.array_equal(traj.states, [phi])
+    else:
+        sol = _scipy_dop853(ms, phi, grid[0], grid[-1], tol, t_eval=grid)
+        assert np.array_equal(sol.t, grid) and np.array_equal(traj.states, sol.y.T)
+    for t in (traj.times[-1], traj.times[0] + frac * (traj.times[-1] - traj.times[0])):
+        assert np.array_equal(traj.at(t), _scipy_dop853(ms, phi, grid[0], t, tol).y[:, -1])
+
+
+def test_a_tolerance_below_the_floor_is_raised_without_a_warning(rng):
+    ms = _random_ms(3, rng)
+    phi = random_unit(3, rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floored = fl.evolve_hartree(ms, phi, np.linspace(0.0, 1.0, 3), tol=1e-16)
+    # rtol rises to 100 eps while atol stays tol / 100
+    sol = _scipy_dop853(ms, phi, 0.0, 1.0, 1e-16, t_eval=np.linspace(0.0, 1.0, 3))
+    assert np.array_equal(floored.states, sol.y.T)

@@ -3,16 +3,21 @@
 Most of a sweep's set-up time is ``import focklab``, and nearly all of that
 is scipy.  Only the standard library and the packages below may be imported
 at module level; heavier ones belong inside the function that needs them.
+The mean-field integrator is focklab's own, so a sweep loads neither
+scipy.integrate nor what it imports in turn (scipy.optimize, scipy.linalg,
+scipy.sparse.linalg).
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import focklab
 
 _SRC = Path(focklab.__file__).parent
-ALLOWED = {"numpy", "scipy.sparse", "scipy.special", "scipy.integrate"}
+ALLOWED = {"numpy", "scipy.sparse", "scipy.special"}
 
 
 def _module_level_imports(tree):
@@ -45,6 +50,34 @@ def test_module_level_imports_are_the_standard_library_and_a_pinned_set():
     assert [p for p in _SRC.glob("*.py")], "no sources found"
     offenders = [o for path in sorted(_SRC.glob("*.py")) for o in _offenders(path)]
     assert offenders == []
+
+
+_SWEEPS = """
+import sys
+import focklab as fl
+
+lattice = {"geometry": "lattice", "sites": 3, "potential": {"kind": "contact", "g": 1.0}}
+phi = [[0.6, 0], [0.0, 0.8], [0, 0]]
+fl.run_convergence_sweep(fl.ExperimentConfig.from_dict({
+    "mode_system": lattice, "state": {"family": "theta", "phi": phi, "m": 1},
+    "n_list": [3, 4, 5], "t_list": [0.5, 1.0]}))
+fl.run_superposition_sweep(fl.ExperimentConfig.from_dict({
+    "mode_system": lattice, "n_list": [2, 3], "t_list": [0.5],
+    "state": {"family": "superposition", "kind": "coherent", "components": [
+        {"phi": phi, "coeff": 1.0}, {"phi": [[0, 0], [0.6, 0], [0.8, 0]], "coeff": 1.0}]}}))
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])
+             or m.split(".")[:3] == ["scipy", "sparse", "linalg"]))
+"""
+
+
+def test_sweeps_load_no_scipy_integrate_optimize_or_sparse_linalg():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _SWEEPS], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 def test_the_import_pin_sees_each_form(tmp_path):
