@@ -41,7 +41,8 @@ class PropagatorPlan:
     ``phase`` holds D, the mean of H's diagonal over each state's number
     sector.  ``interval`` is the Gershgorin interval (lo, hi) of H - D, and
     ``scaled`` the CSR matrix B = (H - D - c)/r, with c and r the interval's
-    centre and half-width; a point interval leaves B = H - D - c = 0.
+    centre and half-width.  A half-width below the smallest normal float
+    leaves B = H - D - c unscaled; the series then stops at degree 0.
     ``method`` is always "krylov" (the result is a polynomial in H applied
     to the vector) and ``blocks`` always empty: nothing is factorized.
     """
@@ -70,7 +71,7 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
     radii = np.ravel(abs(A).sum(axis=1)) - np.abs(diag)  # off-diagonal row sums
     lo, hi = float(np.min(diag - phase - radii)), float(np.max(diag - phase + radii))
     scaled = (A - sp.diags(phase + (lo + hi) / 2)).tocsr()
-    if hi > lo:
+    if (hi - lo) / 2 >= np.finfo(float).tiny:  # a subnormal width overflows the division
         scaled.data /= (hi - lo) / 2
     return PropagatorPlan(method="krylov", basis=H.basis, tol=tol, phase=phase,
                           interval=(lo, hi), scaled=scaled)

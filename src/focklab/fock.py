@@ -54,6 +54,7 @@ exact truncation loss.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+import csv
 import json
 import operator
 
@@ -710,6 +711,18 @@ def _written(doc, path, indent=None):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=indent)
     return doc
+
+
+def _written_csv(path, header, rows):
+    """Write ``header`` and ``rows`` to ``path`` as CSV, UTF-8 with LF line
+    endings: an int as ``str``, any other number as ``repr(float(x))`` (the
+    shortest round-trip decimal), None as a blank cell; the one place that
+    writes a CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")  # it writes None blank, an int with str
+        w.writerow(header)
+        w.writerows([x if x is None or isinstance(x, (int, np.integer)) else repr(float(x))
+                     for x in row] for row in rows)
 
 
 def _c2pair(z):

@@ -13,9 +13,10 @@ mean-field states.  Each sweep adds its own columns through one flat callback.
 
 The CSV schema is bit-exact: header
 ``n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s``,
-floats as shortest round-trip decimals, UTF-8, LF line endings.  In
-single-thread mode (the reproducibility reference) the wall-clock column is
-left empty so identical (config, seed) runs produce byte-identical files.
+floats as shortest round-trip decimals, UTF-8, LF line endings, all from the
+one writer ``fock._written_csv``.  In single-thread mode (the
+reproducibility reference) the wall-clock column is left empty so identical
+(config, seed) runs produce byte-identical files.
 """
 
 import csv
@@ -33,15 +34,16 @@ from scipy.special import pdtrc
 from .combinatorics import admissible_m
 from .dynamics import _radius_bound, evolve_fock, make_plan
 from .errors import CapacityError, ConfigError, DegeneracyError, ExactRegimeError
-from .fock import _written, build_hamiltonian, enumerate_basis, fixed, truncated
-from .hartree import evolve_hartree
+from .fock import _written, _written_csv, build_hamiltonian, enumerate_basis
+from .hartree import _generator_bound, evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
 from .states import (
+    KINDS,
     SuperpositionSpec,
+    _cell_sector,
     _check_components,
     _combine_components,
-    _poisson_cutoff,
     component_states,
     random_excitation,
 )
@@ -53,9 +55,6 @@ CSV_HEADER = [
     "trace_dist", "hs_dist", "op_dist",
     "cross_term", "bound_envelope", "runtime_s",
 ]
-
-_FAMILIES = ("product", "coherent", "theta", "superposition")
-_SUPER_KINDS = ("product", "theta", "coherent")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +129,7 @@ def _parse_mode_system(d):
 class MSchedule:
     """Excitation-size schedule: constant m, or round(a ln n) clamped."""
 
-    kind: str
+    kind: str = "constant"
     m: int = 0
     a: float = 0.0
 
@@ -159,13 +158,13 @@ def _parse_m(x, where, a_cap):
 
 @dataclass
 class ComponentSpec:
-    """A unit phi, its coefficient and, for the theta kind, its m schedule
-    and the prefix of its excitation's draw key: ``()`` for a single family,
-    ``(excitation_seed,)`` for a superposition component."""
+    """A unit phi, its coefficient, its m schedule (constant 0 outside the
+    theta kind) and the prefix of its excitation's draw key: ``()`` for a
+    single family, ``(excitation_seed,)`` for a superposition component."""
 
     phi: np.ndarray
     coeff: complex
-    m_schedule: MSchedule = None
+    m_schedule: MSchedule = field(default_factory=MSchedule)
     seed_key: tuple = ()
 
 
@@ -194,7 +193,9 @@ class ExperimentConfig:
         including conversion failures and failed ModeSystem checks; a
         lattice too large for the state cap, or a max(t_list) whose
         propagation at some n needs |t r| above MAX_TIME_RADIUS (r from
-        ``dynamics._radius_bound``), is a CapacityError.  Numpy
+        ``dynamics._radius_bound``) or whose mean-field integration needs
+        |t s| above it (s from ``hartree._generator_bound``), is a
+        CapacityError.  Numpy
         warnings on extreme values are silenced: such values fail a check."""
         try:
             with np.errstate(all="ignore"):
@@ -220,7 +221,7 @@ class ExperimentConfig:
             where="state",
         )
         family = st["family"]
-        if family not in _FAMILIES:
+        if family not in (*KINDS, "superposition"):
             raise ConfigError(f"unknown state family {family!r}")
         single = family != "superposition"
         if single:
@@ -230,7 +231,7 @@ class ExperimentConfig:
             _require_keys(st, ("family", "kind", "components"),
                           ("kind", "components"), "state")
             kind, items = st["kind"], st["components"]
-            if kind not in _SUPER_KINDS:
+            if kind not in KINDS:
                 raise ConfigError(f"unknown superposition kind {kind!r}")
             if not isinstance(items, list) or len(items) < 2:
                 raise ConfigError("superposition needs at least 2 components")
@@ -296,7 +297,7 @@ class ExperimentConfig:
         coeffs = np.array([c.coeff for c in components])
         phis = [c.phi for c in components]
         for n in cfg.n_list:
-            m_n = [c.m_schedule.value(n) for c in components] if theta else []
+            m_n = [c.m_schedule.value(n) for c in components]
             for m in m_n:
                 if m > admissible_m(n):
                     raise ConfigError(
@@ -309,14 +310,20 @@ class ExperimentConfig:
                 raise ConfigError(f"state.components at n={n}: {e}") from e
 
         # the propagation to max(t_list) sums about |t| r Chebyshev terms, with
-        # r bounded at the top total of the cell's basis
+        # r bounded at the top total of the cell's basis, and the mean-field
+        # integrator takes about |t| s steps
         t_max = max(cfg.t_list)
         for n in cfg.n_list:
-            r = _radius_bound(ms, n, _poisson_cutoff(n) if kind == "coherent" else n)
+            r = _radius_bound(ms, n, _cell_sector(kind, n)[1])
             if t_max > 0 and not t_max * r <= MAX_TIME_RADIUS:
                 raise CapacityError(f"t_list: t={t_max} at n={n} asks for |t r| = "
                                     f"{t_max * r:.3g} above {MAX_TIME_RADIUS:g}, with r "
                                     f"bounding the Gershgorin half-width of H - D")
+        s = _generator_bound(ms)
+        if t_max > 0 and not t_max * s <= MAX_TIME_RADIUS:
+            raise CapacityError(f"t_list: t={t_max} asks the mean-field integrator for "
+                                f"|t s| = {t_max * s:.3g} above {MAX_TIME_RADIUS:g}, with s "
+                                f"bounding the spectral radius of h + diag(v |phi|^2)")
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}
@@ -394,15 +401,8 @@ class ConvergenceReport:
                 for key in CSV_HEADER]
 
     def to_csv(self, path):
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_HEADER)
-            for r in sorted(self.rows, key=lambda r: (r.n, r.t)):
-                n, m, *reals = self._cells(r)
-                w.writerow([str(n), str(m)] + [fmt(x) for x in reals])
+        _written_csv(path, CSV_HEADER,
+                     map(self._cells, sorted(self.rows, key=lambda r: (r.n, r.t))))
 
     def to_json(self, path=None):
         def fit_doc(f):
@@ -534,7 +534,7 @@ def _superposition_spec(config, n):
     ``(seed, excitation_seed, m)`` in a superposition and ``(seed, m)`` for a
     single family; it is None for m = 0."""
     comps = config.components
-    ms = [c.m_schedule.value(n) for c in comps] if config.kind == "theta" else []
+    ms = [c.m_schedule.value(n) for c in comps]
     excs = [None if m == 0 else random_excitation(c.phi, m, seed=(config.seed, *c.seed_key, m))
             for c, m in zip(comps, ms)]
     return SuperpositionSpec(kind=config.kind, coeffs=[c.coeff for c in comps],
@@ -555,26 +555,23 @@ def _sweep(config, threads, family, score):
     """The cell pipeline every sweep shares.
 
     First the targets of ``_hartree_targets``, once per time.  Then one cell
-    per n: the basis (for coherent states truncated at ``_poisson_cutoff(n)``,
-    the smallest n_max whose Poisson(n) tail is at most POISSON_TAIL_FLOOR,
-    the fixed(n) sector otherwise; ``enumerate_basis`` refuses one above the
-    state cap), the propagator plan and the normalized
+    per n: the basis on ``_cell_sector(kind, n)`` (``enumerate_basis``
+    refuses one above the state cap), the propagator plan and the normalized
     combination of the components with its Gram matrix and coefficients.  At
     each t, in increasing order, the state evolves on from the previous time;
     the row holds the three distances from its reduced density matrix rho to
     the target at t, and the sweep's own columns
     ``score(n, m, gram, coeffs_n, rho, phi_ts, trace_dist)``.  A cell returns
-    its rows and its basis's n_max, from which coherent sweeps record the
-    dropped Poisson mass per n in ``metadata["truncation"]``: H commutes with
-    N and rho has no cross-sector terms, so the cutoff moves the distances
-    only at the level of that mass.  ``threads > 1`` runs the cells on a pool.
+    its rows.  Coherent sweeps record per n the cutoff n_max of the same
+    sector and the Poisson mass it drops in ``metadata["truncation"]``: H
+    commutes with N and rho has no cross-sector terms, so the cutoff moves
+    the distances only at the level of that mass.  ``threads > 1`` runs the
+    cells on a pool.
     """
     targets = _hartree_targets(config)
-    coherent = config.kind == "coherent"
 
     def cell(n):
-        sector = truncated(_poisson_cutoff(n)) if coherent else fixed(n)
-        basis = enumerate_basis(config.ms.d, sector)
+        basis = enumerate_basis(config.ms.d, _cell_sector(config.kind, n))
         plan = make_plan(build_hamiltonian(config.ms, n, basis),
                          tol=config.krylov_tol)
         spec = _superposition_spec(config, n)
@@ -583,7 +580,7 @@ def _sweep(config, threads, family, score):
                 spec.coeffs, component_states(spec, n, basis))
         except DegeneracyError as e:
             raise ConfigError(f"state.components at n={n}: {e}") from e
-        m = max(spec.m_schedule or [0])
+        m = max(c.m_schedule.value(n) for c in config.components)
         rows = []
         t_prev = 0.0
         # each time evolves on from the previous one (a repeated time by 0)
@@ -600,7 +597,7 @@ def _sweep(config, threads, family, score):
                 runtime_s=time.perf_counter() - cell_start,
                 **score(n, m, gram, coeffs_n, rho, phi_ts, td),
             ))
-        return rows, basis.n_max
+        return rows
 
     sweep_start = time.perf_counter()
     if threads > 1:
@@ -609,14 +606,14 @@ def _sweep(config, threads, family, score):
     else:  # in the calling thread, so that Ctrl-C stops a long cell at once
         cells = [cell(n) for n in config.n_list]
     metadata = _metadata(config, threads, time.perf_counter() - sweep_start)
-    if coherent:
+    if config.kind == "coherent":
         metadata["truncation"] = {
             str(n): {"n_max": k, "tail_mass": float(pdtrc(k, n))}
-            for n, (_, k) in zip(config.n_list, cells)
+            for n in config.n_list for _, k in [_cell_sector(config.kind, n)]
         }
     return ConvergenceReport(
         config_hash=config.config_hash, family=family, seed=config.seed,
-        rows=sorted((r for rows, _ in cells for r in rows), key=lambda r: (r.n, r.t)),
+        rows=sorted((r for rows in cells for r in rows), key=lambda r: (r.n, r.t)),
         reproducible=(threads == 1), metadata=metadata,
     )
 
@@ -640,7 +637,7 @@ def run_convergence_sweep(config: ExperimentConfig, threads=1):
     """Single-family sweep: distance of the evolved reduced density matrix to
     the projection on the mean-field state, per (n, t), plus the
     rate-envelope column."""
-    if config.family not in ("product", "coherent", "theta"):
+    if config.family not in KINDS:
         raise ConfigError(
             f"convergence sweep takes a single-state family, got {config.family!r}"
         )

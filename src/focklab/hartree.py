@@ -22,12 +22,12 @@ HARTREE_RTOL_FLOOR = 100 eps (about 2.2e-14) where it is smaller, as scipy
 does but without its warning; the absolute tolerance is ``tol * 1e-2``.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import IntegrationError
+from .fock import _written_csv
 from .modes import ModeSystem
 from .tolerances import (DEFAULT_HARTREE_TOL, ENERGY_DRIFT_TOL, FIRST_STEP_DEFAULT,
                          FIRST_STEP_ZERO_TOL, HARTREE_RTOL_FLOOR, NONREAL_ENERGY_TOL,
@@ -50,6 +50,15 @@ def hartree_energy(ms: ModeSystem, phi):
     if not abs(e.imag) <= NONREAL_ENERGY_TOL * max(1.0, abs(e.real)):
         raise IntegrationError(f"energy came out non-real: {e}")
     return float(e.real)
+
+
+def _generator_bound(ms: ModeSystem):
+    """An upper bound s on the spectral radius of the generator h + diag(v
+    |phi|^2) for every unit phi: the largest absolute row sum of h bounds
+    the norm of h, and each entry of v |phi|^2 is a mean of a row of v with
+    the weights |phi_q|^2.  An explicit integrator takes on the order of
+    |t| s steps to time t."""
+    return float(np.abs(ms.h).sum(axis=1).max() + np.abs(ms.v).max())
 
 
 @dataclass
@@ -83,21 +92,10 @@ class HartreeTrajectory:
 
     def to_csv(self, path):
         """Columns: t, Re phi_p, Im phi_p (p = 0..d-1), norm, energy."""
-        d = self.ms.d
-        header = ["t"]
-        for p in range(d):
-            header += [f"re_phi_{p}", f"im_phi_{p}"]
-        header += ["norm", "energy"]
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [repr(float(t))]
-                for p in range(d):
-                    row += [repr(float(self.states[i, p].real)),
-                            repr(float(self.states[i, p].imag))]
-                row += [repr(float(self.norm_log[i])), repr(float(self.energy_log[i]))]
-                w.writerow(row)
+        parts = [f"{part}_phi_{p}" for p in range(self.ms.d) for part in ("re", "im")]
+        pairs = np.ascontiguousarray(self.states, dtype=complex).view(float)  # re, im, ...
+        _written_csv(path, ["t", *parts, "norm", "energy"], np.column_stack(
+            [self.times, pairs, self.norm_log, self.energy_log]))
 
 
 def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):

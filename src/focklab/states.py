@@ -91,6 +91,13 @@ def _poisson_cutoff(n):
     return hi
 
 
+def _cell_sector(kind, n):
+    """The sector of a sweep cell of component ``kind`` at particle number n:
+    fixed(n), or for coherent states truncated at ``_poisson_cutoff(n)``,
+    where the dropped Poisson mass is at most POISSON_TAIL_FLOOR."""
+    return truncated(_poisson_cutoff(n)) if kind == "coherent" else fixed(n)
+
+
 def coherent_state(phi, n, basis):
     """C(sqrt(n) phi)|0>, mean particle number n: the per-mode Poisson product
     prod_p e^{-|a_p|^2/2} a_p^o_p / sqrt(o_p!), a = sqrt(n) phi, magnitudes in
@@ -268,13 +275,15 @@ def theta_state(phi, excitation, n, method, basis):
 # ---------------------------------------------------------------------------
 # superpositions
 
+KINDS = ("product", "theta", "coherent")  # the component kinds of a state
+
 
 @dataclass
 class SuperpositionSpec:
     """Finitely many components of one family plus their raw coefficients.
 
-    kind: "product" | "theta" | "coherent".  For the theta family each
-    component carries an excitation and the sizes m_i must be nondecreasing.
+    kind: one of KINDS.  For the theta family each component carries an
+    excitation and the sizes m_i must be nondecreasing.
     """
 
     kind: str
@@ -283,7 +292,7 @@ class SuperpositionSpec:
     excitations: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in ("product", "theta", "coherent"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown superposition kind {self.kind!r}")
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         self.phis = [np.asarray(p, dtype=complex) for p in self.phis]

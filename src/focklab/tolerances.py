@@ -60,7 +60,9 @@ NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
 DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
 SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficient this small
-MAX_TIME_RADIUS = 1e4  # largest |t| r, r the Gershgorin half-width of H - D, a config may ask
+# largest |t| r a config may ask, r the Gershgorin half-width of H - D, and
+# largest |t| s, s bounding the spectral radius of the mean-field generator
+MAX_TIME_RADIUS = 1e4
 TIME_TOL = 1e-12  # two times closer than this are the same time
 # exact-regime distances read 4e-14 from rounding alone; a slope fit to them is noise
 EXACT_REGIME_TOL = 1e-12  # largest trace distance that counts as the exact regime

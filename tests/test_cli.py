@@ -493,21 +493,51 @@ def test_repeated_time_rows_are_not_points_of_the_fit(theta_config, capsys):
     assert report["fits"] == {"0.5": None} and len(report["rows"]) == 4
 
 
-def test_huge_pair_strength_fails_in_one_line(theta_config):
-    # the integrator blows up; its numpy warnings used to print 20 lines first.
+def _uniform_kernel_config(theta_config, g, t):
     # A uniform kernel (a gaussian far wider than the lattice) adds the same
     # energy to every state of a sector, so H - D holds no interaction and the
-    # config passes the time guard; the mean-field phase turns at rate 8e307.
+    # config passes the Chebyshev bound; the mean-field phase turns at rate g.
     path, doc, tmp = theta_config
     path.write_text(json.dumps(dict(doc, mode_system=dict(
         _LATTICE, sites=3, hopping=1.0,
-        potential={"kind": "gaussian", "g": 8e307, "sigma": 1e10}),
-        state={"family": "product", "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]})))
-    proc = _cli("converge", "--config", path)
-    assert proc.returncode == 1
+        potential={"kind": "gaussian", "g": g, "sigma": 1e10}),
+        state={"family": "product", "phi": [[0.6, 0], [0.0, 0.8], [0, 0]]}, t_list=[t])))
+    return path
+
+
+def test_huge_pair_strength_fails_in_one_line(theta_config):
+    # the integrator used to blow up after 20 lines of numpy warnings, then in
+    # one line; the bound on the integrator's steps refuses it before it starts
+    # (``tests/test_hartree.py`` keeps the integrator's own one-line failure)
+    proc = _cli("converge", "--config", _uniform_kernel_config(theta_config, 8e307, 0.5))
+    assert proc.returncode == 3
     err = proc.stderr.splitlines()
-    assert err == ["error: integrator failed: Required step size is less than spacing "
-                   "between numbers."]
+    assert len(err) == 1 and err[0].startswith(
+        "capacity error: t_list: t=0.5 asks the mean-field integrator for |t s| = 4e+307")
+
+
+def test_a_stiff_mean_field_is_refused_at_once(theta_config):
+    # g = 1e4 at t = 1 took 11 s of DOP853 steps: |t s| = 1e4 + 4, s adding the
+    # absolute row sum 4 of h to the largest |v|
+    path = _uniform_kernel_config(theta_config, 1e4, 1.0)
+    start = time.perf_counter()
+    proc = _cli("converge", "--config", path)
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "capacity error: t_list: t=1.0 asks the mean-field integrator for |t s| = 1e+04")
+
+
+def test_a_subnormal_hopping_runs_without_warnings(theta_config):
+    # the plan used to divide by the subnormal half-width of H - D, and numpy
+    # printed an overflow and an invalid-value warning
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system={
+        "geometry": "dense", "h": [[0, 2e-311], [2e-311, 0]], "v": [[0, 0], [0, 0]]},
+        state={"family": "product", "phi": [[0.6, 0], [0.8, 0]]}, n_list=[2, 3, 4])))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_huge_contact_strength_is_refused_before_integrating(theta_config):

@@ -1,6 +1,7 @@
 """Fuzzing of experiment configs: a mutated config is either rejected with a
-ConfigError or describes a run whose components can be built (a single
-family is one component), and the CLI runs it to exit 0, 2 or 3."""
+ConfigError or a CapacityError or describes a run whose components can be
+built (a single family is one component), and the CLI runs it to exit 0, 2
+or 3."""
 
 import contextlib
 import copy
@@ -100,13 +101,19 @@ def test_unmutated_configs_are_valid(doc):
     fl.ExperimentConfig.from_dict(copy.deepcopy(doc))
 
 
+# a mutation hypothesis found: a huge h_00 makes |t r| = 1e4 at n = 6, which the
+# time guard refuses with a CapacityError (exit 3)
+_HUGE_H = _doc(dict(_DENSE, h=[[3332.0, -1], [-1, 0]]), copy.deepcopy(VALID[0]["state"]))
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=mutated_configs())
+@example(doc=_HUGE_H)
 def test_mutated_config_is_rejected_or_buildable(doc):
     try:
         cfg = fl.ExperimentConfig.from_dict(doc)
-    except fl.ConfigError:
+    except (fl.ConfigError, fl.CapacityError):
         return
     _superposition_spec(cfg, cfg.n_list[0])
 
@@ -125,12 +132,13 @@ def _end_to_end(test):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(doc=mutated_configs(), command=st.sampled_from(["converge", "superpose"]))
 @_end_to_end
+@example(doc=_HUGE_H, command="converge")
 def test_mutated_config_runs_end_to_end_or_exits_cleanly(doc, command):
     # the whole CLI on a mutated config: 0 with the bit-exact header, 2 for a
     # config error or 3 for a capacity error, never 1 or a traceback
     try:
         cfg = fl.ExperimentConfig.from_dict(copy.deepcopy(doc))
-    except fl.ConfigError:
+    except (fl.ConfigError, fl.CapacityError):
         pass
     else:  # keep the cells cheap
         assume(max(cfg.n_list) <= 6 and cfg.ms.d <= 3

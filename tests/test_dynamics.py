@@ -5,7 +5,7 @@ from math import sqrt
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
@@ -217,6 +217,9 @@ def test_evolution_matches_sector_eigh_on_random_systems(d, kind, cap, n, t, see
        top=st.integers(0, 8), n=st.integers(1, 8),
        pot=st.sampled_from(["contact", "neighbor", "gaussian", "uniform"]),
        g=st.floats(-5.0, 5.0), hopping=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+# a subnormal half-width, which the plan leaves unscaled
+@example(d=2, lattice=True, kind=fl.fixed, top=2, n=1, pot="contact", g=0.0, hopping=1e-311,
+         seed=0)
 def test_radius_bound_covers_the_plan_interval(d, lattice, kind, top, n, pot, g, hopping, seed):
     # the time guard of the config parser reads this bound in place of H
     rng = np.random.default_rng(seed)
@@ -226,11 +229,7 @@ def test_radius_bound_covers_the_plan_interval(d, lattice, kind, top, n, pot, g,
     else:
         v = np.full((d, d), g) if pot == "uniform" else g * rng.standard_normal((d, d))
         ms = fl.ModeSystem.dense(hopping * random_hermitian(d, rng), v)
-    H = fl.build_hamiltonian(ms, n, fl.enumerate_basis(d, kind(top)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the interval is found before the scaling, whose complex division
-        # overflows when the half-width is subnormal (a hopping of 1e-311)
-        plan = fl.make_plan(H)
+    plan = fl.make_plan(fl.build_hamiltonian(ms, n, fl.enumerate_basis(d, kind(top))))
     lo, hi = plan.interval
     rounding = 1e-12 * (1.0 + np.max(np.abs(plan.phase)))
     assert (hi - lo) / 2 <= _radius_bound(ms, n, top) + rounding

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import pdtrc
 
 import focklab as fl
-from focklab import harness
+from focklab import harness, states
 from focklab.harness import (
     CSV_HEADER,
     ConvergenceReport,
@@ -511,7 +511,7 @@ def test_coherent_cells_match_the_headroom_basis(run, doc, monkeypatch):
         k = _poisson_cutoff(n)
         assert ledger[str(n)] == {"n_max": k, "tail_mass": float(pdtrc(k, n))}
         assert 0 < ledger[str(n)]["tail_mass"] <= POISSON_TAIL_FLOOR
-    monkeypatch.setattr(harness, "_poisson_cutoff",
+    monkeypatch.setattr(states, "_poisson_cutoff",
                         lambda n: fl.weyl_headroom(sqrt(n)))
     got, want = _distances(rep), _distances(run(cfg))
     assert got.keys() == want.keys()

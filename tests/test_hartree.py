@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp  # the oracle of the stepper, and only here
 
 import focklab as fl
-from focklab.hartree import _A, _B, _D, _E3, _E5, _integrate
+from focklab.hartree import _A, _B, _D, _E3, _E5, _generator_bound, _integrate
 
 from conftest import random_hermitian, random_unit
 
@@ -207,6 +207,36 @@ def test_at_on_a_backward_trajectory(rng):
     back = fl.evolve_hartree(ms, fwd.states[-1], np.array([1.0, 0.5, 0.0]), tol=1e-12)
     assert (back.t_min, back.t_max) == (0.0, 1.0)
     assert np.linalg.norm(back.at(0.5) - fwd.at(0.5)) <= 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(d=st.integers(1, 5), lattice=st.booleans(),
+       pot=st.sampled_from(["contact", "neighbor", "gaussian", "uniform"]),
+       g=st.floats(-1e3, 1e3), hopping=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_generator_bound_covers_the_mean_field_spectrum(d, lattice, pot, g, hopping, seed):
+    # the config parser bounds the integrator's steps by max(t_list) times this
+    rng = np.random.default_rng(seed)
+    if lattice:
+        ms = fl.ModeSystem.lattice(d, hopping=hopping,
+                                   potential=("gaussian", g, 1e10) if pot == "uniform" else (pot, g))
+    else:
+        v = np.full((d, d), g) if pot == "uniform" else g * rng.standard_normal((d, d))
+        ms = fl.ModeSystem.dense(hopping * random_hermitian(d, rng), v)
+    phi = random_unit(d, rng)
+    generator = ms.h + np.diag(ms.mean_field_potential(phi))
+    assert np.max(np.abs(np.linalg.eigvalsh(generator))) <= _generator_bound(ms) * (1 + 1e-12)
+
+
+def test_a_huge_uniform_kernel_fails_in_one_line():
+    # the config parser refuses this system; the library still reports the
+    # step-size collapse as one error, without numpy warnings
+    ms = fl.ModeSystem.lattice(3, hopping=1.0, potential=("gaussian", 8e307, 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(fl.IntegrationError) as err:
+            fl.evolve_hartree(ms, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.5]), tol=1e-12)
+    assert str(err.value) == ("integrator failed: Required step size is less than spacing "
+                              "between numbers.")
 
 
 def test_csv_export_schema(tmp_path, rng):

@@ -98,20 +98,20 @@ def test_the_import_pin_sees_each_form(tmp_path):
                                 "mod.py:9: mpmath", "mod.py:13: pandas"]
 
 
-def _json_dump_calls(tree):
-    """The enclosing function of every ``json.dump`` call and ``from json
-    import dump``, in source order (None at module level)."""
+def _module_calls(tree, module, name):
+    """The enclosing function of every ``module.name`` call and ``from
+    module import name``, in source order (None at module level)."""
     found = []
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dump" and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "json"):
+                and node.func.attr == name and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == module):
             found.append(func)
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
-            found.extend(func for alias in node.names if alias.name == "dump")
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            found.extend(func for alias in node.names if alias.name == name)
         for child in ast.iter_child_nodes(node):
             visit(child, func)
 
@@ -119,10 +119,14 @@ def _json_dump_calls(tree):
     return found
 
 
-def test_json_files_are_written_only_by_fock_written():
-    calls = {path.name: _json_dump_calls(ast.parse(path.read_text(encoding="utf-8")))
+def _callers(module, name):
+    calls = {path.name: _module_calls(ast.parse(path.read_text(encoding="utf-8")), module, name)
              for path in sorted(_SRC.glob("*.py"))}
-    assert {name: found for name, found in calls.items() if found} == {"fock.py": ["_written"]}
+    return {name: found for name, found in calls.items() if found}
+
+
+def test_json_files_are_written_only_by_fock_written():
+    assert _callers("json", "dump") == {"fock.py": ["_written"]}
 
 
 def test_the_json_dump_pin_sees_each_form():
@@ -132,7 +136,23 @@ def test_the_json_dump_pin_sees_each_form():
         "def f(fh):\n    json.dumps({})\n    json.dump({}, fh, indent=1)\n"
         "class A:\n    def g(self):\n        from json import dump\n"
     )
-    assert _json_dump_calls(tree) == [None, "f", "g"]
+    assert _module_calls(tree, "json", "dump") == [None, "f", "g"]
+
+
+def test_csv_files_are_written_only_by_fock_written_csv():
+    assert _callers("csv", "writer") == {"fock.py": ["_written_csv"]}
+
+
+def test_the_csv_writer_pin_sees_each_form():
+    tree = ast.parse(
+        "import csv\n"
+        "csv.writer(None)\n"
+        "class Report:\n"
+        "    def to_csv(self, fh):\n"
+        "        csv.DictReader(fh)\n        w = csv.writer(fh, lineterminator='\\n')\n"
+        "def g():\n    from csv import reader, writer\n"
+    )
+    assert _module_calls(tree, "csv", "writer") == [None, "to_csv", "g"]
 
 
 _POTENTIAL_KINDS = {"contact", "neighbor", "gaussian"}
@@ -232,16 +252,21 @@ def _reads_occs(node):
     return isinstance(node, ast.Attribute) and node.attr == "occs"
 
 
+def _calls_to(tree, names):
+    """Lines of every call to a function in ``names``, by name or as an
+    attribute."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) in names
+                       or getattr(node.func, "attr", None) in names))
+
+
 def _occupation_lookups(tree):
     """Lines of every call to ``index_of`` or ``ndindex`` and of every
     comparison with an ``occs`` attribute, or a subscript of one, as an
     operand: the ways to find a state other than ``rank``."""
-    return sorted(node.lineno for node in ast.walk(tree)
-            if (isinstance(node, ast.Call)
-                and (getattr(node.func, "attr", None) in _LOOKUPS
-                     or getattr(node.func, "id", None) in _LOOKUPS))
-            or (isinstance(node, ast.Compare)
-                and any(map(_reads_occs, [node.left, *node.comparators]))))
+    return sorted(_calls_to(tree, _LOOKUPS) + [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(map(_reads_occs, [node.left, *node.comparators]))])
 
 
 def test_only_fock_finds_states_other_than_by_rank():
@@ -265,6 +290,28 @@ def test_the_rank_pin_sees_each_planted_lookup():
         "    return occs >= 0, v.occs_total > 0\n"
     )
     assert _occupation_lookups(tree) == [4, 5, 6, 7, 7, 8]
+
+
+# the rules of a sweep cell's sector, which ``states._cell_sector`` owns
+_CELL_RULES = {"fixed", "truncated", "_poisson_cutoff"}
+
+
+def test_the_harness_leaves_a_cells_sector_to_states():
+    tree = ast.parse((_SRC / "harness.py").read_text(encoding="utf-8"))
+    assert _calls_to(tree, _CELL_RULES) == []
+
+
+def test_the_cell_sector_pin_sees_each_planted_call():
+    tree = ast.parse(
+        '"""A cell on fixed(n), or truncated at _poisson_cutoff(n)."""\n'
+        "from .fock import fixed\n"
+        "def cell(kind, n):\n"
+        "    if kind == 'coherent':\n"
+        "        return fock.truncated(states._poisson_cutoff(n))\n"
+        "    return fixed(n)\n"
+        "rule = _poisson_cutoff\n"
+    )
+    assert _calls_to(tree, _CELL_RULES) == [5, 5, 6]
 
 
 def _unused_imports(source):
