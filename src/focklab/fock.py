@@ -530,7 +530,7 @@ def weyl_headroom(alpha_norm):
     """Recommended n_max K = (|alpha| + 4)^2 for displacements of size |alpha|.
 
     The particle number of C(alpha)|0> is Poisson(|alpha|^2), so the mass a
-    basis truncated at K drops is ``scipy.special.pdtrc(K, |alpha|^2)``.  It
+    basis truncated at K drops is ``states._poisson_tail(K, |alpha|^2)``.  It
     is at most ``POISSON_TAIL_FLOOR`` (1e-16) for |alpha|^2 <= 662, and above
     it from |alpha|^2 = 663 up (1.007e-16 there, 3.0e-16 at 5000, below 1e-15
     up to 1e8): ``coherent_state`` raises ``SectorError`` on such a basis.

@@ -29,7 +29,6 @@ from itertools import combinations
 from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
-from scipy.special import pdtrc
 
 from .combinatorics import admissible_m
 from .dynamics import _radius_bound, evolve_fock, make_plan
@@ -44,6 +43,7 @@ from .states import (
     _cell_sector,
     _check_components,
     _combine_components,
+    _poisson_tail,
     component_states,
     random_excitation,
 )
@@ -608,7 +608,7 @@ def _sweep(config, threads, family, score):
     metadata = _metadata(config, threads, time.perf_counter() - sweep_start)
     if config.kind == "coherent":
         metadata["truncation"] = {
-            str(n): {"n_max": k, "tail_mass": float(pdtrc(k, n))}
+            str(n): {"n_max": k, "tail_mass": _poisson_tail(k, n)}
             for n in config.n_list for _, k in [_cell_sector(config.kind, n)]
         }
     return ConvergenceReport(

@@ -20,14 +20,15 @@ conversions, too, find each state by its ``rank``.
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb, exp, inf, lgamma, sqrt
+from functools import lru_cache
+from math import comb, exp, factorial, fsum, inf, lgamma, log, nan, pi, sqrt
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .combinatorics import admissible_m, log_dnm
-from .errors import DegeneracyError, FocklabError, SectorError
+from .errors import CapacityError, DegeneracyError, FocklabError, SectorError
 from .fock import (
+    DEFAULT_STATE_CAP,
     FockVector,
     _is_truncated,
     enumerate_basis,
@@ -57,7 +58,7 @@ def _create_power(f, k, v):
     d = v.basis.d
     out = enumerate_basis(d, fixed(v.basis.n_max + k))
     j = enumerate_basis(d, fixed(k)).occs
-    log_fact = gammaln(np.arange(out.n_max + 1) + 1.0)  # log j!
+    log_fact = _log_factorials(out.n_max)  # log j!
     powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]  # f_p^j
     gain, log_j = powers[j, np.arange(d)].prod(axis=1), log_fact[j].sum(axis=1)
     coeffs = np.zeros(out.dim, dtype=complex)
@@ -75,19 +76,112 @@ def product_state(phi, n, basis):
     return theta_state(phi, None, n, "creation_polynomial", basis)
 
 
+def _log_factorials(n):
+    """log j! for j = 0..n: the logarithm of the exact j! while it is a finite
+    float (j <= 170, correctly rounded), ``math.lgamma`` above (within 2 ulp)."""
+    return np.array([log(factorial(j)) if j <= 170 else lgamma(j + 1) for j in range(n + 1)])
+
+
+def _xlogy(x, y):
+    """x log(y) elementwise, 0 where x == 0 (also where y == 0), for y >= 0;
+    the logarithms are ``math.log``'s."""
+    logs = np.array([log(v) if v > 0 else -inf for v in np.ravel(y)]).reshape(np.shape(y))
+    return x * np.where(x == 0, 0.0, logs)
+
+
+# the coefficients of stirlerr(j) ~ 1/(12 j) - 1/(360 j^3) + 1/(1260 j^5) - ...
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+
+
+def _stirlerr(j):
+    """log j! - (j + 1/2) log j + j - log sqrt(2 pi) for an integer j >= 1:
+    directly up to 15, else from as many terms of the asymptotic series as
+    Loader's cuts at 15, 35, 80 and 500 ask."""
+    if j <= 15:
+        return log(factorial(j)) - (j + 0.5) * log(j) + j - 0.5 * log(2 * pi)
+    used = 2 if j > 500 else 3 if j > 80 else 4 if j > 35 else 5
+    jj, s = j * j, 0.0
+    for c in reversed(_STIRLING[1:used]):
+        s = (c - s) / jj
+    return (_STIRLING[0] - s) / j
+
+
+def _bd0(x, m):
+    """x log(x / m) + m - x, the deviance term, for x, m > 0.  Within a
+    factor 3 of m it is the series (x - m) v + 2 x sum_j v^(2j+1) / (2j + 1),
+    v = (x - m) / (x + m), whose terms shrink by v^2 <= 1/4 and do not
+    cancel against the leading one for x > m."""
+    if not abs(x - m) < (x + m) / 2:
+        return x * log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s, ej, j = (x - m) * v, 2 * x * v, 1
+    while True:
+        ej *= v * v
+        s, last = s + ej / (2 * j + 1), s
+        if s == last:
+            return s
+        j += 1
+
+
+def _poisson_pmf(j, m):
+    """P(N = j) for N ~ Poisson(m), m >= 0, in Loader's saddle-point form
+    e^{-stirlerr(j) - bd0(j, m)} / sqrt(2 pi j) (as R's dpois), which keeps
+    its relative error near rounding where e^{-m} m^j / j! would take the
+    difference of two large logarithms."""
+    if j == 0 or m == 0:
+        return exp(-m) if j == 0 else 0.0
+    return exp(-_stirlerr(j) - _bd0(j, m)) / sqrt(2 * pi * j)
+
+
+def _poisson_tail(k, m):
+    """P(N > k) for N ~ Poisson(m), m >= 0, and an integer k >= 0: the sum of
+    the pmf from its end nearest the mode, j = k + 1 upwards when k + 2 > m,
+    else j = k downwards, whose complement it then is.  Each term is the
+    last times a ratio r < 1 that falls as j leaves the mode (m / (j + 1) up,
+    j / m down), so what follows a term is at most term r / (1 - r); the sum
+    stops where that cannot change it, after of order sqrt(m) terms (about
+    8200 at m = 5e6).  The lower sum is below 1/2, so its complement keeps
+    the relative error of the tail near rounding too.  ``_poisson_cutoff``
+    bounds m by ``DEFAULT_STATE_CAP``; an m that is not finite and >= 0 gives
+    NaN, which fails every check it meets."""
+    if not 0 <= m < inf:
+        return nan
+    up = k + 2 > m
+    j = k + 1 if up else k
+    total = term = _poisson_pmf(j, m)
+    terms = [term]
+    while True:
+        r = m / (j + 1) if up else j / m
+        if total + term * r / (1 - r) == total:
+            break
+        term *= r
+        total += term
+        terms.append(term)
+        j += 1 if up else -1
+    return fsum(terms) if up else 1.0 - fsum(terms)
+
+
+@lru_cache(maxsize=256)
 def _poisson_cutoff(n):
-    """Smallest K with pdtrc(K, n) = P(N > K) <= POISSON_TAIL_FLOOR for N ~
-    Poisson(n), the particle number of C(sqrt(n) phi)|0> with |phi| = 1.  The
-    tail decreases in K and is of order 1/2 at floor(n), where the search
-    starts: it doubles its step until the tail at hi is within the floor,
-    then bisects between hi and lo, the last K above it (or floor(n) - 1);
-    about 50 tail evaluations at n = 1e13."""
+    """Smallest K with _poisson_tail(K, n) = P(N > K) <= POISSON_TAIL_FLOOR
+    for N ~ Poisson(n), the particle number of C(sqrt(n) phi)|0> with |phi| =
+    1.  The tail decreases in K and is of order 1/2 at floor(n), where the
+    search starts: it doubles its step until the tail at hi is within the
+    floor, then bisects between hi and lo, the last K above it (or
+    floor(n) - 1).  Any basis that holds truncated(K) has at least
+    floor(n) + 1 states, so above n = DEFAULT_STATE_CAP it raises
+    CapacityError before evaluating a tail.  A sweep asks for each n's
+    cutoff three times (time guard, cell, truncation ledger), hence the
+    cache."""
+    if n > DEFAULT_STATE_CAP:
+        raise CapacityError(f"a coherent cell at n={n} needs a basis of more than "
+                            f"{DEFAULT_STATE_CAP} states")
     lo, hi = int(n) - 1, int(n)
-    while pdtrc(hi, n) > POISSON_TAIL_FLOOR:
+    while _poisson_tail(hi, n) > POISSON_TAIL_FLOOR:
         lo, hi = hi, 3 * hi - 2 * lo
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if pdtrc(mid, n) > POISSON_TAIL_FLOOR else (lo, mid)
+        lo, hi = (mid, hi) if _poisson_tail(mid, n) > POISSON_TAIL_FLOOR else (lo, mid)
     return hi
 
 
@@ -104,21 +198,22 @@ def coherent_state(phi, n, basis):
     log space so that every power stays finite at large n.
 
     The particle number is Poisson(n), so the state's squared norm on a
-    truncated basis is 1 - pdtrc(n_max, n); a basis whose dropped mass exceeds
-    POISSON_TAIL_FLOOR raises SectorError (``_poisson_cutoff(n)`` is the
-    smallest n_max accepted).
+    truncated basis is 1 - ``_poisson_tail(n_max, n)``; a basis whose dropped
+    mass exceeds POISSON_TAIL_FLOOR raises SectorError (``_poisson_cutoff(n)``
+    is the smallest n_max accepted).
     """
     phi = check_unit(phi)
     if not _is_truncated(basis):
         raise SectorError("coherent states need a truncated basis")
-    tail = pdtrc(basis.n_max, n)
+    tail = _poisson_tail(basis.n_max, n)
     if not tail <= POISSON_TAIL_FLOOR:
         raise SectorError(
             f"truncation n_max={basis.n_max} drops Poisson mass {tail:.3e} above "
             f"{POISSON_TAIL_FLOOR} for mean number {n}"
         )
     a, o = sqrt(n) * phi, np.arange(basis.n_max + 1)[:, None]
-    log_mag = xlogy(o, np.abs(a)) - 0.5 * gammaln(o + 1.0) - np.abs(a) ** 2 / 2
+    log_fact = _log_factorials(basis.n_max)[:, None]  # log o!
+    log_mag = _xlogy(o, np.abs(a)) - 0.5 * log_fact - np.abs(a) ** 2 / 2
     factor = np.exp(log_mag + 1j * o * np.angle(a))  # mode p, occupation o
     return FockVector(basis, factor[basis.occs, np.arange(basis.d)].prod(axis=1))
 

@@ -454,9 +454,8 @@ def _cli(*argv):
 
 
 def test_coherent_sweep_beyond_the_cap_exits_3_before_the_cutoff_search(theta_config):
-    # the cutoff search bisects in about 50 tail evaluations at n = 1e13
-    # (stepping up one K at a time took hours); the basis truncated at that
-    # cutoff is then refused before anything is allocated
+    # any basis that holds a cell at n = 1e13 has more than 1e13 states, so
+    # the cutoff search refuses it before evaluating a single Poisson tail
     path, doc, tmp = theta_config
     doc = dict(doc, state={"family": "coherent", "phi": doc["state"]["phi"]},
                n_list=[10**13])

@@ -290,9 +290,11 @@ def test_harmonic_number_approaches_zeta():
 
 
 def test_zeta_partial_sum_with_tail_correction():
+    # Euler-Maclaurin within 1e-14 of scipy on (1, 64]
     import scipy.special
 
-    assert zeta(1.5) == pytest.approx(float(scipy.special.zeta(1.5)), abs=1e-6)
+    for s in [*(1 + np.geomspace(1e-12, 63, 200)), 1.5, 2.0, 64.0]:
+        assert zeta(s) == pytest.approx(float(scipy.special.zeta(s)), rel=1e-14, abs=0)
     assert zeta(2.0) == pytest.approx(pi**2 / 6, abs=1e-6)
 
 

@@ -1,5 +1,6 @@
 """Exact propagation, its norm contract, fluctuation-frame propagator."""
 
+import warnings
 from math import sqrt
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 import focklab as fl
 from focklab.dynamics import _bessel_series, _radius_bound
@@ -174,6 +176,51 @@ def test_tiny_times_give_series_of_degree_zero_and_one(rng, tr, degree):
     v = random_fock(b, rng)
     got = fl.evolve_fock(plan, v, t)
     assert np.linalg.norm(got.coeffs - _sector_eigh_oracle(H, v, t)) < 1e-14
+
+
+# the x grid of tests/test_tolerances.py's Chebyshev truncation test
+_BESSEL_GRID = np.concatenate([[0.0, 1e-289, 1e-12, 3e-9],
+                               np.geomspace(1e-3, 1e4, 57), -np.geomspace(1e-3, 1e4, 8)])
+
+
+def test_bessel_series_has_the_length_and_values_of_jv():
+    # jv itself drifts from the true J_k by up to 3.3e-15 at |x| = 100 and
+    # 9.0e-14 at 1e4 (against mpmath), so values are compared up to |x| = 32;
+    # the next test checks the whole grid against mpmath
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in _BESSEL_GRID:
+            j = _bessel_series(x)
+            k = np.arange(j.size + 200)
+            ref = jv(k, x)
+            assert j.size == np.flatnonzero((k > abs(x)) & (np.abs(ref) < 1e-18))[0]
+            if abs(x) <= 32:
+                assert np.max(np.abs(j - ref[:j.size])) <= 1e-15
+
+
+def _mp_bessel(x, size, mpmath):
+    """J_0(x) .. J_{size-1}(x) at 40 digits: Miller's recurrence started 3 size
+    + 40 terms up, normalized by J_0 + 2 sum J_2k = 1."""
+    with mpmath.workdps(40):
+        a, top = mpmath.mpf(abs(x)), 3 * size + 40
+        f = [mpmath.mpf(0)] * (top + 2)
+        f[top] = mpmath.mpf(1)
+        for k in range(top, 0, -1):
+            f[k - 1] = 2 * k / a * f[k] - f[k + 1]
+        norm = f[0] + 2 * mpmath.fsum(f[2::2])
+        return np.array([float(f[k] / norm) * (-1 if x < 0 and k % 2 else 1)
+                         for k in range(size)])
+
+
+def test_bessel_series_is_exact_to_1e_15_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for x in _BESSEL_GRID[::4]:
+        j = _bessel_series(x)
+        ref = np.array([1.0]) if x == 0 else _mp_bessel(x, j.size, mpmath)
+        assert np.max(np.abs(j - ref)) <= 1e-15
+    j = _bessel_series(1000.0)  # the reference recurrence against mpmath's own J_k
+    for k in (0, 7, 500, 997, 1005):
+        assert abs(j[k] - float(mpmath.besselj(k, 1000.0))) <= 1e-15
 
 
 def test_backward_time_undoes_forward_time(rng):

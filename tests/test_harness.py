@@ -5,7 +5,6 @@ from math import sqrt
 
 import numpy as np
 import pytest
-from scipy.special import pdtrc
 
 import focklab as fl
 from focklab import harness, states
@@ -17,7 +16,7 @@ from focklab.harness import (
     report_from_csv,
 )
 from focklab.invariants import run_invariant_suite
-from focklab.states import POISSON_TAIL_FLOOR, _poisson_cutoff
+from focklab.states import POISSON_TAIL_FLOOR, _poisson_cutoff, _poisson_tail
 from focklab.tolerances import EXACT_REGIME_TOL
 
 
@@ -509,7 +508,7 @@ def test_coherent_cells_match_the_headroom_basis(run, doc, monkeypatch):
     assert set(ledger) == {str(n) for n in cfg.n_list}
     for n in cfg.n_list:
         k = _poisson_cutoff(n)
-        assert ledger[str(n)] == {"n_max": k, "tail_mass": float(pdtrc(k, n))}
+        assert ledger[str(n)] == {"n_max": k, "tail_mass": float(_poisson_tail(k, n))}
         assert 0 < ledger[str(n)]["tail_mass"] <= POISSON_TAIL_FLOOR
     monkeypatch.setattr(states, "_poisson_cutoff",
                         lambda n: fl.weyl_headroom(sqrt(n)))

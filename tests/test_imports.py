@@ -5,7 +5,9 @@ is scipy.  Only the standard library and the packages below may be imported
 at module level; heavier ones belong inside the function that needs them.
 The mean-field integrator is focklab's own, so a sweep loads neither
 scipy.integrate nor what it imports in turn (scipy.optimize, scipy.linalg,
-scipy.sparse.linalg).
+scipy.sparse.linalg).  So are the Bessel series, the Poisson tail, the
+log-factorials and zeta, so neither a sweep nor the quick invariant suite
+loads scipy.special.
 """
 
 import ast
@@ -17,7 +19,7 @@ from pathlib import Path
 import focklab
 
 _SRC = Path(focklab.__file__).parent
-ALLOWED = {"numpy", "scipy.sparse", "scipy.special"}
+ALLOWED = {"numpy", "scipy.sparse"}
 
 
 def _module_level_imports(tree):
@@ -52,9 +54,18 @@ def test_module_level_imports_are_the_standard_library_and_a_pinned_set():
     assert offenders == []
 
 
-_SWEEPS = """
+_RUNS = """
 import sys
 import focklab as fl
+from focklab.cli import main
+
+
+def unwanted():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"],
+                                          ["scipy", "special"])
+                  or m.split(".")[:3] == ["scipy", "sparse", "linalg"])
+
 
 lattice = {"geometry": "lattice", "sites": 3, "potential": {"kind": "contact", "g": 1.0}}
 phi = [[0.6, 0], [0.0, 0.8], [0, 0]]
@@ -65,19 +76,22 @@ fl.run_superposition_sweep(fl.ExperimentConfig.from_dict({
     "mode_system": lattice, "n_list": [2, 3], "t_list": [0.5],
     "state": {"family": "superposition", "kind": "coherent", "components": [
         {"phi": phi, "coeff": 1.0}, {"phi": [[0, 0], [0.6, 0], [0.8, 0]], "coeff": 1.0}]}}))
-print(sorted(m for m in sys.modules
-             if m.split(".")[:2] in (["scipy", "integrate"], ["scipy", "optimize"])
-             or m.split(".")[:3] == ["scipy", "sparse", "linalg"]))
+print(unwanted())
+assert main(["check", "--level", "quick", "--out", sys.argv[1]]) == 0
+print(unwanted())
 """
 
 
-def test_sweeps_load_no_scipy_integrate_optimize_or_sparse_linalg():
+def test_sweeps_and_the_quick_suite_load_no_scipy_special_integrate_or_optimize(tmp_path):
+    # nor scipy.sparse.linalg; the quick suite loads scipy.linalg for the
+    # Weyl displacement block, inside ``fock._spectrum``
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(_SRC.parent)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", _SWEEPS], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _RUNS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]"]
+    out = proc.stdout.splitlines()
+    assert out[0] == "[]" and out[-1] == "[]"
 
 
 def test_the_import_pin_sees_each_form(tmp_path):
@@ -94,7 +108,8 @@ def test_the_import_pin_sees_each_form(tmp_path):
         "class A:\n    import pandas\n"
         "def f():\n    import scipy.stats\n"
     )
-    assert _offenders(path) == ["mod.py:6: scipy.linalg", "mod.py:7: scipy.optimize",
+    assert _offenders(path) == ["mod.py:3: scipy.special", "mod.py:4: scipy.special.gammaln",
+                                "mod.py:6: scipy.linalg", "mod.py:7: scipy.optimize",
                                 "mod.py:9: mpmath", "mod.py:13: pandas"]
 
 

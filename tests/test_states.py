@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, pdtrc
+from scipy.special import gammaln, pdtrc, xlogy
 
 import focklab as fl
 from focklab.fock import rank
@@ -15,8 +15,11 @@ from focklab.states import (
     _combine_components,
     _create_power,
     _fixed_from_tensor,
+    _log_factorials,
     _poisson_cutoff,
+    _poisson_tail,
     _tensor_from_fixed,
+    _xlogy,
     component_states,
 )
 
@@ -119,6 +122,70 @@ def test_poisson_cutoff_bisection_matches_the_linear_search():
 
     grid = [*range(1001), 0.5, 7.3, 1e4, 1e5, 123456, 1e6]
     assert [_poisson_cutoff(n) for n in grid] == [linear(n) for n in grid]
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_m=st.floats(-3, np.log10(2e5)), where=st.floats(0, 1))
+def test_poisson_tail_matches_pdtrc(log_m, where):
+    # k from floor(m) to 5 past the cutoff; pdtrc itself drifts above m of
+    # about 3e5 (next test), so this oracle stops at 2e5
+    m = 10.0**log_m
+    k = int(m) + round(where * (_poisson_cutoff(m) + 5 - int(m)))
+    assert _poisson_tail(k, m) == pytest.approx(pdtrc(k, m), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("m", [1e-3, 0.5, 7.3, 1000.0, 2e5, 1e6, 5e6])
+def test_poisson_tail_matches_mpmath_up_to_the_cap(m):
+    # pdtrc errs by 1.4e-12 relative at m = 2.9e5, 5.6e-6 at 9.1e5 and 9.4e-3
+    # at 5e6 (k of m + 4.5 sqrt(m)) against this oracle
+    mpmath = pytest.importorskip("mpmath")
+    top = _poisson_cutoff(m) + 5
+    for k in sorted({int(m), int(m + sqrt(m)), int(m + 4.5 * sqrt(m)), top - 5, top}):
+        with mpmath.workdps(60):  # the tail at m = 1e-3 is 2.8e-37
+            want = 1 - mpmath.gammainc(k + 1, m, mpmath.inf, regularized=True)
+        assert _poisson_tail(k, m) == pytest.approx(float(want), rel=1e-12, abs=0)
+
+
+def test_poisson_cutoff_refuses_beyond_the_cap_before_any_tail(monkeypatch):
+    # a basis holding truncated(K), K >= floor(n), has floor(n) + 1 states or more
+    k = _poisson_cutoff(fl.fock.DEFAULT_STATE_CAP)
+    assert _poisson_tail(k, fl.fock.DEFAULT_STATE_CAP) <= POISSON_TAIL_FLOOR
+
+    def no_tail(k, m):
+        raise AssertionError("a tail was evaluated")
+
+    monkeypatch.setattr(fl.states, "_poisson_tail", no_tail)
+    with pytest.raises(fl.CapacityError):
+        _poisson_cutoff(fl.fock.DEFAULT_STATE_CAP + 1)
+
+
+@pytest.mark.parametrize("n", [float("nan"), -1.0, float("inf")])
+def test_coherent_state_refuses_a_mean_number_that_is_not_finite_and_nonnegative(n):
+    # the tail is NaN there, which fails the floor check; a NaN term would
+    # never let the tail's series stop
+    with pytest.raises(fl.SectorError):
+        fl.coherent_state(np.array([1.0, 0.0]), n, fl.enumerate_basis(2, fl.truncated(10)))
+
+
+def test_log_factorials_match_gammaln_and_mpmath():
+    # up to 170 the table is log of the exact j!; above, math.lgamma and
+    # gammaln each miss log j! by up to about 2 ulp, so they differ by up to 4
+    # (at j = 4390)
+    mpmath = pytest.importorskip("mpmath")
+    got, j = _log_factorials(20000), np.arange(20001)
+    ref = gammaln(j + 1.0)
+    assert np.all(np.abs(got - ref) <= np.where(j <= 170, 2, 4) * np.spacing(ref))
+    for i in [*range(171), 4390, *range(171, 20001, 997)]:
+        want = float(mpmath.loggamma(i + 1))
+        assert abs(got[i] - want) <= (0 if i <= 170 else 2) * np.spacing(want)
+
+
+def test_xlogy_is_scipys_bit_for_bit():
+    x = np.arange(60)[:, None]
+    y = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0, 2.5, 17.0, 1e5, 1e300])
+    got = _xlogy(x, y)
+    assert np.array_equal(got, xlogy(x, y))
+    assert np.all(got[0] == 0.0) and np.all(got[1:, 0] == -np.inf)
 
 
 def test_weyl_headroom_keeps_the_poisson_floor_up_to_n_662():
@@ -267,10 +334,11 @@ def test_theta_into_truncated_basis(rng):
 def _scan_create_power(f, k, v):
     """a*(f)^k v / sqrt(k!) found by scanning all of fixed(m + k) for the
     occupations N >= o of each support state o: the form ``_create_power``
-    had before it read the ranks of o + j, with the same float operations."""
+    had before it read the ranks of o + j, with the same float operations and
+    the library's own log-factorial table."""
     out = _fixed(v.basis.d, v.basis.n_max + k)
     powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]
-    log_fact = gammaln(np.arange(out.n_max + 1) + 1.0)
+    log_fact = _log_factorials(out.n_max)
     log_target = 0.5 * log_fact[out.occs].sum(axis=1) + 0.5 * log_fact[k]
     coeffs, modes = np.zeros(out.dim, dtype=complex), np.arange(v.basis.d)
     for i in np.flatnonzero(v.coeffs):
