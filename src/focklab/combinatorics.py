@@ -54,6 +54,12 @@ def admissible_m(n):
     return max(0, isqrt(7 + 3 * n) - 3)
 
 
+def _check_admissible(m, n):
+    """ValueError unless the excitation size m is at most ``admissible_m(n)``."""
+    if m > admissible_m(n):
+        raise ValueError(f"m={m} exceeds admissible bound {admissible_m(n)} at n={n}")
+
+
 @dataclass(frozen=True)
 class ThetaCoefficients:
     """Sector-norm coefficients A_0..A_{n-m} of the displaced state.
@@ -81,8 +87,6 @@ def theta_weyl_coefficients(n, m):
     A_k = |b_k|.  Equivalent to the log-domain Laguerre expression but free
     of overflow and cancellation blow-up.
     """
-    if not 0 <= m <= n or n < 1:
-        raise ValueError("need 1 <= n and 0 <= m <= n")
     ld = log_dnm(n, m)
     K = n - m
     k = np.arange(K, dtype=float)
@@ -178,8 +182,7 @@ def weighted_number_moment(n, m, delta):
         + (sqrt(2)/2 - 1/2)^{-1} (n-m+1)^{-1/2} (H_{delta+1/2}(n-m+1) - 1)
         + (n-m+2)^{-delta}.
     """
-    if m > admissible_m(n):
-        raise ValueError(f"m={m} exceeds admissible size {admissible_m(n)} for n={n}")
+    _check_admissible(m, n)
     if delta <= 0.25:
         raise ValueError("delta must be 1/4 + eps with eps > 0")
     coeff = theta_weyl_coefficients(n, m)

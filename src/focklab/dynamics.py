@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import KrylovError, SectorError
-from .fock import (FockVector, SparseOperator, _is_truncated, build_hamiltonian,
+from .fock import (FockVector, SparseOperator, _require_truncated, build_hamiltonian,
                    weyl_apply, weyl_headroom)
 from .tolerances import DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL
 
@@ -187,8 +187,7 @@ def fluctuation_apply(n, trajectory, v: FockVector, t):
     ``weyl_headroom`` basis.
     """
     basis = v.basis
-    if not _is_truncated(basis):
-        raise SectorError("the fluctuation propagator needs a truncated basis")
+    _require_truncated(basis, "the fluctuation propagator")
     need = weyl_headroom(sqrt(n))
     if basis.n_max < need:
         raise SectorError(

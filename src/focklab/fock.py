@@ -62,10 +62,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import CapacityError, SectorError
-from .modes import ModeSystem
-from .tolerances import HERMITICITY_TOL
-
-DEFAULT_STATE_CAP = 5_000_000
+from .tolerances import DEFAULT_STATE_CAP, HERMITICITY_TOL, check_hermitian
 
 
 def _integer(x, what):
@@ -111,6 +108,12 @@ def _is_truncated(basis):
     """True on a truncated basis, whose column 0 varies freely; False on a
     fixed sector, where it is n - total."""
     return _layout(basis.d, basis.sector)[0] == basis.d
+
+
+def _require_truncated(basis, what):
+    """SectorError unless ``basis`` is truncated; ``what`` names the operation."""
+    if not _is_truncated(basis):
+        raise SectorError(f"{what} needs a truncated basis")
 
 
 def sector_dimension(d, sector):
@@ -332,9 +335,8 @@ class SparseOperator:
     def __post_init__(self):
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
             raise ValueError("matrix shape does not match basis dimension")
-        if self.hermitian and not abs(self.matrix - self.matrix.getH()).max() <= HERMITICITY_TOL:
-            raise ValueError(
-                f"operator flagged Hermitian but is not ({HERMITICITY_TOL})")
+        if self.hermitian:
+            check_hermitian(self.matrix, "operator")
 
     def apply(self, v):
         if v.basis != self.basis:
@@ -374,15 +376,21 @@ def ladder_apply(kind, p, v):
     return field_apply(kind, _unit_mode(p, v.basis.d), v)
 
 
+def _mode_vector(x, d, what):
+    """``x`` as a complex array; ValueError unless it has length d and finite
+    entries."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (d,):
+        raise ValueError(f"{what} must have length d={d}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _smearing(kind, f, basis):
     if kind not in ("create", "annihilate"):
         raise ValueError(f"ladder kind must be create|annihilate, got {kind!r}")
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (basis.d,):
-        raise ValueError(f"smearing vector must have length d={basis.d}")
-    if not np.all(np.isfinite(f)):
-        raise ValueError(f"smearing vector f must be finite, got {f}")
-    return f
+    return _mode_vector(f, basis.d, "smearing vector f")
 
 
 def _ladder_target(basis, step):
@@ -504,8 +512,9 @@ def number_operator(basis):
     return SparseOperator(basis=basis, matrix=mat, hermitian=True)
 
 
-def build_hamiltonian(ms: ModeSystem, n_scale, basis):
-    """H = dGamma(h) + (1/2n) sum_pq v(p,q) a+_p a+_q a_q a_p.
+def build_hamiltonian(ms, n_scale, basis):
+    """H = dGamma(h) + (1/2n) sum_pq v(p,q) a+_p a+_q a_q a_p, with h and v
+    those of the ModeSystem ``ms`` and n = ``n_scale``.
 
     The interaction is diagonal in the occupation basis:
     a+_p a+_q a_q a_p |occ> = occ_p * occ_q |occ> for p != q and
@@ -668,13 +677,8 @@ def weyl_apply(alpha, v):
     when a pass would hold more than ``DEFAULT_STATE_CAP`` entries.
     """
     basis = v.basis
-    if not _is_truncated(basis):
-        raise SectorError("Weyl displacement needs a truncated basis")
-    alpha = np.asarray(alpha, dtype=complex)
-    if alpha.shape != (basis.d,):
-        raise ValueError(f"alpha must have length d={basis.d}")
-    if not np.all(np.isfinite(alpha)):
-        raise ValueError(f"displacement alpha must be finite, got {alpha}")
+    _require_truncated(basis, "Weyl displacement")
+    alpha = _mode_vector(alpha, basis.d, "displacement alpha")
     d, n, m = basis.d, basis.n_max, np.count_nonzero(alpha)
     if m == 0 or v.norm() == 0.0:
         return v.copy(), 0.0
@@ -691,8 +695,7 @@ def weyl_apply(alpha, v):
 def sector_project(n, v):
     """P_n: zero every coefficient outside total occupation n."""
     basis = v.basis
-    if not _is_truncated(basis):
-        raise SectorError("sector projection is defined on truncated bases")
+    _require_truncated(basis, "sector projection")
     c = np.zeros_like(v.coeffs)
     sl = basis.sector_slice(n)
     c[sl] = v.coeffs[sl]

@@ -30,7 +30,7 @@ from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
 
-from .combinatorics import admissible_m
+from .combinatorics import _check_admissible, admissible_m
 from .dynamics import _radius_bound, evolve_fock, make_plan
 from .errors import CapacityError, ConfigError, DegeneracyError, ExactRegimeError
 from .fock import _written, _written_csv, build_hamiltonian, enumerate_basis
@@ -299,9 +299,7 @@ class ExperimentConfig:
         for n in cfg.n_list:
             m_n = [c.m_schedule.value(n) for c in components]
             for m in m_n:
-                if m > admissible_m(n):
-                    raise ConfigError(
-                        f"m={m} exceeds admissible bound {admissible_m(n)} at n={n}")
+                _check_admissible(m, n)
             if ms.d < 2 and any(m_n):
                 raise ConfigError("an excitation (m > 0) needs at least 2 modes")
             try:
@@ -499,7 +497,7 @@ def fit_rate(report, t):
     A = np.stack([x, np.ones_like(x)], axis=1)
     (slope, intercept), res, _rank, _sv = np.linalg.lstsq(A, y, rcond=None)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if len(res) else float(np.sum((y - A @ [slope, intercept]) ** 2))
+    ss_res = float(res[0])  # 3 or more distinct n: A has full rank and more rows than columns
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return FitResult(slope=float(slope), intercept=float(intercept), r2=float(r2))
 

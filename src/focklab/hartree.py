@@ -81,14 +81,15 @@ class HartreeTrajectory:
         return float(np.max(self.times))
 
     def at(self, t):
-        """phi_t for any t the trajectory covers, integrated from the first
-        sample with the trajectory's own tolerance; the sampling plays no part.
+        """phi_t for any t the trajectory covers: the last state of
+        ``evolve_hartree`` from the first sample to t with the trajectory's
+        own tolerance, so the sampling plays no part and the ledger checks it.
         """
         if not self.t_min - TIME_TOL <= t <= self.t_max + TIME_TOL:
             raise IntegrationError(
                 f"time {t} outside stored trajectory [{self.t_min}, {self.t_max}]"
             )
-        return _integrate(self.ms, self.states[0], self.times[0], t, self.tol)
+        return evolve_hartree(self.ms, self.states[0], [self.times[0], t], self.tol).states[-1]
 
     def to_csv(self, path):
         """Columns: t, Re phi_p, Im phi_p (p = 0..d-1), norm, energy."""
@@ -101,22 +102,23 @@ class HartreeTrajectory:
 def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     """Integrate the mean-field equation over t_grid (may run backwards).
 
-    Raises IntegrationError on step-size collapse or when the norm drifts by
-    more than NORM_DRIFT_TOL (energy: ENERGY_DRIFT_TOL) anywhere on the output
-    grid.
+    Raises ValueError for a time that is not finite, and IntegrationError on
+    step-size collapse or when the norm drifts by more than NORM_DRIFT_TOL
+    (energy: ENERGY_DRIFT_TOL) anywhere on the output grid.
     """
     phi0 = check_unit(phi0, "phi0")
     if not 0 < tol < np.inf:  # a nan tolerance would never let the integrator finish
         raise ValueError("tol must be finite and positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid)):  # an infinite span would never finish
+        raise ValueError(f"t_grid times must be finite, got {t_grid}")
     if len(t_grid) == 1 or np.all(t_grid == t_grid[0]):
         states = np.array([phi0])
         return _finish(ms, np.array([t_grid[0]]), states, tol)
     if not (np.all(np.diff(t_grid) > 0) or np.all(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be strictly monotone")
 
-    states = _integrate(ms, phi0, t_grid[0], t_grid[-1], tol, t_eval=t_grid)
-    return _finish(ms, t_grid, states.T, tol)
+    return _finish(ms, t_grid, _integrate(ms, phi0, t_grid, tol).T, tol)
 
 
 # The DOP853 tableau: _A[s, :s] are the stage weights of stage s, row 12
@@ -186,16 +188,15 @@ _D = np.array([[row.get(j, 0.0) for j in range(16)] for row in (
 )])
 
 
-def _integrate(ms, phi0, t0, t1, tol, t_eval=None):
-    """phi_t from phi0 at t0 by DOP853: at each time of ``t_eval`` (a
-    monotone grid from t0 to t1), one column per time, read from the dense
-    output of the step that reached it; else at t1, the last step's end.
+def _integrate(ms, phi0, t_eval, tol):
+    """phi_t from phi0 at t_eval[0] by DOP853 at each time of ``t_eval``, a
+    strictly monotone grid: one column per time, read from the dense output
+    of the step that reached it.
 
     A blow-up shows as the failure below, not as numpy warnings, and the
     drift checks of ``_finish`` catch any NaN.
     """
-    if t1 == t0:
-        return phi0
+    t0, t1 = t_eval[0], t_eval[-1]
     rtol, atol = max(tol, HARTREE_RTOL_FLOOR), tol * 1e-2
     direction = np.sign(t1 - t0)
     reached, cols = 0, []  # grid times already read, and their states
@@ -249,24 +250,24 @@ def _integrate(ms, phi0, t0, t1, tol, t_eval=None):
                     break
                 h_abs *= max(0.2, 0.9 * error ** (-1 / 8))
                 rejected = True
-            if t_eval is not None:  # the grid times this step passed
-                ahead = np.searchsorted(direction * t_eval, direction * t_new, side="right")
-                if ahead > reached:
-                    for s in range(13, 16):  # the dense output's extra stages
-                        K[s] = rhs(y + np.dot(K[:s].T, _A[s, :s]) * h)
-                    dy = y_new - y
-                    F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(_D, K))]
-                    x = ((t_eval[reached:ahead] - t) / (t_new - t))[:, None]
-                    col = np.zeros((len(x), len(y)), dtype=y.dtype)
-                    for k, c in enumerate(reversed(F)):
-                        col += c
-                        col *= x if k % 2 == 0 else 1 - x
-                    col += y
-                    cols.append(col.T)
-                    reached = ahead
+            # the grid times this step passed
+            ahead = np.searchsorted(direction * t_eval, direction * t_new, side="right")
+            if ahead > reached:
+                for s in range(13, 16):  # the dense output's extra stages
+                    K[s] = rhs(y + np.dot(K[:s].T, _A[s, :s]) * h)
+                dy = y_new - y
+                F = [dy, h * f - dy, 2 * dy - h * (f_new + f), *(h * np.dot(_D, K))]
+                x = ((t_eval[reached:ahead] - t) / (t_new - t))[:, None]
+                col = np.zeros((len(x), len(y)), dtype=y.dtype)
+                for k, c in enumerate(reversed(F)):
+                    col += c
+                    col *= x if k % 2 == 0 else 1 - x
+                col += y
+                cols.append(col.T)
+                reached = ahead
             t, y, f = t_new, y_new, f_new
             if direction * (t - t1) >= 0:
-                return y if t_eval is None else np.hstack(cols)
+                return np.hstack(cols)
 
 
 def _finish(ms, times, states, tol):

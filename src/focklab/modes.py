@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .tolerances import HERMITICITY_TOL
+from .tolerances import DEFAULT_STATE_CAP, check_hermitian
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,7 @@ class ModeSystem:
             raise ValueError(f"h and v must be {self.d}x{self.d}")
         if not (np.all(np.isfinite(h)) and np.all(np.isfinite(v))):
             raise ValueError("h and v must have finite entries")
-        if not np.max(np.abs(h - h.conj().T)) <= HERMITICITY_TOL:
-            raise ValueError(f"h is not Hermitian to {HERMITICITY_TOL}")
+        check_hermitian(h, "h")
         if not np.array_equal(v, v.T):
             raise ValueError("v must be exactly symmetric")
         # (h + h^H)/2, halved first so that no entry can overflow; it is h
@@ -72,8 +71,6 @@ class ModeSystem:
         Any other kind, a sigma on contact or neighbor, or a sigma <= 0 raises
         a one-line ValueError that names the kind or sigma.
         """
-        from .fock import DEFAULT_STATE_CAP  # fock imports this module
-
         if type(sites) is not int or sites < 1:
             raise ValueError(f"sites: expected an integer >= 1, got {sites!r}")
         if sites**2 > DEFAULT_STATE_CAP:

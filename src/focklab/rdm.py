@@ -14,14 +14,7 @@ import numpy as np
 
 from .fock import FockVector, _written, ladder_apply
 from .fock import ladder_matrix  # noqa: F401 -- unused; perfbench traces this import site
-from .tolerances import HERMITICITY_TOL, PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_unit
-
-
-def _hermitian(rho, what):
-    """``rho`` unchanged; ValueError unless it is Hermitian to HERMITICITY_TOL."""
-    if not np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL:
-        raise ValueError(f"{what} is not Hermitian to {HERMITICITY_TOL}")
-    return rho
+from .tolerances import PSD_FLOOR, TRACE_TOL, WEIGHT_SUM_TOL, check_hermitian, check_unit
 
 
 @dataclass
@@ -32,7 +25,7 @@ class OneParticleDM:
     trace_raw: float
 
     def __post_init__(self):
-        rho = _hermitian(np.asarray(self.rho, dtype=complex), "reduced density matrix")
+        rho = check_hermitian(np.asarray(self.rho, dtype=complex), "reduced density matrix")
         evals = np.linalg.eigvalsh(rho)
         if not evals.min() >= PSD_FLOOR:
             raise ValueError(
@@ -94,7 +87,7 @@ def distance(rho1, rho2, norm="trace"):
     satisfy operator <= hilbert_schmidt <= trace, and trace <= 2 *
     hilbert_schmidt whenever one argument is a rank-one projection.
     """
-    a, b = (r.rho if isinstance(r, OneParticleDM) else _hermitian(np.asarray(r), "matrix")
+    a, b = (r.rho if isinstance(r, OneParticleDM) else check_hermitian(np.asarray(r), "matrix")
             for r in (rho1, rho2))
     if a.shape != b.shape:
         raise ValueError("density matrices have different dimensions")

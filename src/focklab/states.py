@@ -25,12 +25,12 @@ from math import comb, exp, factorial, fsum, inf, lgamma, log, nan, pi, sqrt
 
 import numpy as np
 
-from .combinatorics import admissible_m, log_dnm
+from .combinatorics import _check_admissible, log_dnm
 from .errors import CapacityError, DegeneracyError, FocklabError, SectorError
 from .fock import (
-    DEFAULT_STATE_CAP,
     FockVector,
     _is_truncated,
+    _require_truncated,
     enumerate_basis,
     field_apply,
     fixed,
@@ -39,9 +39,9 @@ from .fock import (
     vacuum,
     weyl_apply,
 )
-from .tolerances import (DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL, ORTHOGONALITY_TOL,
-                         OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL, POISSON_TAIL_FLOOR,
-                         check_unit)
+from .tolerances import (DEFAULT_STATE_CAP, DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL,
+                         ORTHOGONALITY_TOL, OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL,
+                         POISSON_TAIL_FLOOR, check_unit)
 
 
 def _embed_sector(coeffs, n, basis):
@@ -203,8 +203,7 @@ def coherent_state(phi, n, basis):
     is the smallest n_max accepted).
     """
     phi = check_unit(phi)
-    if not _is_truncated(basis):
-        raise SectorError("coherent states need a truncated basis")
+    _require_truncated(basis, "a coherent state")
     tail = _poisson_tail(basis.n_max, n)
     if not tail <= POISSON_TAIL_FLOOR:
         raise SectorError(
@@ -473,10 +472,7 @@ def superposition(spec, n, basis):
     """
     if spec.kind == "theta":
         for m in spec.m_schedule:
-            if m > admissible_m(n):
-                raise ValueError(
-                    f"excitation size {m} exceeds admissible bound {admissible_m(n)} at n={n}"
-                )
+            _check_admissible(m, n)
     state, coeffs_n, _ = _combine_components(spec.coeffs, component_states(spec, n, basis))
     return state, coeffs_n
 

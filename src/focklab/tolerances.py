@@ -1,5 +1,5 @@
-"""Every numerical tolerance of the library, each defined once, and the
-unit-norm check.
+"""Every numerical tolerance and work cap of the library, each defined once,
+and the unit-norm and Hermiticity checks.
 
 The other modules' checks compare against these values only, each in the
 form ``not value <= TOL`` (or ``>=`` for a floor), so that a NaN fails it.
@@ -63,6 +63,7 @@ SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficien
 # largest |t| r a config may ask, r the Gershgorin half-width of H - D, and
 # largest |t| s, s bounding the spectral radius of the mean-field generator
 MAX_TIME_RADIUS = 1e4
+DEFAULT_STATE_CAP = 5_000_000  # most basis states, h entries or Weyl grid entries held
 TIME_TOL = 1e-12  # two times closer than this are the same time
 # exact-regime distances read 4e-14 from rounding alone; a slope fit to them is noise
 EXACT_REGIME_TOL = 1e-12  # largest trace distance that counts as the exact regime
@@ -75,3 +76,11 @@ def check_unit(phi, what="phi"):
     if not abs(np.linalg.norm(phi) - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"{what} must be normalized to 1 +- {UNIT_NORM_TOL}")
     return phi
+
+
+def check_hermitian(a, what):
+    """``a``, a dense or scipy-sparse square matrix, unchanged; ValueError
+    unless its largest |A - A^H| entry is at most HERMITICITY_TOL."""
+    if not abs(a - a.conj().T).max() <= HERMITICITY_TOL:
+        raise ValueError(f"{what} is not Hermitian to {HERMITICITY_TOL}")
+    return a

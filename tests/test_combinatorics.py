@@ -285,6 +285,30 @@ def test_weighted_moment_rejects_inadmissible_m():
         fl.weighted_number_moment(100, 0, 0.25)
 
 
+@pytest.mark.parametrize("entry", ["config", "superposition", "weighted_number_moment"])
+def test_every_admissible_check_refuses_with_one_message(entry):
+    n, phi = 10, np.array([0.6, 0.8j])  # admissible_m(10) = 3
+
+    def call(m):
+        if entry == "config":
+            fl.ExperimentConfig.from_dict({
+                "mode_system": {"geometry": "lattice", "sites": 2,
+                                "potential": {"kind": "contact", "g": 1.0}},
+                "state": {"family": "theta", "phi": [[0.6, 0.0], [0.0, 0.8]], "m": m},
+                "n_list": [n], "t_list": [0.5]})
+        elif entry == "superposition":
+            spec = fl.SuperpositionSpec(kind="theta", coeffs=[1.0], phis=[phi],
+                                        excitations=[fl.random_excitation(phi, m, seed=0)])
+            fl.superposition(spec, n, fl.enumerate_basis(2, fl.fixed(n)))
+        else:
+            fl.weighted_number_moment(n, m, 0.5)
+
+    call(3)
+    with pytest.raises((ValueError, fl.ConfigError)) as info:
+        call(4)
+    assert str(info.value) == "m=4 exceeds admissible bound 3 at n=10"
+
+
 def test_harmonic_number_approaches_zeta():
     assert harmonic_number(1.5, 10**5) == pytest.approx(2.612, abs=0.01)
 

@@ -390,7 +390,7 @@ def test_hamiltonian_is_the_two_pass_assembly_bit_for_bit(name):
 
 def test_hermiticity_pledge_rejects_a_non_hermitian_matrix():
     b = fl.enumerate_basis(2, fl.fixed(1))
-    with pytest.raises(ValueError, match="flagged Hermitian"):
+    with pytest.raises(ValueError, match="operator is not Hermitian to 1e-12"):
         fl.SparseOperator(b, sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), hermitian=True)
     assert fl.SparseOperator(b, sp.csr_matrix((2, 2)), hermitian=True).hermitian
 
@@ -681,6 +681,44 @@ def test_weyl_rejects_non_finite_alpha(bad):
     b = fl.enumerate_basis(2, fl.truncated(4))
     with pytest.raises(ValueError, match="alpha must be finite"):
         fl.weyl_apply(np.array([bad, 0.0]), fl.vacuum(b))
+
+
+@pytest.mark.parametrize("entry", ["field_apply", "field_matrix", "weyl_apply"])
+def test_every_mode_vector_check_refuses_the_same_vectors(entry):
+    b = fl.enumerate_basis(2, fl.truncated(3))
+
+    def call(x):
+        if entry == "field_apply":
+            fl.field_apply("annihilate", x, fl.vacuum(b))
+        elif entry == "field_matrix":
+            fl.field_matrix("create", x, b)
+        else:
+            fl.weyl_apply(x, fl.vacuum(b))
+
+    call([0.5, 0.25j])
+    for bad, why in (([np.nan, 0.0], "must be finite"), ([0.0, -np.inf], "must be finite"),
+                     ([complex(0, np.inf), 1.0], "must be finite"),
+                     ([0.5], "must have length d=2"), ([0.5, 0.0, 0.0], "must have length d=2"),
+                     ([[0.5, 0.0]], "must have length d=2")):
+        with pytest.raises(ValueError, match=why):
+            call(bad)
+
+
+@pytest.mark.parametrize("entry", ["weyl_apply", "sector_project", "coherent_state",
+                                   "fluctuation_apply"])
+def test_every_truncated_only_operation_refuses_a_fixed_basis(entry):
+    b = fl.enumerate_basis(2, fl.fixed(2))
+    v, phi = fl.basis_state(b, (2, 0)), np.array([1.0, 0.0])
+    with pytest.raises(fl.SectorError, match="needs a truncated basis$"):
+        if entry == "weyl_apply":
+            fl.weyl_apply(phi, v)
+        elif entry == "sector_project":
+            fl.sector_project(2, v)
+        elif entry == "coherent_state":
+            fl.coherent_state(phi, 2, b)
+        else:
+            fl.fluctuation_apply(2, fl.evolve_hartree(fl.ModeSystem.lattice(2), phi, [0.0]),
+                                 v, 0.0)
 
 
 def test_weyl_builds_no_field_matrix(monkeypatch, rng):

@@ -1,7 +1,11 @@
 """Mean-field integrator: right-hand side, conservation, exact solutions."""
 
+import os
+import subprocess
+import sys
 import warnings
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from scipy.integrate import DOP853, solve_ivp  # the oracle of the stepper, and 
 
 import focklab as fl
 from focklab.hartree import _A, _B, _D, _E3, _E5, _generator_bound, _integrate
+from focklab.tolerances import ENERGY_DRIFT_TOL, NORM_DRIFT_TOL
 
 from conftest import random_hermitian, random_unit
 
@@ -157,6 +162,31 @@ def test_rejects_unnormalized_start(rng):
         fl.evolve_hartree(ms, np.array([1.0, 1.0]), np.linspace(0, 1, 3))
 
 
+@pytest.mark.parametrize("grid", [[np.inf], [np.nan], [-np.inf], [0.0, 1.0, np.nan]])
+def test_a_time_that_is_not_finite_is_refused(rng, grid):
+    with pytest.raises(ValueError, match="t_grid times must be finite"):
+        fl.evolve_hartree(fl.ModeSystem.lattice(2), random_unit(2, rng), grid)
+
+
+def test_an_infinite_span_is_refused_before_integrating():
+    # integrating to t = +-inf never ends, so a regression must time out
+    # here rather than hang the suite
+    code = ("import numpy as np, focklab as fl\n"
+            "for grid in ([0.0, np.inf], [-np.inf, 0.0]):\n"
+            "    try:\n"
+            "        fl.evolve_hartree(fl.ModeSystem.lattice(2), np.array([1.0, 0.0]), grid)\n"
+            "    except ValueError as e:\n"
+            "        print(e)\n")
+    src = str(Path(fl.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("t_grid times must be finite") for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # trajectory interpolation and export
 
@@ -273,6 +303,13 @@ def _scipy_dop853(ms, phi, t0, t1, tol, t_eval=None):
                              method="DOP853", t_eval=t_eval, rtol=tol, atol=tol * 1e-2)
 
 
+def _within_the_ledger(ms, phi0, phi_t):
+    """Whether phi_t keeps the norm and energy of phi0 to the drift contract."""
+    e0, e_t = fl.hartree_energy(ms, phi0), fl.hartree_energy(ms, phi_t)
+    return (abs(np.linalg.norm(phi_t) - np.linalg.norm(phi0)) <= NORM_DRIFT_TOL
+            and abs(e_t - e0) <= ENERGY_DRIFT_TOL * max(1.0, abs(e0)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 5), lattice=st.booleans(),
        pot=st.sampled_from(["contact", "neighbor", "gaussian"]), g=st.floats(-4.0, 4.0),
@@ -290,19 +327,34 @@ def test_states_and_at_are_scipys_bit_for_bit(d, lattice, pot, g, hopping, tol, 
         ms = fl.ModeSystem.dense(hopping * random_hermitian(d, rng), g * rng.standard_normal((d, d)))
     phi = random_unit(d, rng)
     grid = np.linspace(t0, t0 + span, points)
+    steps = np.diff(grid)
+    if not (np.all(steps > 0) or np.all(steps < 0) or np.all(steps == 0)):
+        # a span of a few ulp rounds to a grid with repeated times
+        with pytest.raises(ValueError, match="strictly monotone"):
+            fl.evolve_hartree(ms, phi, grid, tol=tol)
+        return
     try:
         traj = fl.evolve_hartree(ms, phi, grid, tol=tol)
     except fl.IntegrationError as e:  # a loose tol may drift past the contract
         assert "drift" in str(e)
-        states = _integrate(ms, phi, grid[0], grid[-1], tol, t_eval=grid).T
+        states = _integrate(ms, phi, grid, tol).T
         traj = fl.HartreeTrajectory(ms, grid, states, None, None, tol)
     if grid[-1] == grid[0]:  # one time, perhaps repeated
         assert np.array_equal(traj.states, [phi])
     else:
         sol = _scipy_dop853(ms, phi, grid[0], grid[-1], tol, t_eval=grid)
         assert np.array_equal(sol.t, grid) and np.array_equal(traj.states, sol.y.T)
+    # at(t) is evolve_hartree over [t0, t]: scipy's state at t on that grid,
+    # refused only where that state leaves the norm/energy contract
     for t in (traj.times[-1], traj.times[0] + frac * (traj.times[-1] - traj.times[0])):
-        assert np.array_equal(traj.at(t), _scipy_dop853(ms, phi, grid[0], t, tol).y[:, -1])
+        want = (phi if t == grid[0] else
+                _scipy_dop853(ms, phi, grid[0], t, tol, t_eval=[grid[0], t]).y[:, -1])
+        try:
+            got = traj.at(t)
+        except fl.IntegrationError as e:
+            assert "drift" in str(e) and not _within_the_ledger(ms, phi, want)
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_a_tolerance_below_the_floor_is_raised_without_a_warning(rng):

@@ -357,3 +357,38 @@ def test_the_unused_import_pin_sees_a_planted_import():
         "def f(x):\n    import json\n    return np.sqrt(x) + sqrt(x) + os.sep\n"
     )
     assert _unused_imports(source) == ["3: comb", "8: SectorError"]
+
+
+def _import_cycle(sources):
+    """The modules of ``sources`` (name -> source) that lie on an import
+    cycle or import, at any remove, one that does.  A module imports the
+    ones its relative imports name, at any depth, so an import inside a
+    function that dodges a cycle still closes it."""
+    graph = {}
+    for name, source in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update([node.module] if node.module else [a.name for a in node.names])
+        graph[name] = found & set(sources)
+    while True:  # peel the modules whose imports are all peeled
+        leaves = [name for name, found in graph.items() if not found & set(graph)]
+        if not leaves:
+            return sorted(graph)
+        for name in leaves:
+            del graph[name]
+
+
+def test_the_modules_import_one_another_without_a_cycle():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(_SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert _import_cycle(sources) == []
+
+
+def test_the_cycle_pin_sees_a_deferred_import():
+    assert _import_cycle({
+        "fock": "from .modes import ModeSystem\nfrom .errors import SectorError\n",
+        "modes": "def lattice():\n    from .fock import DEFAULT_STATE_CAP\n",
+        "errors": "from . import __version__\n",
+        "harness": "from . import fock, errors\n",
+    }) == ["fock", "harness", "modes"]

@@ -1,4 +1,5 @@
-"""The sweep driver scripts run end to end and write their CSVs."""
+"""The sweep driver scripts run end to end and write their CSVs; the
+code-line counter counts code only."""
 
 import os
 import subprocess
@@ -27,3 +28,27 @@ def test_sweep_script_writes_csvs(tmp_path, script, stems):
     for stem in stems:
         lines = (tmp_path / f"{stem}.csv").read_text().splitlines()
         assert len(lines) > 1
+
+
+def _code_lines(*args):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines(tmp_path):
+    (tmp_path / "a.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nimport os  # and one more\n\n\n'
+        'class C:\n    """Class docstring."""\n\n    def f(self):\n'
+        '        """Function\n        docstring."""\n        return """two\nlines"""\n')
+    (tmp_path / "b.py").write_text("x = (1,\n     2)\n")
+    assert _code_lines(str(tmp_path)) == ["a.py 5", "b.py 2", "total 7"]
+
+
+def test_code_line_counter_reports_every_module_of_the_package():
+    lines = _code_lines()
+    modules = sorted(p.name for p in (ROOT / "src" / "focklab").glob("*.py"))
+    assert [line.split()[0] for line in lines] == modules + ["total"]
+    counts = [int(line.split()[1]) for line in lines]
+    assert counts[-1] == sum(counts[:-1])

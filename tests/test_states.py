@@ -120,8 +120,21 @@ def test_poisson_cutoff_bisection_matches_the_linear_search():
             k += 1
         return k
 
-    grid = [*range(1001), 0.5, 7.3, 1e4, 1e5, 123456, 1e6]
+    # pdtrc holds to 1e-12 relative up to n of about 2e5; past that it is no oracle
+    grid = [*range(1001), 0.5, 7.3, 1e4, 1e5]
     assert [_poisson_cutoff(n) for n in grid] == [linear(n) for n in grid]
+
+
+@pytest.mark.parametrize("n", [123456, 1e6])
+def test_poisson_cutoff_straddles_the_floor_in_60_digits(n):
+    # pdtrc(K - 1, 1e6) misses the tail by 8e-9 relative at the cutoff
+    # K = 1008233, so the tail of a 60-digit incomplete gamma judges these n
+    mpmath = pytest.importorskip("mpmath")
+    k = _poisson_cutoff(n)
+    with mpmath.workdps(60):
+        above, at = (1 - mpmath.gammainc(j + 1, n, mpmath.inf, regularized=True)
+                     for j in (k - 1, k))
+    assert above > POISSON_TAIL_FLOOR >= at
 
 
 @settings(max_examples=200, deadline=None)

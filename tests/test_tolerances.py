@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
@@ -17,6 +18,7 @@ from focklab.tolerances import (
     DEFAULT_HARTREE_TOL,
     DEFAULT_KRYLOV_TOL,
     GRAM_FLOOR,
+    HERMITICITY_TOL,
     INDEPENDENCE_TOL,
     NORM_DRIFT_TOL,
     SERIES_STOP_TOL,
@@ -142,6 +144,27 @@ def test_every_unit_check_has_the_same_threshold(entry):
         call(1 + s * 0.99 * UNIT_NORM_TOL)
         with pytest.raises(error):
             call(1 + s * 1.01 * UNIT_NORM_TOL)
+
+
+@pytest.mark.parametrize("entry", ["ModeSystem", "OneParticleDM", "distance", "SparseOperator"])
+def test_every_hermiticity_check_has_the_same_threshold(entry):
+    def call(skew):
+        a = np.array([[0.5, skew], [0.0, 0.5]], dtype=complex)
+        if entry == "ModeSystem":
+            fl.ModeSystem(d=2, h=a, v=np.zeros((2, 2)))
+        elif entry == "OneParticleDM":
+            fl.OneParticleDM(rho=a, trace_raw=1.0)
+        elif entry == "distance":
+            fl.distance(a, np.eye(2) / 2)
+        else:
+            fl.SparseOperator(fl.enumerate_basis(2, fl.fixed(1)), sp.csr_matrix(a),
+                              hermitian=True)
+
+    call(0.99 * HERMITICITY_TOL)
+    with pytest.raises(ValueError, match=f"is not Hermitian to {HERMITICITY_TOL}$"):
+        call(1.01 * HERMITICITY_TOL)
+    with pytest.raises(ValueError):
+        call(np.nan)
 
 
 def test_gram_floor_lies_within_the_independence_check():
