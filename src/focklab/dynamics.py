@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from .errors import KrylovError, SectorError
 from .fock import (FockVector, SparseOperator, _require_truncated, build_hamiltonian,
                    weyl_apply, weyl_headroom)
-from .tolerances import DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL
+from .tolerances import (DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL, check_time_radius,
+                         check_tolerance)
 
 
 @dataclass
@@ -60,8 +61,7 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
     H's diagonal, and scale the rest to the Chebyshev interval."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
-    if not 0 < tol <= DEFAULT_KRYLOV_TOL:  # also rejects nan
-        raise ValueError(f"krylov tolerance must lie in (0, {DEFAULT_KRYLOV_TOL}]")
+    check_tolerance(tol, DEFAULT_KRYLOV_TOL, "krylov tolerance")
     A, totals = H.matrix, H.basis.totals
     diag = A.diagonal().real
     # a fixed(n) basis leaves the sectors below n empty; they are never indexed
@@ -136,7 +136,9 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
     """U(t) v; unitary and number-conserving.  At t = 0 the series is J_0(0) = 1
     times a unit phase, so the result equals v (a zero part may change sign).
 
-    Raises ValueError for a non-finite t, and KrylovError when the result is
+    Raises ValueError for a non-finite t, CapacityError when |t| r, r the
+    half-width of the plan's interval, exceeds MAX_TIME_RADIUS (the series
+    would take about |t| r products), and KrylovError when the result is
     not finite or its norm differs from ||v|| by more than plan.tol * ||v||.
     """
     if not isfinite(t):
@@ -144,6 +146,7 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
     if v.basis != plan.basis:
         raise SectorError("vector does not live on the plan's basis")
     lo, hi = plan.interval
+    check_time_radius(t, (hi - lo) / 2, f"evolve_fock: t={t} asks for |t r|")
     j = _bessel_series(t * (hi - lo) / 2)
     coeffs = 2 * np.array([1, -1j, -1, 1j])[np.arange(j.size) % 4] * j  # 2 (-i)^k J_k
     prev = np.exp(-1j * t * (plan.phase + (lo + hi) / 2)) * v.coeffs

@@ -61,8 +61,8 @@ import operator
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import CapacityError, SectorError
-from .tolerances import DEFAULT_STATE_CAP, HERMITICITY_TOL, check_hermitian
+from .errors import SectorError
+from .tolerances import HERMITICITY_TOL, check_capacity, check_hermitian
 
 
 def _integer(x, what):
@@ -230,19 +230,10 @@ class FockBasis:
         return slice(start, start + comb(m + self.d - 1, self.d - 1))
 
 
-def _capacity(d, sector):
-    """The dimension of the sector; CapacityError above ``DEFAULT_STATE_CAP``."""
-    dim = sector_dimension(d, sector)
-    if dim > DEFAULT_STATE_CAP:
-        raise CapacityError(
-            f"basis (d={d}, sector={sector}) has {dim} states, cap is {DEFAULT_STATE_CAP}"
-        )
-    return dim
-
-
 @lru_cache(maxsize=256)
 def _enumerate_cached(d, sector):
-    return FockBasis(sector=sector, occs=unrank(d, sector, np.arange(_capacity(d, sector))))
+    dim = check_capacity(sector_dimension(d, sector), f"basis (d={d}, sector={sector})")
+    return FockBasis(sector=sector, occs=unrank(d, sector, np.arange(dim)))
 
 
 def enumerate_basis(d, sector):
@@ -621,13 +612,12 @@ def _displace_grid(alpha, v):
     t + |i| and then by i.  A pass gathers, for a slice of the states r', the
     columns for q = 0..n_max - |r'| (past n_max, x's last column, which stays
     zero) and multiplies them by the one-mode block; a slice holds about as
-    many entries as the basis.  The largest x must fit in
-    ``DEFAULT_STATE_CAP``."""
+    many entries as the basis.  The largest x must fit in the state cap
+    (``tolerances.check_capacity``)."""
     basis, n = v.basis, v.basis.n_max
     moved, kept = np.flatnonzero(alpha), np.flatnonzero(alpha == 0)
-    size = max(comb(n + j, j) * comb(n + basis.d - j, basis.d - j) for j in range(len(moved) + 1))
-    if size > DEFAULT_STATE_CAP:
-        raise CapacityError(f"Weyl grid of {size} entries exceeds the cap {DEFAULT_STATE_CAP}")
+    check_capacity(max(comb(n + j, j) * comb(n + basis.d - j, basis.d - j)
+                       for j in range(len(moved) + 1)), "Weyl grid")
     table, occ, totals = _binomials(n, basis.d), np.arange(n + 1), np.zeros(1, np.int64)
     x = np.zeros((1, basis.dim + 1), complex)
     x[0, rank(basis, basis.occs[:, np.concatenate([moved, kept])])] = v.coeffs
@@ -674,7 +664,7 @@ def weyl_apply(alpha, v):
     d - j) for its pass after j others.  So a basis state, a vacuum or a
     theta state's sector takes the closed form, and a displaced state, which
     fills the basis, takes the grid.  The grid raises ``CapacityError``
-    when a pass would hold more than ``DEFAULT_STATE_CAP`` entries.
+    when a pass would hold more entries than the state cap.
     """
     basis = v.basis
     _require_truncated(basis, "Weyl displacement")

@@ -32,8 +32,8 @@ import numpy as np
 
 from .combinatorics import _check_admissible, admissible_m
 from .dynamics import _radius_bound, evolve_fock, make_plan
-from .errors import CapacityError, ConfigError, DegeneracyError, ExactRegimeError
-from .fock import _written, _written_csv, build_hamiltonian, enumerate_basis
+from .errors import ConfigError, DegeneracyError, ExactRegimeError
+from .fock import _written, _written_csv, build_hamiltonian, enumerate_basis, sector_dimension
 from .hartree import _generator_bound, evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
@@ -47,8 +47,8 @@ from .states import (
     component_states,
     random_excitation,
 )
-from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL,
-                         MAX_TIME_RADIUS, TIME_TOL, check_unit)
+from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL, TIME_TOL,
+                         check_capacity, check_time_radius, check_tolerance, check_unit)
 
 CSV_HEADER = [
     "n", "m", "t",
@@ -190,13 +190,16 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc, seed_override=None):
         """Parse and validate ``doc``; every malformed value is a ConfigError,
-        including conversion failures and failed ModeSystem checks; a
-        lattice too large for the state cap, or a max(t_list) whose
-        propagation at some n needs |t r| above MAX_TIME_RADIUS (r from
-        ``dynamics._radius_bound``) or whose mean-field integration needs
-        |t s| above it (s from ``hartree._generator_bound``), is a
-        CapacityError.  Numpy
-        warnings on extreme values are silenced: such values fail a check."""
+        including conversion failures, failed ModeSystem checks and a
+        tolerance outside (0, its default].  What no cell could run is a
+        CapacityError, raised before any cell is built: a lattice too large
+        for the state cap, an n whose cell basis exceeds the cap, or a
+        max(t_list) whose propagation at some n needs |t r| above
+        MAX_TIME_RADIUS (r from ``dynamics._radius_bound``) or whose
+        mean-field integration needs |t s| above it (s from
+        ``hartree._generator_bound``); the solvers check the same limits.
+        Numpy warnings on extreme values are silenced: such values fail a
+        check."""
         try:
             with np.errstate(all="ignore"):
                 return ExperimentConfig._parse(doc, seed_override)
@@ -273,16 +276,10 @@ class ExperimentConfig:
 
         tol = doc.get("tolerances", {})
         _require_keys(tol, ("hartree_tol", "krylov_tol"), (), "tolerances")
-        cfg.hartree_tol = _parse_real(tol.get("hartree_tol", DEFAULT_HARTREE_TOL),
-                                      "tolerances.hartree_tol")
-        cfg.krylov_tol = _parse_real(tol.get("krylov_tol", DEFAULT_KRYLOV_TOL),
-                                     "tolerances.krylov_tol")
-        if not 0 < cfg.hartree_tol < inf:
-            raise ConfigError("tolerances.hartree_tol must be finite and > 0")
-        if not 0 < cfg.krylov_tol <= DEFAULT_KRYLOV_TOL:
-            raise ConfigError(
-                f"tolerances.krylov_tol must lie in (0, {DEFAULT_KRYLOV_TOL}]"
-            )
+        for key, loosest in (("hartree_tol", DEFAULT_HARTREE_TOL),
+                             ("krylov_tol", DEFAULT_KRYLOV_TOL)):
+            value = _parse_real(tol.get(key, loosest), f"tolerances.{key}")
+            setattr(cfg, key, check_tolerance(value, loosest, f"tolerances.{key}"))
         cfg.seed = _parse_seed(doc.get("seed", 0) if seed_override is None
                                else seed_override, "seed")
         out = doc.get("output", {})
@@ -307,21 +304,17 @@ class ExperimentConfig:
             except ValueError as e:
                 raise ConfigError(f"state.components at n={n}: {e}") from e
 
-        # the propagation to max(t_list) sums about |t| r Chebyshev terms, with
-        # r bounded at the top total of the cell's basis, and the mean-field
-        # integrator takes about |t| s steps
+        # every cell's basis fits the state cap; the propagation to max(t_list)
+        # sums about |t| r Chebyshev terms, with r bounded at the top total of
+        # the cell's basis, and the mean-field integrator takes about |t| s steps
         t_max = max(cfg.t_list)
         for n in cfg.n_list:
-            r = _radius_bound(ms, n, _cell_sector(kind, n)[1])
-            if t_max > 0 and not t_max * r <= MAX_TIME_RADIUS:
-                raise CapacityError(f"t_list: t={t_max} at n={n} asks for |t r| = "
-                                    f"{t_max * r:.3g} above {MAX_TIME_RADIUS:g}, with r "
-                                    f"bounding the Gershgorin half-width of H - D")
-        s = _generator_bound(ms)
-        if t_max > 0 and not t_max * s <= MAX_TIME_RADIUS:
-            raise CapacityError(f"t_list: t={t_max} asks the mean-field integrator for "
-                                f"|t s| = {t_max * s:.3g} above {MAX_TIME_RADIUS:g}, with s "
-                                f"bounding the spectral radius of h + diag(v |phi|^2)")
+            sector = _cell_sector(kind, n)
+            check_capacity(sector_dimension(ms.d, sector), f"n_list: the basis at n={n}")
+            check_time_radius(t_max, _radius_bound(ms, n, sector[1]),
+                              f"t_list: t={t_max} at n={n} asks for |t r|")
+        check_time_radius(t_max, _generator_bound(ms),
+                          f"t_list: t={t_max} asks the mean-field integrator for |t s|")
 
         # the hash names the physics and the seed, not where results are written
         doc_for_hash = {k: v for k, v in doc.items() if k != "output"}

@@ -31,7 +31,7 @@ from .fock import _written_csv
 from .modes import ModeSystem
 from .tolerances import (DEFAULT_HARTREE_TOL, ENERGY_DRIFT_TOL, FIRST_STEP_DEFAULT,
                          FIRST_STEP_ZERO_TOL, HARTREE_RTOL_FLOOR, NONREAL_ENERGY_TOL,
-                         NORM_DRIFT_TOL, TIME_TOL, check_unit)
+                         NORM_DRIFT_TOL, TIME_TOL, check_time_radius, check_unit)
 
 
 def hartree_rhs(ms: ModeSystem, phi):
@@ -102,9 +102,11 @@ class HartreeTrajectory:
 def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     """Integrate the mean-field equation over t_grid (may run backwards).
 
-    Raises ValueError for a time that is not finite, and IntegrationError on
-    step-size collapse or when the norm drifts by more than NORM_DRIFT_TOL
-    (energy: ENERGY_DRIFT_TOL) anywhere on the output grid.
+    Raises ValueError for a time that is not finite, CapacityError when the
+    span |t_end - t_start| times ``_generator_bound(ms)`` exceeds
+    MAX_TIME_RADIUS, and IntegrationError on step-size collapse or when the
+    norm drifts by more than NORM_DRIFT_TOL (energy: ENERGY_DRIFT_TOL)
+    anywhere on the output grid.
     """
     phi0 = check_unit(phi0, "phi0")
     if not 0 < tol < np.inf:  # a nan tolerance would never let the integrator finish
@@ -117,7 +119,8 @@ def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
         return _finish(ms, np.array([t_grid[0]]), states, tol)
     if not (np.all(np.diff(t_grid) > 0) or np.all(np.diff(t_grid) < 0)):
         raise ValueError("t_grid must be strictly monotone")
-
+    check_time_radius(t_grid[-1] - t_grid[0], _generator_bound(ms),
+                      f"evolve_hartree: a span of {t_grid[-1] - t_grid[0]} asks for |t s|")
     return _finish(ms, t_grid, _integrate(ms, phi0, t_grid, tol).T, tol)
 
 

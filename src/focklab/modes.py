@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .tolerances import DEFAULT_STATE_CAP, check_hermitian
+from .tolerances import check_capacity, check_hermitian
 
 
 @dataclass(frozen=True)
@@ -57,11 +56,10 @@ class ModeSystem:
         """Periodic 1D lattice with ``sites`` points.
 
         ``sites`` is an int >= 1 (a bool or a float, 2.0 included, raises
-        ValueError) with ``sites**2``, the entries of ``h``, at most
-        ``DEFAULT_STATE_CAP``; a larger lattice raises CapacityError before
-        any d x d array is allocated.  The one-body part is the discrete
-        Laplacian ``hopping * (2*I - shifts)``.  ``potential`` selects the pair
-        kernel:
+        ValueError) with ``sites**2``, the entries of ``h``, within the state
+        cap; a larger lattice raises CapacityError before any d x d array is
+        allocated.  The one-body part is the discrete Laplacian
+        ``hopping * (2*I - shifts)``.  ``potential`` selects the pair kernel:
 
         * ``("contact", g)``          -- v(p, q) = g * delta_pq
         * ``("neighbor", g)``         -- g on nearest-neighbor pairs (periodic)
@@ -73,8 +71,7 @@ class ModeSystem:
         """
         if type(sites) is not int or sites < 1:
             raise ValueError(f"sites: expected an integer >= 1, got {sites!r}")
-        if sites**2 > DEFAULT_STATE_CAP:
-            raise CapacityError(f"h of {sites} sites: {sites**2} entries, cap {DEFAULT_STATE_CAP}")
+        check_capacity(sites**2, f"h of {sites} sites")
         kind, g, s, *extra = (*potential, 1.0)  # the gaussian width s defaults to 1
         if kind not in ("contact", "neighbor", "gaussian"):
             raise ValueError(f"unknown pair potential kind {kind!r}")

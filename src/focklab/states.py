@@ -26,7 +26,7 @@ from math import comb, exp, factorial, fsum, inf, lgamma, log, nan, pi, sqrt
 import numpy as np
 
 from .combinatorics import _check_admissible, log_dnm
-from .errors import CapacityError, DegeneracyError, FocklabError, SectorError
+from .errors import DegeneracyError, FocklabError, SectorError
 from .fock import (
     FockVector,
     _is_truncated,
@@ -39,9 +39,9 @@ from .fock import (
     vacuum,
     weyl_apply,
 )
-from .tolerances import (DEFAULT_STATE_CAP, DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL,
-                         ORTHOGONALITY_TOL, OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL,
-                         POISSON_TAIL_FLOOR, check_unit)
+from .tolerances import (DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL, ORTHOGONALITY_TOL,
+                         OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL, POISSON_TAIL_FLOOR,
+                         check_capacity, check_unit)
 
 
 def _embed_sector(coeffs, n, basis):
@@ -142,7 +142,7 @@ def _poisson_tail(k, m):
     stops where that cannot change it, after of order sqrt(m) terms (about
     8200 at m = 5e6).  The lower sum is below 1/2, so its complement keeps
     the relative error of the tail near rounding too.  ``_poisson_cutoff``
-    bounds m by ``DEFAULT_STATE_CAP``; an m that is not finite and >= 0 gives
+    bounds m by the state cap; an m that is not finite and >= 0 gives
     NaN, which fails every check it meets."""
     if not 0 <= m < inf:
         return nan
@@ -169,13 +169,10 @@ def _poisson_cutoff(n):
     search starts: it doubles its step until the tail at hi is within the
     floor, then bisects between hi and lo, the last K above it (or
     floor(n) - 1).  Any basis that holds truncated(K) has at least
-    floor(n) + 1 states, so above n = DEFAULT_STATE_CAP it raises
-    CapacityError before evaluating a tail.  A sweep asks for each n's
-    cutoff three times (time guard, cell, truncation ledger), hence the
-    cache."""
-    if n > DEFAULT_STATE_CAP:
-        raise CapacityError(f"a coherent cell at n={n} needs a basis of more than "
-                            f"{DEFAULT_STATE_CAP} states")
+    floor(n) + 1 states, so an n above the state cap raises CapacityError
+    before a tail is evaluated.  A sweep asks for each n's cutoff three
+    times (config checks, cell, truncation ledger), hence the cache."""
+    check_capacity(n, f"a coherent cell at n={n}: its basis")
     lo, hi = int(n) - 1, int(n)
     while _poisson_tail(hi, n) > POISSON_TAIL_FLOOR:
         lo, hi = hi, 3 * hi - 2 * lo

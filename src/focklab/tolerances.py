@@ -1,9 +1,11 @@
-"""Every numerical tolerance and work cap of the library, each defined once,
-and the unit-norm and Hermiticity checks.
+"""Every numerical tolerance and work cap of the library, each defined once;
+the unit-norm and Hermiticity checks, and the one check of each limit.
 
 The other modules' checks compare against these values only, each in the
 form ``not value <= TOL`` (or ``>=`` for a floor), so that a NaN fails it.
-They rely on the following relations, which ``tests/test_tolerances.py``
+The state cap and the time radius are compared here alone: every module
+asks ``check_capacity`` or ``check_time_radius`` before the work they bound.
+The checks rely on the following relations, which ``tests/test_tolerances.py``
 pins:
 
 * ``TRACE_TOL = WEIGHT_SUM_TOL + 3 * UNIT_NORM_TOL``.  A mixture
@@ -21,19 +23,25 @@ pins:
 * ``UNIT_NORM_TOL < NORM_DRIFT_TOL``.  The mean-field integrator may move
   the norm further than a unit vector may be off, so the sweeps renormalize
   the Hartree states they use as targets.
-* ``DEFAULT_KRYLOV_TOL`` is both the default and the loosest propagation
-  tolerance: the config parser and ``dynamics.make_plan`` bound
-  ``krylov_tol`` by it.
+* ``DEFAULT_KRYLOV_TOL`` and ``DEFAULT_HARTREE_TOL`` are both the default
+  and the loosest tolerance of their solver that a config may ask for
+  (``check_tolerance``): the config parser bounds ``krylov_tol`` and
+  ``hartree_tol`` by them, and ``dynamics.make_plan`` its ``tol``.  A
+  looser mean-field tolerance lets the norm drift past NORM_DRIFT_TOL on
+  an accepted config (3.7e-7 at 1, 3.2e-8 at 1e-6, on a 3-site gaussian
+  lattice); at the default it drifted 3.2e-9 there at |t s| = 5000.
 * ``16 * SERIES_STOP_TOL < eps < DEFAULT_KRYLOV_TOL``, with eps the
   double-precision machine epsilon.  ``dynamics.evolve_fock`` stops its
   Chebyshev series at the first index past |t r| where |J_k(t r)| <
   SERIES_STOP_TOL; the dropped tail, at most 2 sum |J_k(t r)| ||v||, stays
   below 16 * SERIES_STOP_TOL * ||v|| for |t r| <= MAX_TIME_RADIUS = 1e4,
-  the largest a config may ask for.  So the norm defect the propagation
-  checks against ``krylov_tol`` is rounding alone.
+  which every ``evolve_fock`` call checks.  So the norm defect the
+  propagation checks against ``krylov_tol`` is rounding alone.
 """
 
 import numpy as np
+
+from .errors import CapacityError
 
 HERMITICITY_TOL = 1e-12  # largest |A - A^H| entry of a Hermitian matrix
 UNIT_NORM_TOL = 1e-10  # largest | ||phi|| - 1 | of a unit vector
@@ -60,8 +68,8 @@ NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
 DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
 SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficient this small
-# largest |t| r a config may ask, r the Gershgorin half-width of H - D, and
-# largest |t| s, s bounding the spectral radius of the mean-field generator
+# largest |t| r of a propagation, r the Gershgorin half-width of H - D, and
+# largest |t| s of a mean-field integration, s bounding its generator's spectral radius
 MAX_TIME_RADIUS = 1e4
 DEFAULT_STATE_CAP = 5_000_000  # most basis states, h entries or Weyl grid entries held
 TIME_TOL = 1e-12  # two times closer than this are the same time
@@ -84,3 +92,27 @@ def check_hermitian(a, what):
     if not abs(a - a.conj().T).max() <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian to {HERMITICITY_TOL}")
     return a
+
+
+def check_tolerance(tol, loosest, what):
+    """``tol`` unchanged; ValueError unless 0 < tol <= ``loosest``."""
+    if not 0 < tol <= loosest:
+        raise ValueError(f"{what} must lie in (0, {loosest}]")
+    return tol
+
+
+def check_capacity(count, what):
+    """``count`` unchanged; CapacityError unless it is at most
+    DEFAULT_STATE_CAP.  Callers ask before allocating what ``count`` sizes."""
+    if not count <= DEFAULT_STATE_CAP:
+        raise CapacityError(f"{what} has {count} entries, cap is {DEFAULT_STATE_CAP}")
+    return count
+
+
+def check_time_radius(t, radius, what):
+    """CapacityError unless |t| ``radius`` is at most MAX_TIME_RADIUS, where
+    ``radius`` bounds the spectral radius of the generator that a solver
+    runs for time t: its work grows as |t| radius.  t = 0 passes with any
+    radius, an infinite one included."""
+    if t and not abs(t) * radius <= MAX_TIME_RADIUS:
+        raise CapacityError(f"{what} = {abs(t) * radius:.3g} above {MAX_TIME_RADIUS:g}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from focklab import fock
 from focklab.cli import main
 
 
@@ -424,6 +425,23 @@ def test_capacity_error_exit_code(theta_config):
     big = tmp / "big.json"
     big.write_text(json.dumps(doc))
     assert main(["converge", "--config", str(big)]) == 3
+
+
+def test_a_cell_above_the_cap_exits_3_before_any_cell_runs(theta_config, monkeypatch, capsys):
+    # on 4 sites fixed(320) holds 5,564,321 states; the n = 120 cell used to
+    # run for about 2 s before the sweep reached it
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(_LATTICE, sites=4),
+                                    state={"family": "product", "phi": [1, 0, 0, 0]},
+                                    n_list=[120, 320])))
+
+    def unrank(*args):
+        raise AssertionError("built a basis")
+
+    monkeypatch.setattr(fock, "unrank", unrank)
+    assert main(["converge", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "capacity error: n_list: the basis at n=320 has 5564321 entries, cap is 5000000"]
 
 
 @pytest.mark.parametrize("sites", [10**6, 2237])

@@ -104,6 +104,9 @@ def test_unmutated_configs_are_valid(doc):
 # a mutation hypothesis found: a huge h_00 makes |t r| = 1e4 at n = 6, which the
 # time guard refuses with a CapacityError (exit 3)
 _HUGE_H = _doc(dict(_DENSE, h=[[3332.0, -1], [-1, 0]]), copy.deepcopy(VALID[0]["state"]))
+# and a mean-field tolerance of 1, which used to pass the parser and then fail
+# the run (exit 1) on a norm drift of 3.7e-7
+_LOOSE_HARTREE = dict(copy.deepcopy(VALID[1]), tolerances={"hartree_tol": 1})
 
 
 @settings(max_examples=300, deadline=None,
@@ -133,6 +136,7 @@ def _end_to_end(test):
 @given(doc=mutated_configs(), command=st.sampled_from(["converge", "superpose"]))
 @_end_to_end
 @example(doc=_HUGE_H, command="converge")
+@example(doc=_LOOSE_HARTREE, command="converge")
 def test_mutated_config_runs_end_to_end_or_exits_cleanly(doc, command):
     # the whole CLI on a mutated config: 0 with the bit-exact header, 2 for a
     # config error or 3 for a capacity error, never 1 or a traceback

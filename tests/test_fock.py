@@ -12,8 +12,8 @@ from scipy.special import pdtrc
 
 import focklab as fl
 from focklab import fock
-from focklab.fock import DEFAULT_STATE_CAP
 from focklab.states import _tensor_from_fixed
+from focklab.tolerances import DEFAULT_STATE_CAP
 
 from conftest import random_fock, random_hermitian, random_unit
 

@@ -147,12 +147,13 @@ def test_config_hash_ignores_output():
 
 
 def test_config_capacity_guard():
+    # the coherent cell at n = 4000 truncates 2 modes above the cap; the
+    # parser refuses it, so no sweep starts
     doc = _theta_doc()
     doc["state"] = {"family": "coherent", "phi": [[0.8, 0], [0.36, 0.48]]}
     doc["n_list"] = [4000]
-    cfg = fl.ExperimentConfig.from_dict(doc)
-    with pytest.raises(fl.CapacityError):
-        fl.run_convergence_sweep(cfg)
+    with pytest.raises(fl.CapacityError, match="^n_list: the basis at n=4000 "):
+        fl.ExperimentConfig.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

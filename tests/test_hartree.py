@@ -168,6 +168,15 @@ def test_a_time_that_is_not_finite_is_refused(rng, grid):
         fl.evolve_hartree(fl.ModeSystem.lattice(2), random_unit(2, rng), grid)
 
 
+def _python(code):
+    """``python -c code`` in a fresh process that imports this focklab."""
+    src = str(Path(fl.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
 def test_an_infinite_span_is_refused_before_integrating():
     # integrating to t = +-inf never ends, so a regression must time out
     # here rather than hang the suite
@@ -177,14 +186,24 @@ def test_an_infinite_span_is_refused_before_integrating():
             "        fl.evolve_hartree(fl.ModeSystem.lattice(2), np.array([1.0, 0.0]), grid)\n"
             "    except ValueError as e:\n"
             "        print(e)\n")
-    src = str(Path(fl.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 2 and all(line.startswith("t_grid times must be finite") for line in lines)
+
+
+def test_a_long_span_is_refused_before_integrating():
+    # |t s| = 5e6 on 2 sites used to take about 40 minutes of DOP853 steps,
+    # so a regression must time out here rather than hang the suite
+    code = ("import numpy as np, focklab as fl\n"
+            "try:\n"
+            "    fl.evolve_hartree(fl.ModeSystem.lattice(2), np.array([1.0, 0.0]), [0.0, 1e6])\n"
+            "except fl.CapacityError as e:\n"
+            "    print(e)\n")
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("evolve_hartree: a span of 1000000.0 asks for |t s| = 5e+06 "
+                           "above 10000\n")
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +277,17 @@ def test_generator_bound_covers_the_mean_field_spectrum(d, lattice, pot, g, hopp
 
 
 def test_a_huge_uniform_kernel_fails_in_one_line():
-    # the config parser refuses this system; the library still reports the
-    # step-size collapse as one error, without numpy warnings
+    # evolve_hartree refuses this system before integrating, |t s| being
+    # 4e307; the integrator itself still reports the step-size collapse as
+    # one error, without numpy warnings
     ms = fl.ModeSystem.lattice(3, hopping=1.0, potential=("gaussian", 8e307, 1e10))
+    phi, grid = np.array([0.6, 0.8, 0.0], dtype=complex), np.array([0.0, 0.5])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(fl.CapacityError, match=r"\|t s\| = 4e\+307 above"):
+            fl.evolve_hartree(ms, phi, grid, tol=1e-12)
         with pytest.raises(fl.IntegrationError) as err:
-            fl.evolve_hartree(ms, np.array([0.6, 0.8, 0.0]), np.array([0.0, 0.5]), tol=1e-12)
+            _integrate(ms, phi, grid, 1e-12)
     assert str(err.value) == ("integrator failed: Required step size is less than spacing "
                               "between numbers.")
 

@@ -329,6 +329,37 @@ def test_the_cell_sector_pin_sees_each_planted_call():
     assert _calls_to(tree, _CELL_RULES) == [5, 5, 6]
 
 
+# the limits that ``tolerances.check_capacity`` and ``check_time_radius`` own
+_LIMITS = {"DEFAULT_STATE_CAP", "MAX_TIME_RADIUS"}
+
+
+def _limit_comparisons(tree):
+    """Lines of every comparison with a limit, by name or as an attribute,
+    as an operand."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  for operand in [node.left, *node.comparators]
+                  if getattr(operand, "id", getattr(operand, "attr", None)) in _LIMITS)
+
+
+def test_only_tolerances_compares_against_a_limit():
+    found = {path.name: _limit_comparisons(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(_SRC.glob("*.py")) if path.name != "tolerances.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_limit_pin_sees_each_planted_comparison():
+    tree = ast.parse(
+        '"""Refuse a basis above DEFAULT_STATE_CAP or a |t r| above MAX_TIME_RADIUS."""\n'
+        "from .tolerances import DEFAULT_STATE_CAP, MAX_TIME_RADIUS\n"
+        "def guard(dim, t, r, sites):\n"
+        "    if dim > DEFAULT_STATE_CAP:\n        raise CapacityError(dim)\n"
+        "    if not t * r <= tolerances.MAX_TIME_RADIUS:\n        raise CapacityError(t)\n"
+        "    big = 0 < sites**2 <= DEFAULT_STATE_CAP < dim\n"
+        "    return min(dim, DEFAULT_STATE_CAP), dim > CAP\n"
+    )
+    assert _limit_comparisons(tree) == [4, 6, 8]
+
+
 def _unused_imports(source):
     """``line: name`` of every module-level import the module never reads;
     an import whose lines carry ``# noqa: F401`` is exempt."""

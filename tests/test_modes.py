@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focklab as fl
-from focklab.fock import DEFAULT_STATE_CAP
+from focklab.tolerances import DEFAULT_STATE_CAP
 
 
 def test_lattice_laplacian_structure():

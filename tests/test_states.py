@@ -161,15 +161,15 @@ def test_poisson_tail_matches_mpmath_up_to_the_cap(m):
 
 def test_poisson_cutoff_refuses_beyond_the_cap_before_any_tail(monkeypatch):
     # a basis holding truncated(K), K >= floor(n), has floor(n) + 1 states or more
-    k = _poisson_cutoff(fl.fock.DEFAULT_STATE_CAP)
-    assert _poisson_tail(k, fl.fock.DEFAULT_STATE_CAP) <= POISSON_TAIL_FLOOR
+    k = _poisson_cutoff(fl.tolerances.DEFAULT_STATE_CAP)
+    assert _poisson_tail(k, fl.tolerances.DEFAULT_STATE_CAP) <= POISSON_TAIL_FLOOR
 
     def no_tail(k, m):
         raise AssertionError("a tail was evaluated")
 
     monkeypatch.setattr(fl.states, "_poisson_tail", no_tail)
     with pytest.raises(fl.CapacityError):
-        _poisson_cutoff(fl.fock.DEFAULT_STATE_CAP + 1)
+        _poisson_cutoff(fl.tolerances.DEFAULT_STATE_CAP + 1)
 
 
 @pytest.mark.parametrize("n", [float("nan"), -1.0, float("inf")])

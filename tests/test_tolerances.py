@@ -2,6 +2,7 @@
 relations between tolerances that the other modules rely on."""
 
 import ast
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 import focklab as fl
-from focklab.dynamics import _bessel_series
+from focklab.dynamics import _bessel_series, _radius_bound
+from focklab.hartree import _generator_bound
 from focklab.states import _check_components, _combine_components, component_states
 from focklab.tolerances import (
     DEFAULT_HARTREE_TOL,
@@ -20,6 +22,7 @@ from focklab.tolerances import (
     GRAM_FLOOR,
     HERMITICITY_TOL,
     INDEPENDENCE_TOL,
+    MAX_TIME_RADIUS,
     NORM_DRIFT_TOL,
     SERIES_STOP_TOL,
     TRACE_TOL,
@@ -198,12 +201,15 @@ def test_hartree_targets_need_renormalizing():
     assert UNIT_NORM_TOL < NORM_DRIFT_TOL
 
 
+_TWO_SITES = {"mode_system": {"geometry": "lattice", "sites": 2,
+                              "potential": {"kind": "contact", "g": 1.0}},
+              "state": {"family": "product", "phi": [1, 0]},
+              "n_list": [2], "t_list": [0.5]}
+
+
 def test_config_and_plan_bound_krylov_tol_by_one_constant():
     above = float(np.nextafter(DEFAULT_KRYLOV_TOL, 1.0))
-    doc = {"mode_system": {"geometry": "lattice", "sites": 2,
-                           "potential": {"kind": "contact", "g": 1.0}},
-           "state": {"family": "product", "phi": [1, 0]},
-           "n_list": [2], "t_list": [0.5]}
+    doc = dict(_TWO_SITES)
     H = fl.build_hamiltonian(_ms(2), 2, fl.enumerate_basis(2, fl.fixed(2)))
     for tol, accepted in ((DEFAULT_KRYLOV_TOL, True), (above, False)):
         doc["tolerances"] = {"krylov_tol": tol}
@@ -215,6 +221,106 @@ def test_config_and_plan_bound_krylov_tol_by_one_constant():
                 fl.ExperimentConfig.from_dict(doc)
             with pytest.raises(ValueError):
                 fl.make_plan(H, tol=tol)
+
+
+def test_config_bounds_hartree_tol_by_its_default():
+    # a looser mean-field tolerance passed the parser and then drifted the
+    # norm past NORM_DRIFT_TOL (tests/test_config_fuzz.py keeps the input);
+    # evolve_hartree itself takes any finite tol above 0
+    above = float(np.nextafter(DEFAULT_HARTREE_TOL, 1.0))
+    doc = dict(_TWO_SITES, tolerances={"hartree_tol": DEFAULT_HARTREE_TOL})
+    assert fl.ExperimentConfig.from_dict(doc).hartree_tol == DEFAULT_HARTREE_TOL
+    for tol in (above, 1.0):
+        doc["tolerances"] = {"hartree_tol": tol}
+        with pytest.raises(fl.ConfigError, match=r"^tolerances.hartree_tol must lie in "
+                                                 rf"\(0, {DEFAULT_HARTREE_TOL}\]$"):
+            fl.ExperimentConfig.from_dict(doc)
+    assert fl.evolve_hartree(_ms(2), np.array([0.6, 0.8j]), [0.0, 0.5], tol=1e-8).tol == 1e-8
+
+
+def _capacity_site(entry):
+    """(call, count): a call that asks the state cap for ``count`` entries
+    before the work they size."""
+    if entry == "enumerate_basis":
+        def call():
+            fl.fock._enumerate_cached.cache_clear()  # a cached basis skips the check
+            fl.enumerate_basis(3, fl.fixed(6))
+        return call, comb(8, 2)
+    if entry == "weyl_grid":
+        # the pass after one of two displaced modes pairs C(5, 1) states of
+        # each side, at n_max = 4
+        v = fl.basis_state(fl.enumerate_basis(2, fl.truncated(4)), (1, 1))
+        return (lambda: fl.fock._displace_grid(np.array([0.5, 0.5j]), v)), 25
+    if entry == "lattice":
+        return (lambda: fl.ModeSystem.lattice(7)), 49
+    if entry == "coherent_cutoff":
+        def call():
+            fl.states._poisson_cutoff.cache_clear()  # a cached cutoff skips the check
+            fl.states._poisson_cutoff(40)
+        return call, 40
+    return (lambda: fl.ExperimentConfig.from_dict({  # 3 sites: h holds 9 entries
+        "mode_system": {"geometry": "lattice", "sites": 3,
+                        "potential": {"kind": "contact", "g": 1.0}},
+        "state": {"family": "product", "phi": [1, 0, 0]},
+        "n_list": [2, 6], "t_list": [0.5]})), comb(8, 2)
+
+
+@pytest.mark.parametrize("entry", ["enumerate_basis", "weyl_grid", "lattice",
+                                   "coherent_cutoff", "config"])
+def test_every_capacity_check_has_the_same_threshold(monkeypatch, entry):
+    # every site asks tolerances.check_capacity, so the one cap moves them
+    # all: a count at the cap passes, one above it is refused in one format
+    call, count = _capacity_site(entry)
+    monkeypatch.setattr(fl.tolerances, "DEFAULT_STATE_CAP", count)
+    call()
+    monkeypatch.setattr(fl.tolerances, "DEFAULT_STATE_CAP", count - 1)
+    with pytest.raises(fl.CapacityError, match=f" has {count} entries, cap is {count - 1}$"):
+        call()
+
+
+def _time_radius_site(entry):
+    """(call, radius): call(t) runs a solver, or parses a config, for time t
+    with a generator bounded by ``radius``, a power of two."""
+    h, zero = np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))
+
+    def config(ms):
+        return lambda t: fl.ExperimentConfig.from_dict({
+            "mode_system": {"geometry": "dense", "h": ms.h.real.tolist(), "v": ms.v.tolist()},
+            "state": {"family": "product", "phi": [1, 0]}, "n_list": [3], "t_list": [t]})
+
+    if entry == "config_chebyshev":  # r = 3 * 1 + 2 / 2 at n = 3; s = 1
+        ms = fl.ModeSystem.dense(h, zero)
+        return config(ms), _radius_bound(ms, 3, 3)
+    if entry == "config_hartree":  # a uniform kernel leaves r = 0; s = 4
+        ms = fl.ModeSystem.dense(zero, np.full((2, 2), 4.0))
+        return config(ms), _generator_bound(ms)
+    if entry == "evolve_fock":  # the Gershgorin interval of H is [-1, 1]
+        b = fl.enumerate_basis(2, fl.fixed(1))
+        plan = fl.make_plan(fl.build_hamiltonian(fl.ModeSystem.dense(h, zero), 1, b))
+        lo, hi = plan.interval
+        return (lambda t: fl.evolve_fock(plan, fl.basis_state(b, (1, 0)), t)), (hi - lo) / 2
+    # a state h annihilates stays put, so DOP853 reaches t in a few steps
+    ms, phi = fl.ModeSystem.dense(h + np.eye(2), zero), np.array([1.0, -1.0]) / np.sqrt(2)
+
+    def call(t):
+        if entry == "evolve_hartree":
+            return fl.evolve_hartree(ms, phi, [0.0, t])
+        return fl.HartreeTrajectory(ms, np.array([0.0, t]), np.array([phi, phi]),
+                                    None, None, DEFAULT_HARTREE_TOL).at(t)
+    return call, _generator_bound(ms)
+
+
+@pytest.mark.parametrize("entry", ["config_chebyshev", "config_hartree", "evolve_fock",
+                                   "evolve_hartree", "at"])
+def test_every_time_radius_check_has_the_same_threshold(entry):
+    # |t| radius = MAX_TIME_RADIUS passes and the next float above it is refused
+    call, radius = _time_radius_site(entry)
+    t = MAX_TIME_RADIUS / radius
+    above = float(np.nextafter(t, np.inf))
+    assert t * radius == MAX_TIME_RADIUS < above * radius
+    call(t)
+    with pytest.raises(fl.CapacityError, match=r"\|t [rs]\| = 1e\+04 above 10000$"):
+        call(above)
 
 
 def test_chebyshev_truncation_lies_below_rounding_and_the_norm_check():
