@@ -9,7 +9,9 @@ of the components.  It evolves the combination with the exact 1/n-scaled
 many-body propagator through the times in increasing order and records the
 distances between its one-particle reduced density matrix and the target:
 the weighted mixture of the rank-one projections on the components'
-mean-field states.  Each sweep adds its own columns through one flat callback.
+mean-field states.  The cell also fills its family's columns: the rate
+envelope of a single family, or the cross term and mixture weights of a
+superposition.
 
 The CSV schema is bit-exact: header
 ``n,m,t,trace_dist,hs_dist,op_dist,cross_term,bound_envelope,runtime_s``,
@@ -25,7 +27,6 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import exp, inf, isfinite, log, sqrt
 
 import numpy as np
@@ -33,7 +34,8 @@ import numpy as np
 from .combinatorics import _check_admissible, admissible_m
 from .dynamics import _radius_bound, evolve_fock, make_plan
 from .errors import ConfigError, DegeneracyError, ExactRegimeError
-from .fock import _written, _written_csv, build_hamiltonian, enumerate_basis, sector_dimension
+from .fock import (_is_truncated, _written, _written_csv, build_hamiltonian, enumerate_basis,
+                   sector_dimension)
 from .hartree import _generator_bound, evolve_hartree
 from .modes import ModeSystem
 from .rdm import distance, mixed_target, reduced_dm
@@ -291,8 +293,13 @@ class ExperimentConfig:
         if cfg.out_format not in ("csv", "json"):
             raise ConfigError("output.format must be csv or json")
 
+        # every cell's m and components are admissible and its basis fits the
+        # state cap; the propagation to max(t_list) sums about |t| r Chebyshev
+        # terms, with r bounded at the top total of the cell's basis, and the
+        # mean-field integrator takes about |t| s steps
         coeffs = np.array([c.coeff for c in components])
         phis = [c.phi for c in components]
+        t_max = max(cfg.t_list)
         for n in cfg.n_list:
             m_n = [c.m_schedule.value(n) for c in components]
             for m in m_n:
@@ -303,12 +310,6 @@ class ExperimentConfig:
                 _check_components(kind, coeffs, phis, m_n)
             except ValueError as e:
                 raise ConfigError(f"state.components at n={n}: {e}") from e
-
-        # every cell's basis fits the state cap; the propagation to max(t_list)
-        # sums about |t| r Chebyshev terms, with r bounded at the top total of
-        # the cell's basis, and the mean-field integrator takes about |t| s steps
-        t_max = max(cfg.t_list)
-        for n in cfg.n_list:
             sector = _cell_sector(kind, n)
             check_capacity(sector_dimension(ms.d, sector), f"n_list: the basis at n={n}")
             check_time_radius(t_max, _radius_bound(ms, n, sector[1]),
@@ -542,41 +543,51 @@ def _theta_envelope(trace_dist, n, m):
     return trace_dist * sqrt(n) * exp(-m / 2.0) / float((m + 1) ** 7)
 
 
-def _sweep(config, threads, family, score):
-    """The cell pipeline every sweep shares.
+def _sweep(config, threads):
+    """The one cell pipeline of both sweeps.
 
     First the targets of ``_hartree_targets``, once per time.  Then one cell
     per n: the basis on ``_cell_sector(kind, n)`` (``enumerate_basis``
-    refuses one above the state cap), the propagator plan and the normalized
-    combination of the components with its Gram matrix and coefficients.  At
-    each t, in increasing order, the state evolves on from the previous time;
-    the row holds the three distances from its reduced density matrix rho to
-    the target at t, and the sweep's own columns
-    ``score(n, m, gram, coeffs_n, rho, phi_ts, trace_dist)``.  A cell returns
-    its rows.  Coherent sweeps record per n the cutoff n_max of the same
-    sector and the Poisson mass it drops in ``metadata["truncation"]``: H
-    commutes with N and rho has no cross-sector terms, so the cutoff moves
-    the distances only at the level of that mass.  ``threads > 1`` runs the
-    cells on a pool.
+    refuses one above the state cap), the propagator plan, the spec of
+    ``_superposition_spec`` and the normalized combination of its components
+    with their Gram matrix and coefficients; m is the largest excitation size
+    of the spec.  At each t, in increasing order, the state evolves on from
+    the previous time, and the row holds the three distances from its reduced
+    density matrix rho to the target at t and its family's columns:
+    ``bound_envelope`` for a single family; for a superposition the largest
+    off-diagonal Gram entry as ``cross_term`` (the numerically measured
+    overlap, so the closed forms |<phi_i,phi_j>|^n and e^{-n ||dphi||^2/2}
+    can be checked against it downstream) and the coefficient, fitted and
+    target weights.  A cell returns its rows and, on a truncated basis, the
+    cutoff n_max and the Poisson mass it drops, which the report lists per n
+    in ``metadata["truncation"]``: H commutes with N and rho has no
+    cross-sector terms, so the cutoff moves the distances only at the level
+    of that mass.  ``threads > 1`` runs the cells on a pool.
     """
+    import scipy
+
+    from . import __version__
+
     targets = _hartree_targets(config)
+    single = config.family in KINDS
+    weights = [float(w) for w in _target_weights(config.components)]
 
     def cell(n):
         basis = enumerate_basis(config.ms.d, _cell_sector(config.kind, n))
-        plan = make_plan(build_hamiltonian(config.ms, n, basis),
-                         tol=config.krylov_tol)
+        plan = make_plan(build_hamiltonian(config.ms, n, basis), tol=config.krylov_tol)
         spec = _superposition_spec(config, n)
         try:  # the pairwise parse checks cannot see a degenerate span
             state, coeffs_n, gram = _combine_components(
                 spec.coeffs, component_states(spec, n, basis))
         except DegeneracyError as e:
             raise ConfigError(f"state.components at n={n}: {e}") from e
-        m = max(c.m_schedule.value(n) for c in config.components)
-        rows = []
-        t_prev = 0.0
+        m = max(spec.m_schedule or [0])
+        # abs entry by entry: numpy's vectorized abs can differ in the last bit
+        cross = float(max(map(abs, gram[np.triu_indices(len(gram), 1)]), default=0))
+        rows, t_prev = [], 0.0
         # each time evolves on from the previous one (a repeated time by 0)
         for t in sorted(config.t_list):
-            cell_start = time.perf_counter()
+            row_start = time.perf_counter()
             state = evolve_fock(plan, state, t - t_prev)
             t_prev = t
             rho = reduced_dm(state)
@@ -585,10 +596,15 @@ def _sweep(config, threads, family, score):
                           for kind in ("trace", "hilbert_schmidt", "operator"))
             rows.append(SweepRow(
                 n=n, m=m, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
-                runtime_s=time.perf_counter() - cell_start,
-                **score(n, m, gram, coeffs_n, rho, phi_ts, td),
+                runtime_s=time.perf_counter() - row_start,
+                **({"bound_envelope": _theta_envelope(td, n, m)} if single else {
+                    "cross_term": cross, "extras": {
+                        "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
+                        "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
+                        "target_weights": list(weights)}}),
             ))
-        return rows
+        return rows, ({"n_max": basis.n_max, "tail_mass": _poisson_tail(basis.n_max, n)}
+                      if _is_truncated(basis) else None)
 
     sweep_start = time.perf_counter()
     if threads > 1:
@@ -596,47 +612,30 @@ def _sweep(config, threads, family, score):
             cells = list(pool.map(cell, config.n_list))
     else:  # in the calling thread, so that Ctrl-C stops a long cell at once
         cells = [cell(n) for n in config.n_list]
-    metadata = _metadata(config, threads, time.perf_counter() - sweep_start)
-    if config.kind == "coherent":
-        metadata["truncation"] = {
-            str(n): {"n_max": k, "tail_mass": _poisson_tail(k, n)}
-            for n in config.n_list for _, k in [_cell_sector(config.kind, n)]
-        }
+    metadata = {"threads": threads, "n_list": config.n_list, "t_list": config.t_list,
+                "versions": {"focklab": __version__, "numpy": np.__version__,
+                             "scipy": scipy.__version__},
+                "total_runtime_s": round(time.perf_counter() - sweep_start, 3)}
+    truncation = {str(n): cut for n, (_, cut) in zip(config.n_list, cells) if cut}
+    if truncation:
+        metadata["truncation"] = truncation
     return ConvergenceReport(
-        config_hash=config.config_hash, family=family, seed=config.seed,
-        rows=sorted((r for rows in cells for r in rows), key=lambda r: (r.n, r.t)),
-        reproducible=(threads == 1), metadata=metadata,
+        config_hash=config.config_hash, seed=config.seed, reproducible=(threads == 1),
+        family=config.family if single else "superposition:" + config.kind,
+        rows=[r for cell_rows, _ in cells for r in cell_rows],  # n_list increases
+        metadata=metadata,
     )
-
-
-def _metadata(config, threads, total_runtime_s):
-    import scipy
-
-    from . import __version__
-
-    return {
-        "threads": threads,
-        "n_list": config.n_list,
-        "t_list": config.t_list,
-        "versions": {"focklab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-        "total_runtime_s": round(total_runtime_s, 3),
-    }
 
 
 def run_convergence_sweep(config: ExperimentConfig, threads=1):
     """Single-family sweep: distance of the evolved reduced density matrix to
     the projection on the mean-field state, per (n, t), plus the
-    rate-envelope column."""
+    rate-envelope column and the fitted rates."""
     if config.family not in KINDS:
         raise ConfigError(
             f"convergence sweep takes a single-state family, got {config.family!r}"
         )
-
-    def score(n, m, gram, coeffs_n, rho, phi_ts, td):
-        return {"bound_envelope": _theta_envelope(td, n, m)}
-
-    return _sweep(config, threads, config.family, score).attach_fits()
+    return _sweep(config, threads).attach_fits()
 
 
 def run_superposition_sweep(config: ExperimentConfig, threads=1):
@@ -644,20 +643,7 @@ def run_superposition_sweep(config: ExperimentConfig, threads=1):
     weighted mixture of mean-field projections, with cross-term logging."""
     if config.family != "superposition":
         raise ConfigError("superposition sweep needs family=superposition")
-    weights = _target_weights(config.components)
-
-    def score(n, m, gram, coeffs_n, rho, phi_ts, td):
-        # cross terms are logged as the numerically measured overlaps, so the
-        # closed forms (|<phi_i,phi_j>|^n, e^{-n ||dphi||^2/2}) can be checked
-        # against them downstream
-        cross = max(abs(gram[i, j]) for i, j in combinations(range(len(gram)), 2))
-        return {"cross_term": float(cross), "extras": {
-            "coeff_weights": [float(abs(c) ** 2) for c in coeffs_n],
-            "fitted_weights": _fit_mixture_weights(rho.rho, phi_ts),
-            "target_weights": [float(w) for w in weights],
-        }}
-
-    return _sweep(config, threads, "superposition:" + config.kind, score)
+    return _sweep(config, threads)
 
 
 def _fit_mixture_weights(rho, phi_ts):

@@ -62,12 +62,15 @@ def _create_power(f, k, v):
     powers = np.asarray(f, dtype=complex) ** np.arange(k + 1)[:, None]  # f_p^j
     gain, log_j = powers[j, np.arange(d)].prod(axis=1), log_fact[j].sum(axis=1)
     coeffs = np.zeros(out.dim, dtype=complex)
-    for i in np.flatnonzero(v.coeffs):  # one vectorized pass per occupation o
-        o = v.basis.occs[i]
-        N = o + j
-        log_amp = (0.5 * log_fact[N].sum(axis=1) + 0.5 * log_fact[k] - log_j
-                   - 0.5 * log_fact[o].sum())
-        coeffs[rank(out, N)] += v.coeffs[i] * np.exp(log_amp) * gain
+    # at large k an amplitude can be inf * 0, where exp(log_amp) overflows and
+    # f_p^j underflows; theta_state refuses the non-finite result
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in np.flatnonzero(v.coeffs):  # one vectorized pass per occupation o
+            o = v.basis.occs[i]
+            N = o + j
+            log_amp = (0.5 * log_fact[N].sum(axis=1) + 0.5 * log_fact[k] - log_j
+                       - 0.5 * log_fact[o].sum())
+            coeffs[rank(out, N)] += v.coeffs[i] * np.exp(log_amp) * gain
     return FockVector(out, coeffs)
 
 
@@ -170,8 +173,8 @@ def _poisson_cutoff(n):
     floor, then bisects between hi and lo, the last K above it (or
     floor(n) - 1).  Any basis that holds truncated(K) has at least
     floor(n) + 1 states, so an n above the state cap raises CapacityError
-    before a tail is evaluated.  A sweep asks for each n's cutoff three
-    times (config checks, cell, truncation ledger), hence the cache."""
+    before a tail is evaluated.  A sweep asks for each n's cutoff twice
+    (config checks, cell), hence the cache."""
     check_capacity(n, f"a coherent cell at n={n}: its basis")
     lo, hi = int(n) - 1, int(n)
     while _poisson_tail(hi, n) > POISSON_TAIL_FLOOR:
@@ -360,6 +363,8 @@ def theta_state(phi, excitation, n, method, basis):
         coeffs = _theta_weyl(phi, psi, n, m)
     else:
         raise ValueError(f"unknown construction {method!r}")
+    if not np.all(np.isfinite(coeffs)):
+        raise FocklabError(f"theta state at n={n}, m={m} is not finite: a float overflows")
     return _embed_sector(coeffs, n, basis)
 
 

@@ -557,6 +557,25 @@ def test_a_subnormal_hopping_runs_without_warnings(theta_config):
     assert proc.returncode == 0 and proc.stderr == ""
 
 
+@pytest.mark.parametrize("command, state, n_list", [
+    ("converge", {"family": "product", "phi": [0.6, 0.8]}, [2000, 2100]),
+    ("superpose", {"family": "superposition", "kind": "product", "components": [
+        {"phi": [0.6, 0.8], "coeff": 1.0}, {"phi": [0.8, 0.6], "coeff": 1.0}]}, [2100]),
+], ids=["product", "superposition"])
+def test_a_non_finite_closed_form_state_fails_as_itself(theta_config, command, state, n_list):
+    # at n = 2100 on 2 modes the closed form of phi^(x)n overflows a float; the
+    # product sweep used to print two numpy warnings and exit 1 with a NaN norm
+    # defect, the superposition to exit 2 calling its Gram matrix singular
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=dict(_LATTICE, sites=2), state=state,
+                                    n_list=n_list)))
+    proc = _cli(command, "--config", path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: theta state at n=2100, m=0 is not finite: a float overflows"]
+    assert list((tmp / "out").glob("*.csv")) == []
+
+
 def test_huge_contact_strength_is_refused_before_integrating(theta_config):
     # a contact kernel of 8e307 spreads H's diagonal within a sector past any
     # float, so no time t > 0 keeps |t r| finite

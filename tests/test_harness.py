@@ -322,21 +322,46 @@ def _distances(rep):
     return {(r.n, r.t): (r.trace_dist, r.hs_dist, r.op_dist) for r in rep.rows}
 
 
+# what a report records of the run rather than of the physics
+_RUN_KEYS = {"runtime_s", "total_runtime_s", "threads", "reproducible"}
+
+
+def _report_doc(rep, drop=_RUN_KEYS):
+    """The report's JSON document without the keys in ``drop``, at any depth."""
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k not in drop}
+        return [strip(v) for v in x] if isinstance(x, list) else x
+    return strip(rep.to_json())
+
+
 @pytest.mark.parametrize("family", ["theta", "superposition-coherent"])
 def test_results_ignore_threads_and_time_order(family):
+    # the whole report: rows with their family's columns and extras, the fits
+    # and the truncation ledger, which the pool collects as the serial path does
     times = [0.25, 0.5, 1.0]
-    if family == "theta":
+    theta = family == "theta"
+    if theta:
         doc, sweep = _theta_doc(t_list=times), fl.run_convergence_sweep
     else:
         doc, sweep = _superposition_doc(kind="coherent", n_list=(2, 3)), \
             fl.run_superposition_sweep
         doc["t_list"] = times
-    ref = _distances(sweep(fl.ExperimentConfig.from_dict(doc)))
-    assert len(ref) == 3 * len(doc["n_list"])
-    threaded = sweep(fl.ExperimentConfig.from_dict(doc), threads=2)
-    assert _distances(threaded) == ref
+    ref = sweep(fl.ExperimentConfig.from_dict(doc))
+    want = _report_doc(ref)
+    assert len(want["rows"]) == 3 * len(doc["n_list"])
+    columns = ("bound_envelope",) if theta else ("cross_term", "extras")
+    assert all(row[k] is not None for row in want["rows"] for k in columns)
+    if theta:
+        assert all(isinstance(want["fits"][repr(t)], dict) for t in times)
+    else:
+        assert list(want["metadata"]["truncation"]) == ["2", "3"]
+    assert _report_doc(sweep(fl.ExperimentConfig.from_dict(doc), threads=2)) == want
+    # the config hash and metadata.t_list name the order in which t_list was given
     doc["t_list"] = times[::-1]
-    assert _distances(sweep(fl.ExperimentConfig.from_dict(doc))) == ref
+    order_free = _RUN_KEYS | {"config_hash", "t_list"}
+    assert _report_doc(sweep(fl.ExperimentConfig.from_dict(doc)), order_free) == \
+        _report_doc(ref, order_free)
 
 
 def test_repeated_zero_and_unordered_times_match_each_time_once():

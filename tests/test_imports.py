@@ -311,22 +311,31 @@ def test_the_rank_pin_sees_each_planted_lookup():
 _CELL_RULES = {"fixed", "truncated", "_poisson_cutoff"}
 
 
+def _cell_rule_uses(tree):
+    """Lines of every call to a cell rule and of every string constant
+    "coherent", the kind whose cells are truncated."""
+    return sorted(_calls_to(tree, _CELL_RULES) + [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "coherent"])
+
+
 def test_the_harness_leaves_a_cells_sector_to_states():
     tree = ast.parse((_SRC / "harness.py").read_text(encoding="utf-8"))
-    assert _calls_to(tree, _CELL_RULES) == []
+    assert _cell_rule_uses(tree) == []
 
 
 def test_the_cell_sector_pin_sees_each_planted_call():
     tree = ast.parse(
-        '"""A cell on fixed(n), or truncated at _poisson_cutoff(n)."""\n'
+        '"""A cell on fixed(n), or truncated at _poisson_cutoff(n) if coherent."""\n'
         "from .fock import fixed\n"
         "def cell(kind, n):\n"
         "    if kind == 'coherent':\n"
         "        return fock.truncated(states._poisson_cutoff(n))\n"
         "    return fixed(n)\n"
         "rule = _poisson_cutoff\n"
+        'ledger = {"coherent": 1} if kind in ("product", "coherent") else None\n'
     )
-    assert _calls_to(tree, _CELL_RULES) == [5, 5, 6]
+    assert _cell_rule_uses(tree) == [4, 5, 5, 6, 8, 8]
 
 
 # the limits that ``tolerances.check_capacity`` and ``check_time_radius`` own

@@ -22,6 +22,7 @@ from focklab.states import (
     _xlogy,
     component_states,
 )
+from focklab.tolerances import UNIT_NORM_TOL
 
 from conftest import random_fock, random_unit
 
@@ -410,6 +411,17 @@ def test_create_power_is_bitwise_the_output_scan(d, m, k, seed):
     got = _create_power(f, k, v)
     assert got.basis == _fixed(d, m + k)
     assert np.array_equal(got.coeffs, _scan_create_power(f, k, v))
+
+
+def test_a_product_state_whose_closed_form_overflows_is_refused():
+    # on 2 modes a*(phi)^n |0> / sqrt(n!) is finite at n = 2048; by n = 2060
+    # some amplitude is inf * 0 (exp overflows where phi_p^j underflows), and
+    # without a numpy warning the state refuses itself instead of being NaN
+    phi = np.array([0.6, 0.8], dtype=complex)
+    v = fl.product_state(phi, 2048, _fixed(2, 2048))
+    assert np.all(np.isfinite(v.coeffs)) and abs(v.norm() - 1) <= UNIT_NORM_TOL
+    with pytest.raises(fl.FocklabError, match=r"^theta state at n=2060, m=0 is not finite"):
+        fl.product_state(phi, 2060, _fixed(2, 2060))
 
 
 @settings(max_examples=60, deadline=None)
