@@ -138,13 +138,17 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
 
     Raises ValueError for a non-finite t, CapacityError when |t| r, r the
     half-width of the plan's interval, exceeds MAX_TIME_RADIUS (the series
-    would take about |t| r products), and KrylovError when the result is
-    not finite or its norm differs from ||v|| by more than plan.tol * ||v||.
+    would take about |t| r products), and KrylovError, naming the cause, when
+    the start vector is not finite, or when the result is not finite or its
+    norm differs from ||v|| by more than plan.tol * ||v||.
     """
     if not isfinite(t):
         raise ValueError(f"propagation time t must be finite, got {t}")
     if v.basis != plan.basis:
         raise SectorError("vector does not live on the plan's basis")
+    norm_in = np.linalg.norm(v.coeffs)
+    if not isfinite(norm_in):  # a bad start state, named before the series runs on it
+        raise KrylovError(f"propagation to t={t} got a start vector that is not finite")
     lo, hi = plan.interval
     check_time_radius(t, (hi - lo) / 2, f"evolve_fock: t={t} asks for |t r|")
     j = _bessel_series(t * (hi - lo) / 2)
@@ -158,7 +162,6 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
             prev = 2 * (plan.scaled @ cur) - prev
             out += ck * prev
             prev, cur = cur, prev
-    norm_in = np.linalg.norm(v.coeffs)
     defect = abs(np.linalg.norm(out) - norm_in)
     if not defect <= plan.tol * norm_in:  # also catches inf and nan entries
         raise KrylovError(

@@ -301,11 +301,16 @@ class FockVector:
     __rmul__ = __mul__
 
 
+def _embed_sector(coeffs, n, basis):
+    """Coefficients of total n placed on ``basis``; SectorError if it lacks n."""
+    c = np.zeros(basis.dim, dtype=complex)
+    c[basis.sector_slice(n)] = coeffs
+    return FockVector(basis, c)
+
+
 def vacuum(basis):
     """The vacuum; SectorError on a basis without total 0."""
-    c = np.zeros(basis.dim, dtype=complex)
-    c[basis.sector_slice(0)] = 1.0
-    return FockVector(basis, c)
+    return _embed_sector(1.0, 0, basis)
 
 
 def basis_state(basis, occ):
@@ -686,10 +691,7 @@ def sector_project(n, v):
     """P_n: zero every coefficient outside total occupation n."""
     basis = v.basis
     _require_truncated(basis, "sector projection")
-    c = np.zeros_like(v.coeffs)
-    sl = basis.sector_slice(n)
-    c[sl] = v.coeffs[sl]
-    return FockVector(basis, c)
+    return _embed_sector(v.coeffs[basis.sector_slice(n)], n, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,16 @@ def check_theta_methods(rng, full):
     return worst <= 1e-8, f"worst pairwise gap {worst:.2e} over {count} cases"
 
 
+def _displaced_theta_norms(rng, n, m, d, seed):
+    """Sector norms of C*(sqrt(n) phi) theta_{n,m} on truncated(48), phi a
+    random unit vector of d modes and psi_m drawn from ``seed`` (none at m = 0)."""
+    phi = _random_unit(d, rng)
+    exc = None if m == 0 else random_excitation(phi, m, seed=seed)
+    th = theta_state(phi, exc, n, "creation_polynomial", enumerate_basis(d, truncated(48)))
+    disp, _ = weyl_apply(-sqrt(n) * phi, th)
+    return disp.sector_norms()
+
+
 def check_ak_oracle(rng):
     """Closed-form displaced-state coefficients vs direct Fock computation.
 
@@ -249,12 +259,7 @@ def check_ak_oracle(rng):
     """
     worst = 0.0
     for (n, m, d) in ((6, 0, 2), (6, 1, 2), (6, 2, 2), (8, 1, 2), (6, 1, 3)):
-        phi = _random_unit(d, rng)
-        exc = None if m == 0 else random_excitation(phi, m, seed=(11, n, m))
-        basis = enumerate_basis(d, truncated(48))
-        th = theta_state(phi, exc, n, "creation_polynomial", basis)
-        disp, _ = weyl_apply(-sqrt(n) * phi, th)
-        norms = disp.sector_norms()
+        norms = _displaced_theta_norms(rng, n, m, d, seed=(11, n, m))
         ak = comb.theta_weyl_coefficients(n, m).a
         for k in range(n - m + 1):
             worst = max(worst, abs(norms[k + m] - ak[k]))
@@ -264,14 +269,8 @@ def check_ak_oracle(rng):
 def check_ak_invariance(rng):
     """A_k does not depend on the choice of (phi, psi_m)."""
     n, m, d = 6, 1, 3
-    results = []
-    for trial in range(2):
-        phi = _random_unit(d, rng)
-        exc = random_excitation(phi, m, seed=(trial, 5))
-        basis = enumerate_basis(d, truncated(48))
-        th = theta_state(phi, exc, n, "creation_polynomial", basis)
-        disp, _ = weyl_apply(-sqrt(n) * phi, th)
-        results.append(disp.sector_norms()[m : n + 1])
+    results = [_displaced_theta_norms(rng, n, m, d, seed=(trial, 5))[m : n + 1]
+               for trial in range(2)]
     gap = float(np.max(np.abs(results[0] - results[1])))
     return gap <= 1e-10, f"coefficient drift between random draws {gap:.2e}"
 

@@ -29,6 +29,7 @@ from .combinatorics import _check_admissible, log_dnm
 from .errors import DegeneracyError, FocklabError, SectorError
 from .fock import (
     FockVector,
+    _embed_sector,
     _is_truncated,
     _require_truncated,
     enumerate_basis,
@@ -42,13 +43,6 @@ from .fock import (
 from .tolerances import (DISTINCTNESS_TOL, GRAM_FLOOR, INDEPENDENCE_TOL, ORTHOGONALITY_TOL,
                          OVERLAP_BOUND_ATOL, OVERLAP_BOUND_RTOL, POISSON_TAIL_FLOOR,
                          check_capacity, check_unit)
-
-
-def _embed_sector(coeffs, n, basis):
-    """Coefficients of total n placed on ``basis``; SectorError if it lacks n."""
-    c = np.zeros(basis.dim, dtype=complex)
-    c[basis.sector_slice(n)] = coeffs
-    return FockVector(basis, c)
 
 
 def _create_power(f, k, v):
@@ -81,8 +75,13 @@ def product_state(phi, n, basis):
 
 def _log_factorials(n):
     """log j! for j = 0..n: the logarithm of the exact j! while it is a finite
-    float (j <= 170, correctly rounded), ``math.lgamma`` above (within 2 ulp)."""
-    return np.array([log(factorial(j)) if j <= 170 else lgamma(j + 1) for j in range(n + 1)])
+    float (j <= 170, correctly rounded), j (log j - 1) + ``_stirling_rest(j)``
+    above (within 2 ulp of mpmath's loggamma)."""
+    exact = np.array([log(factorial(i)) for i in range(min(n, 170) + 1)])
+    if n <= 170:  # most calls: the array arithmetic below would cost ten times more
+        return exact
+    j = np.arange(171, n + 1, dtype=float)
+    return np.concatenate([exact, j * (np.log(j) - 1) + _stirling_rest(j)])
 
 
 def _xlogy(x, y):
@@ -97,16 +96,22 @@ _STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 
 
 def _stirlerr(j):
-    """log j! - (j + 1/2) log j + j - log sqrt(2 pi) for an integer j >= 1:
-    directly up to 15, else from as many terms of the asymptotic series as
-    Loader's cuts at 15, 35, 80 and 500 ask."""
-    if j <= 15:
+    """log j! - (j + 1/2) log j + j - log sqrt(2 pi) for an integer j >= 1, or
+    elementwise for an array of integers j > 15: directly up to 15, else from
+    as many terms of the asymptotic series as Loader's cuts at 15, 35, 80 and
+    500 ask, summed from the smallest."""
+    if np.ndim(j) == 0 and j <= 15:
         return log(factorial(j)) - (j + 0.5) * log(j) + j - 0.5 * log(2 * pi)
-    used = 2 if j > 500 else 3 if j > 80 else 4 if j > 35 else 5
     jj, s = j * j, 0.0
-    for c in reversed(_STIRLING[1:used]):
-        s = (c - s) / jj
-    return (_STIRLING[0] - s) / j
+    for k, cut in ((4, 35), (3, 80), (2, 500)):  # term k is used up to its cut
+        s = np.where(j <= cut, (_STIRLING[k] - s) / jj, s)
+    return (_STIRLING[0] - (_STIRLING[1] - s) / jj) / j
+
+
+def _stirling_rest(j):
+    """log j! - j (log j - 1) = log sqrt(2 pi j) + stirlerr(j), elementwise for
+    an array of integers j > 15."""
+    return 0.5 * np.log(j) + 0.5 * log(2 * pi) + _stirlerr(j)
 
 
 def _bd0(x, m):
@@ -211,8 +216,13 @@ def coherent_state(phi, n, basis):
             f"{POISSON_TAIL_FLOOR} for mean number {n}"
         )
     a, o = sqrt(n) * phi, np.arange(basis.n_max + 1)[:, None]
-    log_fact = _log_factorials(basis.n_max)[:, None]  # log o!
-    log_mag = _xlogy(o, np.abs(a)) - 0.5 * log_fact - np.abs(a) ** 2 / 2
+    mean, j = np.abs(a) ** 2, o[171:]
+    log_mag = _xlogy(o, np.abs(a)) - 0.5 * _log_factorials(basis.n_max)[:, None] - mean / 2
+    # above o = 170 those terms reach 1e7 at n = 1e6 and cancel, off by about 1e-9:
+    # there log_mag is -(bd0(o, |a|^2) + log sqrt(2 pi o) + stirlerr(o)) / 2, as
+    # in ``_poisson_pmf``, and -inf in a mode with a = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_mag[171:] = -(j * np.log1p((j - mean) / mean) - (j - mean) + _stirling_rest(j)) / 2
     factor = np.exp(log_mag + 1j * o * np.angle(a))  # mode p, occupation o
     return FockVector(basis, factor[basis.occs, np.arange(basis.d)].prod(axis=1))
 

@@ -589,6 +589,52 @@ def test_huge_contact_strength_is_refused_before_integrating(theta_config):
     assert len(err) == 1 and err[0].startswith("capacity error: t_list: t=0.5 at n=4")
 
 
+@pytest.mark.parametrize("mode_system, state, n_list, t_list", [
+    (dict(_LATTICE, sites=2, potential={"kind": "contact", "g": 5e307}),
+     {"family": "product", "phi": [0.6, 0.8]}, [2, 3], [0.0]),
+    ({"geometry": "dense", "h": [[1e308, 0], [0, 0]], "v": [[0, 0], [0, 0]]},
+     {"family": "theta", "phi": [0.6, 0.8], "m": 1}, [4], [0.0]),
+    (dict(_LATTICE, sites=3, hopping=5e307),
+     {"family": "coherent", "phi": [0.6, 0.8, 0.0]}, [3], [0.0, 0.0]),
+    (dict(_LATTICE, sites=2, hopping=4e307, potential={"kind": "contact", "g": 0.0}),
+     {"family": "product", "phi": [0.6, 0.8]}, [2], [0.0]),
+], ids=["contact", "dense-h", "hopping-3-sites", "hopping-gershgorin"])
+def test_a_hamiltonian_that_overflows_is_refused_before_any_cell(
+        theta_config, mode_system, state, n_list, t_list):
+    # at t = 0 both radius checks pass whatever the radius; the first three
+    # used to exit 1 with a traceback from an inf - inf entry of H ("not
+    # Hermitian"), the last, whose H is finite but its Gershgorin interval not,
+    # from the Bessel series of 0 * inf
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=mode_system, state=state,
+                                    n_list=n_list, t_list=t_list)))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"config error: mode_system: the Hamiltonian at n={n_list[0]} overflows a float"]
+    assert not (tmp / "out").exists()
+
+
+def test_a_coherent_cat_state_sweeps(tmp_path):
+    # phi and -phi are distinct coherent components whose mean-field targets
+    # coincide; their mixture fit has no unique solution
+    c = 1 / sqrt(2)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({
+        "mode_system": dict(_LATTICE, sites=3),
+        "state": {"family": "superposition", "kind": "coherent", "components": [
+            {"phi": [0.6, 0.8, 0.0], "coeff": c}, {"phi": [-0.6, -0.8, 0.0], "coeff": c}]},
+        "n_list": [2, 3, 4], "t_list": [0.0, 0.5],
+        "output": {"dir": str(tmp_path / "out"), "format": "json"}}))
+    assert main(["superpose", "--config", str(path)]) == 0
+    rows = json.loads((tmp_path / "out" / "superposition.json").read_text())["rows"]
+    assert len(rows) == 6
+    for r in rows:  # the two coinciding targets share the fit evenly
+        w = r["extras"]["fitted_weights"]
+        assert w[0] == pytest.approx(w[1], abs=1e-12)
+        assert r["t"] > 0 or w == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
 @pytest.mark.parametrize("t", [1e7, 1e300])
 def test_huge_time_exits_3_at_once(theta_config, t):
     # t = 1e7 on 3 sites used to run for hours: about 24 mean-field steps per

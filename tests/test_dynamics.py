@@ -44,6 +44,18 @@ def test_time_zero_is_identity(rng):
             fl.evolve_fock(plan, v, 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_start_vector_is_named_as_such(rng, bad):
+    # the norm defect used to read nan and blame the propagation's unitarity
+    b = fl.enumerate_basis(3, fl.fixed(4))
+    plan = fl.make_plan(fl.build_hamiltonian(_contact_ms(3), 4, b))
+    v = random_fock(b, rng)
+    v.coeffs[1] = bad
+    with pytest.raises(fl.KrylovError) as err:
+        fl.evolve_fock(plan, v, 0.5)
+    assert str(err.value) == "propagation to t=0.5 got a start vector that is not finite"
+
+
 def test_free_evolution_factorizes(rng):
     h = random_hermitian(2, rng)
     ms = fl.ModeSystem.dense(h, np.zeros((2, 2)))

@@ -476,6 +476,42 @@ def test_orthogonal_components_free_potential_exact_mixture():
     assert all(r.cross_term < 1e-12 for r in rep.rows)
 
 
+def test_fitted_weights_recover_the_mixture_weights(rng):
+    for w in ([0.3, 0.7], [0.2, 0.5, 0.3]):
+        phis = [v / np.linalg.norm(v)
+                for v in rng.standard_normal((len(w), 3)) + 1j * rng.standard_normal((len(w), 3))]
+        rho = fl.mixed_target(w, phis)
+        assert harness._fit_mixture_weights(rho.rho, phis) == pytest.approx(w, abs=1e-12)
+
+
+def _cat_doc(kind):
+    phi = [0.6, 0.8, 0.0]
+    c = 1 / sqrt(2)
+    return {"mode_system": {"geometry": "lattice", "sites": 3,
+                            "potential": {"kind": "contact", "g": 1.0}},
+            "state": {"family": "superposition", "kind": kind, "components": [
+                {"phi": phi, "coeff": c}, {"phi": [-x for x in phi], "coeff": c}]},
+            "n_list": [2, 3, 4], "t_list": [0.0, 0.5], "seed": 1}
+
+
+def test_cat_state_fits_even_weights_on_its_coinciding_targets():
+    # phi and -phi project on the same line: the least-squares weights are the
+    # minimum-norm ones, split evenly
+    doc = _cat_doc("coherent")
+    phis = [np.array(c["phi"], dtype=complex) for c in doc["state"]["components"]]
+    states._check_components("coherent", np.ones(2), phis, [])  # ||phi - (-phi)|| = 2
+    rep = fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(doc))
+    assert len(rep.rows) == 6
+    for r in rep.rows_at(0.0):
+        assert r.trace_dist <= 1e-12
+        assert r.extras["fitted_weights"] == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
+def test_a_product_cat_is_refused_as_linearly_dependent():
+    with pytest.raises(fl.ConfigError, match="linearly independent"):
+        fl.ExperimentConfig.from_dict(_cat_doc("product"))
+
+
 def test_theta_superposition_sweep_runs():
     doc = _superposition_doc(kind="theta", n_list=(6, 8))
     doc["state"]["components"][0]["m"] = 1

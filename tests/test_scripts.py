@@ -52,3 +52,23 @@ def test_code_line_counter_reports_every_module_of_the_package():
     assert [line.split()[0] for line in lines] == modules + ["total"]
     counts = [int(line.split()[1]) for line in lines]
     assert counts[-1] == sum(counts[:-1])
+
+
+def test_snapshot_writes_one_file_per_run_without_wall_clock_fields(tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "snapshot_outputs.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = ["theta", "theta-log", "product", "coherent", "product-superposition",
+             "theta-superposition", "coherent-superposition"]
+    runs = {f"{name}-{threads}t-{fmt}.txt"
+            for name in names for fmt in ("csv", "json") for threads in (1, 2)}
+    assert {p.name for p in tmp_path.iterdir()} == runs | {"check-quick.txt"}
+    for path in tmp_path.iterdir():
+        text = path.read_text(encoding="utf-8")
+        assert "total_runtime_s" not in text and '"seconds"' not in text
+        if "-2t-json" in path.name:
+            assert '"runtime_s"' not in text
+        elif path.name.endswith("-csv.txt"):  # the runtime_s cell ends each row blank
+            rows = text.split("n,m,t,trace_dist", 1)[1].splitlines()[1:]
+            assert rows and all(r.endswith(",") for r in rows)
+    assert "suite: PASS (quick)" in (tmp_path / "check-quick.txt").read_text()

@@ -424,6 +424,45 @@ def test_a_product_state_whose_closed_form_overflows_is_refused():
         fl.product_state(phi, 2060, _fixed(2, 2060))
 
 
+def _finite_unit_or_refused(build):
+    """The built vector if it is finite and of unit norm, None if ``build``
+    refuses with a one-line FocklabError; anything else fails the test."""
+    try:
+        v = build()
+    except fl.FocklabError as e:
+        assert "\n" not in str(e)
+        return None
+    assert np.all(np.isfinite(v.coeffs)) and abs(v.norm() - 1) <= UNIT_NORM_TOL
+    return v
+
+
+def test_constructors_at_the_edge_of_the_float_range():
+    # each constructor just below and just above the n where its largest
+    # intermediate leaves the float range: on 2 modes the product state is
+    # finite at n = 2048 and refused at 2060, on 3 modes finite at 1290 and
+    # refused at 1300; the finite two-mode states propagate
+    for d, ns, phi in ((2, (2048, 2060), [0.6, 0.8]), (3, (1290, 1300), [0.48, 0.6, 0.64])):
+        phi = np.array(phi, dtype=complex)
+        ms = fl.ModeSystem.lattice(d)
+        for n in ns:
+            basis = _fixed(d, n)
+            built = [_finite_unit_or_refused(lambda: fl.product_state(phi, n, basis))]
+            for m in (1, 3):
+                exc = fl.random_excitation(phi, m, seed=m)
+                built.append(_finite_unit_or_refused(
+                    lambda: fl.theta_state(phi, exc, n, "creation_polynomial", basis)))
+            assert (built[0] is None) == (n == ns[1])
+            for v in built:
+                if v is not None and d == 2:
+                    plan = fl.make_plan(fl.build_hamiltonian(ms, n, basis))
+                    _finite_unit_or_refused(lambda: fl.evolve_fock(plan, v, 1e-3))
+    # one mode at n = 1e6: the log-space terms of the amplitudes reach 1e7 and
+    # used to cancel to a norm defect of 4e-10
+    n = 10**6
+    basis = fl.enumerate_basis(1, fl.truncated(_poisson_cutoff(n)))
+    assert _finite_unit_or_refused(lambda: fl.coherent_state(np.array([1.0]), n, basis))
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 3), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_tensor_conversions_invert_and_keep_the_norm(d, n, seed):
