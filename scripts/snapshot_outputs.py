@@ -5,16 +5,28 @@ fields, so that two checkouts can be compared byte for byte.
     python3 scripts/snapshot_outputs.py OUT_DIR
     diff -r OUT_DIR_A OUT_DIR_B
 
-Seven configs on a 3-site contact lattice (theta, theta with a log m
-schedule, product, coherent, and product, theta and 3-component coherent
-superpositions) each run under {csv, json} x {1, 2 threads}.  Each run
-writes one file, ``NAME-THREADSt-FORMAT.txt``: the command's stdout, then its
-report.  ``check --level quick --seed 2024`` writes ``check-quick.txt``: its
-stdout, then its verdict.  Removed from them: the JSON report's
-``metadata.total_runtime_s``, the ``runtime_s`` of a 2-thread run (its CSV
-cell is left blank, as a 1-thread run writes it) and each check's
-``seconds``.  The program run is the ``src/focklab`` of the checkout this
-script lives in.
+Every subcommand runs at least once:
+
+* seven configs on a 3-site contact lattice (theta, theta with a log m
+  schedule, product, coherent, and product, theta and 3-component coherent
+  superpositions) each run under {csv, json} x {1, 2 threads}; each run
+  writes one file, ``NAME-THREADSt-FORMAT.txt``: the command's stdout, then
+  its report;
+* ``hartree`` on the theta config at ``t_list`` [0.0, 0.5]
+  (``hartree-two-times.txt``) and [0.5] alone, the 101-sample grid
+  (``hartree-one-time.txt``): stdout, then the trajectory CSV;
+* ``fit --t 0.5`` on the theta run's CSV, ``--format csv`` and ``json``
+  (``fit-FORMAT.txt``): stdout;
+* two refusals, a config with an unknown key and one whose cell exceeds
+  the state cap (``refusal-unknown-key.txt``, ``refusal-above-cap.txt``):
+  the exit code, then stderr;
+* ``check --level quick --seed 2024`` writes ``check-quick.txt``: its
+  stdout, then its verdict.
+
+Removed from them: the JSON report's ``metadata.total_runtime_s``, the
+``runtime_s`` of a 2-thread run (its CSV cell is left blank, as a 1-thread
+run writes it) and each check's ``seconds``.  The program run is the
+``src/focklab`` of the checkout this script lives in.
 """
 
 import argparse
@@ -60,14 +72,26 @@ CONFIGS = {
 }
 
 
-def _run(argv, out):
-    """focklab's stdout for ``argv``, with the output directory written OUT."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = focklab(argv + ["--out", out])
-    if code != 0:
-        raise SystemExit(f"focklab {' '.join(argv)} exited {code}")
-    return buf.getvalue().replace(out, "OUT")
+def _run(argv, out=None, expect=0):
+    """focklab's stdout and stderr for ``argv`` run with ``--out out`` (if
+    given), the output directory written OUT; SystemExit unless it exits
+    ``expect``."""
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        code = focklab(argv + (["--out", out] if out else []))
+    if code != expect:
+        raise SystemExit(f"focklab {' '.join(argv)} exited {code}: {err.getvalue()}")
+    texts = buf.getvalue(), err.getvalue()
+    return tuple(text.replace(out, "OUT") for text in texts) if out else texts
+
+
+def _config(path, state, n_list, t_list, **extra):
+    """Write a config on the lattice to ``path``; return ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"mode_system": LATTICE, "state": state, "n_list": n_list,
+                   "t_list": t_list, "tolerances": {"hartree_tol": 1e-12}, "seed": 1,
+                   **extra}, fh)
+    return path
 
 
 def _report(path, threads):
@@ -90,22 +114,38 @@ def snapshot(out_dir):
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, (command, state, n_list) in CONFIGS.items():
-            config = os.path.join(tmp, f"{name}.json")
-            with open(config, "w", encoding="utf-8") as fh:
-                json.dump({"mode_system": LATTICE, "state": state, "n_list": n_list,
-                           "t_list": [0.0, 0.5], "tolerances": {"hartree_tol": 1e-12},
-                           "seed": 1}, fh)
+            config = _config(os.path.join(tmp, f"{name}.json"), state, n_list, [0.0, 0.5])
             stem = "convergence" if command == "converge" else "superposition"
             for fmt in ("csv", "json"):
                 for threads in (1, 2):
                     out = os.path.join(tmp, f"{name}-{threads}-{fmt}")
-                    stdout = _run([command, "--config", config, "--format", fmt,
-                                   "--threads", str(threads)], out)
+                    stdout, _ = _run([command, "--config", config, "--format", fmt,
+                                      "--threads", str(threads)], out)
                     report = _report(os.path.join(out, f"{stem}.{fmt}"), threads)
                     Path(out_dir, f"{name}-{threads}t-{fmt}.txt").write_text(
                         stdout + report, encoding="utf-8")
+        theta, n_list = CONFIGS["theta"][1:]
+        for name, t_list in (("two-times", [0.0, 0.5]), ("one-time", [0.5])):
+            config = _config(os.path.join(tmp, f"hartree-{name}.json"), theta, n_list, t_list)
+            out = os.path.join(tmp, f"hartree-{name}")
+            stdout, _ = _run(["hartree", "--config", config], out)
+            trajectory = Path(out, "hartree_trajectory.csv").read_text(encoding="utf-8")
+            Path(out_dir, f"hartree-{name}.txt").write_text(stdout + trajectory,
+                                                            encoding="utf-8")
+        for fmt in ("csv", "json"):
+            stdout, _ = _run(["fit", os.path.join(tmp, "theta-1-csv", "convergence.csv"),
+                              "--t", "0.5", "--format", fmt])
+            Path(out_dir, f"fit-{fmt}.txt").write_text(stdout, encoding="utf-8")
+        for name, code, config in (
+                ("unknown-key", 2, _config(os.path.join(tmp, "unknown-key.json"), theta,
+                                           n_list, [0.5], bogus=1)),
+                ("above-cap", 3, _config(os.path.join(tmp, "above-cap.json"),
+                                         CONFIGS["product"][1], [4000], [0.5]))):
+            _, stderr = _run(["converge", "--config", config], os.path.join(tmp, name), code)
+            Path(out_dir, f"refusal-{name}.txt").write_text(f"exit {code}\n{stderr}",
+                                                            encoding="utf-8")
         out = os.path.join(tmp, "check")
-        stdout = _run(["check", "--level", "quick", "--seed", "2024"], out)
+        stdout, _ = _run(["check", "--level", "quick", "--seed", "2024"], out)
         doc = json.loads(Path(out, "invariants.json").read_text(encoding="utf-8"))
         for check in doc["checks"]:
             check.pop("seconds")

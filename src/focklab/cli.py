@@ -47,10 +47,14 @@ def build_parser():
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=2024)
+    p.set_defaults(handler=_cmd_check)
 
-    for name, help_ in (("converge", "single-family convergence sweep"),
-                        ("superpose", "superposition (mixture) sweep")):
+    for name, help_, run, stem in (
+            ("converge", "single-family convergence sweep", run_convergence_sweep, "convergence"),
+            ("superpose", "superposition (mixture) sweep", run_superposition_sweep,
+             "superposition")):
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=_cmd_sweep, run=run, stem=stem)
         _add_common(p)
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--threads", type=int, default=1,
@@ -61,11 +65,13 @@ def build_parser():
 
     p = sub.add_parser("hartree", help="export a mean-field trajectory as CSV")
     _add_common(p)
+    p.set_defaults(handler=_cmd_hartree)
 
     p = sub.add_parser("fit", help="fit a log-log rate on an existing sweep CSV")
     p.add_argument("csv_path", help="sweep CSV produced by converge/superpose")
     p.add_argument("--t", type=float, required=True, help="time slice to fit")
     p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.set_defaults(handler=_cmd_fit)
     return ap
 
 
@@ -101,17 +107,14 @@ def _cmd_check(args):
 
 
 def _cmd_sweep(args):
-    """converge or superpose: run the sweep, write its report, print its fits."""
-    if args.command == "converge":
-        run, stem = run_convergence_sweep, "convergence"
-    else:
-        run, stem = run_superposition_sweep, "superposition"
+    """converge or superpose: run the sweep ``args.run``, write its report as
+    ``args.stem``, print its fits."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
     out = _out_dir(args, config)
-    report = run(config, threads=args.threads)
-    _write_report(report, args.format or config.out_format, out, stem)
+    report = args.run(config, threads=args.threads)
+    _write_report(report, args.format or config.out_format, out, args.stem)
     for t, fit in report.fits.items():  # superposition reports carry no fits
         if fit == "exact":
             print(f"t={t}: exact regime (distances at rounding level), no rate to fit")
@@ -159,15 +162,8 @@ def _cmd_fit(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    handlers = {
-        "check": _cmd_check,
-        "converge": _cmd_sweep,
-        "superpose": _cmd_sweep,
-        "hartree": _cmd_hartree,
-        "fit": _cmd_fit,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

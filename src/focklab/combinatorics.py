@@ -23,7 +23,7 @@ def laguerre(k, alpha, x):
     """
     if k < 0:
         raise ValueError("degree must be >= 0")
-    if alpha <= -1:
+    if not alpha > -1:
         raise ValueError("parameter must be > -1")
     prev, curr = 0.0, 1.0  # L_{-1} = 0, L_0 = 1
     for j in range(k):
@@ -116,7 +116,7 @@ def krasikov_bound(k, alpha, x):
     """
     if k < 2:
         raise ValueError("the envelope needs k >= 2")
-    if alpha <= -1:
+    if not alpha > -1:
         raise ValueError("parameter must be > -1")
     s = sqrt(k + alpha + 1.0) + sqrt(k)
     q = sqrt(k + alpha + 1.0) - sqrt(k)
@@ -134,7 +134,7 @@ def krasikov_bound(k, alpha, x):
 
 def harmonic_number(s, N):
     """Generalized harmonic number H_s(N) = sum_{j=1}^N j^{-s}."""
-    if N < 1:
+    if not N >= 1:
         raise ValueError("N must be >= 1")
     j = np.arange(1, N + 1, dtype=float)
     return float(np.sum(j**-s))
@@ -151,7 +151,7 @@ def zeta(s):
     B_2k / (2k)! s (s + 1) ... (s + 2k - 2) N^(-s-2k+1).  The first term left
     out is below 1e-19 of the sum for s near 1 and smaller beyond; the terms
     are added with ``math.fsum``."""
-    if s <= 1:
+    if not s > 1:
         raise ValueError("zeta needs s > 1")
     s, N = float(s), 16
     terms = [j ** -s for j in range(1, N)] + [N ** (1 - s) / (s - 1), N ** -s / 2]
@@ -183,7 +183,7 @@ def weighted_number_moment(n, m, delta):
         + (n-m+2)^{-delta}.
     """
     _check_admissible(m, n)
-    if delta <= 0.25:
+    if not delta > 0.25:
         raise ValueError("delta must be 1/4 + eps with eps > 0")
     coeff = theta_weyl_coefficients(n, m)
     k = np.arange(n - m + 1, dtype=float)

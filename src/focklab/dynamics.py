@@ -29,14 +29,13 @@ import scipy.sparse as sp
 from .errors import KrylovError, SectorError
 from .fock import (FockVector, SparseOperator, _require_truncated, build_hamiltonian,
                    weyl_apply, weyl_headroom)
-from .tolerances import (DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL, check_time_radius,
-                         check_tolerance)
+from .tolerances import DEFAULT_KRYLOV_TOL, SERIES_STOP_TOL, TIME_TOL, check_time_radius
 
 
 @dataclass
 class PropagatorPlan:
     """The Hamiltonian split as D + (H - D) and scaled for the Chebyshev
-    series, and the norm-defect tolerance its propagation checks.
+    series.
 
     ``phase`` holds D, the mean of H's diagonal over each state's number
     sector.  ``interval`` is the Gershgorin interval (lo, hi) of H - D, and
@@ -49,19 +48,17 @@ class PropagatorPlan:
 
     method: str
     basis: object
-    tol: float = DEFAULT_KRYLOV_TOL
     blocks: list = field(default_factory=list)
     phase: np.ndarray = None
     interval: tuple = (0.0, 0.0)
     scaled: sp.csr_matrix = None
 
 
-def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
-    """Check the Hamiltonian and the tolerance, split off the sector means of
-    H's diagonal, and scale the rest to the Chebyshev interval."""
+def make_plan(H: SparseOperator):
+    """Check the Hamiltonian, split off the sector means of H's diagonal, and
+    scale the rest to the Chebyshev interval."""
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
-    check_tolerance(tol, DEFAULT_KRYLOV_TOL, "krylov tolerance")
     A, totals = H.matrix, H.basis.totals
     diag = A.diagonal().real
     # a fixed(n) basis leaves the sectors below n empty; they are never indexed
@@ -72,8 +69,8 @@ def make_plan(H: SparseOperator, tol=DEFAULT_KRYLOV_TOL):
     scaled = (A - sp.diags(phase + (lo + hi) / 2)).tocsr()
     if (hi - lo) / 2 >= np.finfo(float).tiny:  # a subnormal width overflows the division
         scaled.data /= (hi - lo) / 2
-    return PropagatorPlan(method="krylov", basis=H.basis, tol=tol, phase=phase,
-                          interval=(lo, hi), scaled=scaled)
+    return PropagatorPlan(method="krylov", basis=H.basis, phase=phase, interval=(lo, hi),
+                          scaled=scaled)
 
 
 def _radius_bound(ms, n_scale, top):
@@ -140,7 +137,9 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
     half-width of the plan's interval, exceeds MAX_TIME_RADIUS (the series
     would take about |t| r products), and KrylovError, naming the cause, when
     the start vector is not finite, or when the result is not finite or its
-    norm differs from ||v|| by more than plan.tol * ||v||.
+    norm differs from ||v|| by more than DEFAULT_KRYLOV_TOL * ||v||.  The
+    series' dropped tail lies below 16 SERIES_STOP_TOL ||v||, far under that
+    bound, so only rounding moves the norm (``tolerances``).
     """
     if not isfinite(t):
         raise ValueError(f"propagation time t must be finite, got {t}")
@@ -163,10 +162,10 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
             out += ck * prev
             prev, cur = cur, prev
     defect = abs(np.linalg.norm(out) - norm_in)
-    if not defect <= plan.tol * norm_in:  # also catches inf and nan entries
+    if not defect <= DEFAULT_KRYLOV_TOL * norm_in:  # also catches inf and nan entries
         raise KrylovError(
             f"propagation to t={t} broke unitarity: norm defect {defect:.3e} "
-            f"exceeds {plan.tol} * {norm_in:.3e}"
+            f"exceeds {DEFAULT_KRYLOV_TOL} * {norm_in:.3e}"
         )
     return FockVector(plan.basis, out)
 

@@ -352,6 +352,7 @@ class SparseOperator:
 
 
 def _unit_mode(p, d):
+    p = _integer(p, "mode index")
     if not 0 <= p < d:
         raise ValueError(f"mode index {p} out of range for d={d}")
     return np.eye(d)[p]
@@ -518,7 +519,7 @@ def build_hamiltonian(ms, n_scale, basis):
     """
     if ms.d != basis.d:
         raise ValueError("mode system and basis disagree on d")
-    if n_scale < 1:
+    if not n_scale >= 1:
         raise ValueError("n_scale must be >= 1")
     occ = basis.occs.astype(float)
     quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)

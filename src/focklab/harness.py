@@ -49,8 +49,8 @@ from .states import (
     component_states,
     random_excitation,
 )
-from .tolerances import (DEFAULT_HARTREE_TOL, DEFAULT_KRYLOV_TOL, EXACT_REGIME_TOL, TIME_TOL,
-                         check_capacity, check_time_radius, check_tolerance, check_unit)
+from .tolerances import (DEFAULT_HARTREE_TOL, EXACT_REGIME_TOL, TIME_TOL, check_capacity,
+                         check_time_radius, check_tolerance, check_unit)
 
 CSV_HEADER = [
     "n", "m", "t",
@@ -98,6 +98,14 @@ def _require_keys(d, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _parse_square(rows, where, parse):
+    """A non-empty square list of lists, entry by entry through ``parse``."""
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ConfigError(f"{where}: expected a square list of lists")
+    return np.array([[parse(x, where) for x in row] for row in rows])
+
+
 def _parse_mode_system(d):
     """Each geometry checks its own keys once the object names it."""
     if not isinstance(d, dict) or "geometry" not in d:
@@ -118,9 +126,8 @@ def _parse_mode_system(d):
         )
     if geom == "dense":
         _require_keys(d, ("geometry", "h", "v"), ("h", "v"), "mode_system")
-        h = np.array([[_parse_complex(x, "mode_system.h") for x in row] for row in d["h"]])
-        v = np.array([[_parse_real(x, "mode_system.v") for x in row] for row in d["v"]])
-        return ModeSystem.dense(h, v)
+        return ModeSystem.dense(_parse_square(d["h"], "mode_system.h", _parse_complex),
+                                _parse_square(d["v"], "mode_system.v", _parse_real))
     raise ConfigError(f"unknown geometry {geom!r}")
 
 
@@ -180,7 +187,6 @@ class ExperimentConfig:
     n_list: list = field(default_factory=list)
     t_list: list = field(default_factory=list)
     hartree_tol: float = DEFAULT_HARTREE_TOL
-    krylov_tol: float = DEFAULT_KRYLOV_TOL
     seed: int = 0
     out_dir: str = "."
     out_format: str = "csv"
@@ -190,10 +196,10 @@ class ExperimentConfig:
     def from_dict(doc, seed_override=None):
         """Parse and validate ``doc``; every malformed value is a ConfigError,
         including conversion failures, failed ModeSystem checks and a
-        tolerance outside (0, its default].  What no cell could run is a
-        CapacityError, raised before any cell is built: a lattice too large
-        for the state cap, an n whose cell basis exceeds the cap, or a
-        max(t_list) whose propagation at some n needs |t r| above
+        ``hartree_tol`` outside (0, DEFAULT_HARTREE_TOL].  What no cell could
+        run is a CapacityError, raised before any cell is built: a lattice
+        too large for the state cap, an n whose cell basis exceeds the cap,
+        or a max(t_list) whose propagation at some n needs |t r| above
         MAX_TIME_RADIUS (r from ``dynamics._radius_bound``) or whose
         mean-field integration needs |t s| above it (s from
         ``hartree._generator_bound``); the solvers check the same limits.
@@ -274,11 +280,9 @@ class ExperimentConfig:
             raise ConfigError("t_list times must be finite and >= 0")
 
         tol = doc.get("tolerances", {})
-        _require_keys(tol, ("hartree_tol", "krylov_tol"), (), "tolerances")
-        for key, loosest in (("hartree_tol", DEFAULT_HARTREE_TOL),
-                             ("krylov_tol", DEFAULT_KRYLOV_TOL)):
-            value = _parse_real(tol.get(key, loosest), f"tolerances.{key}")
-            setattr(cfg, key, check_tolerance(value, loosest, f"tolerances.{key}"))
+        _require_keys(tol, ("hartree_tol",), (), "tolerances")
+        value = _parse_real(tol.get("hartree_tol", DEFAULT_HARTREE_TOL), "tolerances.hartree_tol")
+        cfg.hartree_tol = check_tolerance(value, DEFAULT_HARTREE_TOL, "tolerances.hartree_tol")
         cfg.seed = _parse_seed(doc.get("seed", 0) if seed_override is None
                                else seed_override, "seed")
         out = doc.get("output", {})
@@ -506,9 +510,9 @@ def fit_rate(report, t):
 # sweeps
 
 
-def _hartree_targets(config):
+def _hartree_targets(config, weights):
     """``{t: (phi_ts, target)}``: the components' mean-field states at t and
-    the weighted mixture of their projections, each built once per time.
+    their projections' mixture with ``weights``, each built once per time.
 
     Each state is renormalized: the integrator's norm drift is allowed up to
     NORM_DRIFT_TOL, far above the UNIT_NORM_TOL that ``mixed_target`` accepts.
@@ -516,7 +520,6 @@ def _hartree_targets(config):
     grid = sorted(set([0.0] + list(config.t_list)))
     trajs = [evolve_hartree(config.ms, c.phi, np.array(grid), tol=config.hartree_tol)
              for c in config.components]
-    weights = _target_weights(config.components)
     targets = {}
     for t in set(config.t_list):
         phi_ts = [tr.states[grid.index(t)] for tr in trajs]
@@ -574,13 +577,13 @@ def _sweep(config, threads):
 
     from . import __version__
 
-    targets = _hartree_targets(config)
     single = config.family in KINDS
     weights = [float(w) for w in _target_weights(config.components)]
+    targets = _hartree_targets(config, weights)
 
     def cell(n):
         basis = enumerate_basis(config.ms.d, _cell_sector(config.kind, n))
-        plan = make_plan(build_hamiltonian(config.ms, n, basis), tol=config.krylov_tol)
+        plan = make_plan(build_hamiltonian(config.ms, n, basis))
         spec = _superposition_spec(config, n)
         try:  # the pairwise parse checks cannot see a degenerate span
             state, coeffs_n, gram = _combine_components(

@@ -23,6 +23,7 @@ does but without its warning; the absolute tolerance is ``tol * 1e-2``.
 """
 
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 
@@ -31,7 +32,8 @@ from .fock import _written_csv
 from .modes import ModeSystem
 from .tolerances import (DEFAULT_HARTREE_TOL, ENERGY_DRIFT_TOL, FIRST_STEP_DEFAULT,
                          FIRST_STEP_ZERO_TOL, HARTREE_RTOL_FLOOR, NONREAL_ENERGY_TOL,
-                         NORM_DRIFT_TOL, TIME_TOL, check_time_radius, check_unit)
+                         NORM_DRIFT_TOL, TIME_TOL, check_capacity, check_time_radius,
+                         check_unit)
 
 
 def hartree_rhs(ms: ModeSystem, phi):
@@ -102,16 +104,18 @@ class HartreeTrajectory:
 def evolve_hartree(ms: ModeSystem, phi0, t_grid, tol=DEFAULT_HARTREE_TOL):
     """Integrate the mean-field equation over t_grid (may run backwards).
 
-    Raises ValueError for a time that is not finite, CapacityError when the
-    span |t_end - t_start| times ``_generator_bound(ms)`` exceeds
-    MAX_TIME_RADIUS, and IntegrationError on step-size collapse or when the
-    norm drifts by more than NORM_DRIFT_TOL (energy: ENERGY_DRIFT_TOL)
-    anywhere on the output grid.
+    Raises ValueError for a grid that is empty or not 1-D or a time that is
+    not finite, CapacityError when the span |t_end - t_start| times
+    ``_generator_bound(ms)`` exceeds MAX_TIME_RADIUS, and IntegrationError
+    on step-size collapse or when the norm drifts by more than
+    NORM_DRIFT_TOL (energy: ENERGY_DRIFT_TOL) anywhere on the output grid.
     """
     phi0 = check_unit(phi0, "phi0")
     if not 0 < tol < np.inf:  # a nan tolerance would never let the integrator finish
         raise ValueError("tol must be finite and positive")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.ndim != 1 or not t_grid.size:
+        raise ValueError(f"t_grid must be a non-empty 1-D list of times, got shape {t_grid.shape}")
     if not np.all(np.isfinite(t_grid)):  # an infinite span would never finish
         raise ValueError(f"t_grid times must be finite, got {t_grid}")
     if len(t_grid) == 1 or np.all(t_grid == t_grid[0]):
@@ -301,8 +305,12 @@ def trajectory_for_interpolation(ms, phi0, t_max, tol=DEFAULT_HARTREE_TOL, dt=0.
     """Trajectory over [0, t_max] with the norm/energy ledger sampled every dt.
 
     ``at`` integrates to any time in the window at ``tol``, so dt sets only
-    how densely the conservation ledger is checked and exported.
+    how densely the conservation ledger is checked and exported.  Raises
+    ValueError unless dt > 0 and t_max / dt is finite, and CapacityError
+    when the grid's ceil(t_max / dt) + 1 samples exceed the state cap.
     """
-    n_steps = max(2, int(np.ceil(t_max / dt)) + 1)
+    if not (dt > 0 and abs(t_max / dt) < np.inf):  # a nan t_max or dt fails too
+        raise ValueError(f"need dt > 0 and a finite t_max / dt, got t_max={t_max}, dt={dt}")
+    n_steps = check_capacity(max(2, ceil(t_max / dt) + 1), "trajectory_for_interpolation: t_grid")
     grid = np.linspace(0.0, t_max, n_steps)
     return evolve_hartree(ms, phi0, grid, tol=tol)

@@ -45,10 +45,11 @@ class ModeSystem:
 
     @staticmethod
     def dense(h, v):
-        """Explicit matrices; ``v`` is symmetrized exactly via (v + v.T)/2."""
+        """Explicit matrices; ``v`` is symmetrized exactly via v/2 + v.T/2,
+        halved first so that no entry can overflow."""
         h = np.asarray(h, dtype=complex)
         v = np.asarray(v, dtype=float)
-        v = (v + v.T) / 2.0
+        v = v / 2.0 + v.T / 2.0
         return ModeSystem(d=h.shape[0], h=h, v=v)
 
     @staticmethod
@@ -64,7 +65,11 @@ class ModeSystem:
         * ``("contact", g)``          -- v(p, q) = g * delta_pq
         * ``("neighbor", g)``         -- g on nearest-neighbor pairs (periodic)
         * ``("gaussian", g[, s])``    -- g * exp(-dist(p,q)^2 / (2 s^2)),
-          with the width s > 0 defaulting to 1
+          with the width s > 0 defaulting to 1; a width whose square
+          underflows gives the contact kernel g * delta_pq
+
+        Each kernel is symmetric as built and kept as given, so a finite g
+        near the float limit stays finite.
 
         Any other kind, a sigma on contact or neighbor, or a sigma <= 0 raises
         a one-line ValueError that names the kind or sigma.
@@ -89,9 +94,9 @@ class ModeSystem:
             v = g * np.eye(sites)
         elif kind == "neighbor":
             v = g * (dist == 1).astype(float)
-        else:
-            v = g * np.exp(-(dist.astype(float) ** 2) / (2.0 * s * s))
-        v = (v + v.T) / 2.0
+        else:  # the exponent off the diagonal only, where 2 s^2 = 0 sends it to -inf
+            with np.errstate(all="ignore"):
+                v = g * np.exp(-np.where(dist > 0, dist.astype(float) ** 2 / (2.0 * s * s), 0.0))
         return ModeSystem(d=sites, h=h, v=v)
 
     def mean_field_potential(self, phi):

@@ -178,8 +178,9 @@ def _poisson_cutoff(n):
     floor, then bisects between hi and lo, the last K above it (or
     floor(n) - 1).  Any basis that holds truncated(K) has at least
     floor(n) + 1 states, so an n above the state cap raises CapacityError
-    before a tail is evaluated.  A sweep asks for each n's cutoff twice
-    (config checks, cell), hence the cache."""
+    before a tail is evaluated.  A sweep asks for each n's cutoff three
+    times (the config parser's two passes over n_list, then the cell),
+    hence the cache."""
     check_capacity(n, f"a coherent cell at n={n}: its basis")
     lo, hi = int(n) - 1, int(n)
     while _poisson_tail(hi, n) > POISSON_TAIL_FLOOR:

@@ -23,20 +23,20 @@ pins:
 * ``UNIT_NORM_TOL < NORM_DRIFT_TOL``.  The mean-field integrator may move
   the norm further than a unit vector may be off, so the sweeps renormalize
   the Hartree states they use as targets.
-* ``DEFAULT_KRYLOV_TOL`` and ``DEFAULT_HARTREE_TOL`` are both the default
-  and the loosest tolerance of their solver that a config may ask for
-  (``check_tolerance``): the config parser bounds ``krylov_tol`` and
-  ``hartree_tol`` by them, and ``dynamics.make_plan`` its ``tol``.  A
-  looser mean-field tolerance lets the norm drift past NORM_DRIFT_TOL on
-  an accepted config (3.7e-7 at 1, 3.2e-8 at 1e-6, on a 3-site gaussian
-  lattice); at the default it drifted 3.2e-9 there at |t s| = 5000.
+* ``DEFAULT_HARTREE_TOL`` is both the default and the loosest mean-field
+  tolerance that a config may ask for: the config parser bounds
+  ``hartree_tol`` by it (``check_tolerance``).  A looser mean-field
+  tolerance lets the norm drift past NORM_DRIFT_TOL on an accepted config
+  (3.7e-7 at 1, 3.2e-8 at 1e-6, on a 3-site gaussian lattice); at the
+  default it drifted 3.2e-9 there at |t s| = 5000.
 * ``16 * SERIES_STOP_TOL < eps < DEFAULT_KRYLOV_TOL``, with eps the
   double-precision machine epsilon.  ``dynamics.evolve_fock`` stops its
   Chebyshev series at the first index past |t r| where |J_k(t r)| <
   SERIES_STOP_TOL; the dropped tail, at most 2 sum |J_k(t r)| ||v||, stays
   below 16 * SERIES_STOP_TOL * ||v|| for |t r| <= MAX_TIME_RADIUS = 1e4,
-  which every ``evolve_fock`` call checks.  So the norm defect the
-  propagation checks against ``krylov_tol`` is rounding alone.
+  which every ``evolve_fock`` call checks.  So the norm defect that
+  ``evolve_fock`` compares with ``DEFAULT_KRYLOV_TOL * ||v||`` is rounding
+  alone, and no option sets that bound.
 """
 
 import numpy as np
@@ -66,7 +66,7 @@ NORM_DRIFT_TOL = 1e-8  # largest mean-field norm drift
 ENERGY_DRIFT_TOL = 1e-6  # largest mean-field energy drift, relative to max(1, |E_0|)
 NONREAL_ENERGY_TOL = 1e-12  # largest |Im E|, relative to max(1, |Re E|)
 
-DEFAULT_KRYLOV_TOL = 1e-10  # also the loosest norm-defect tolerance accepted
+DEFAULT_KRYLOV_TOL = 1e-10  # largest norm defect of a propagation, relative to ||v||
 SERIES_STOP_TOL = 1e-18  # the Chebyshev propagator stops at a Bessel coefficient this small
 # largest |t| r of a propagation, r the Gershgorin half-width of H - D, and
 # largest |t| s of a mean-field integration, s bounding its generator's spectral radius

@@ -131,6 +131,15 @@ def test_config_error_exit_code(tmp_path, capsys):
 _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
 
 
+# the lines of the refusals whose wording names a key
+_REFUSAL_LINES = {
+    "krylov-tol": "config error: tolerances: unknown keys ['krylov_tol']",
+    "krylov-tol-string": "config error: tolerances: unknown keys ['krylov_tol']",
+    "h-int": "config error: mode_system.h: expected a square list of lists",
+    "h-ragged": "config error: mode_system.h: expected a square list of lists",
+}
+
+
 @pytest.mark.parametrize("keys, value", [
     (["t_list"], ["a"]),
     (["t_list"], [float("nan")]),
@@ -183,6 +192,8 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
     (["mode_system"], dict(_LATTICE, sites=2, potential={"kind": "gaussian", "g": 1.0,
                                                          "sigma": -1})),
     (["mode_system"], dict(_LATTICE, sites=True)),
+    (["mode_system", "h"], 5),
+    (["mode_system", "h"], [[1, 0], [0]]),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
@@ -193,8 +204,8 @@ _LATTICE = {"geometry": "lattice", "potential": {"kind": "contact", "g": 1.0}}
         "hartree-tol-string", "hartree-tol-bool", "krylov-tol-string",
         "log-a-string", "log-a-bool", "constant-stray-a", "dir-null", "dir-int",
         "dir-list", "contact-sigma", "neighbor-sigma", "gaussian-sigma-zero",
-        "gaussian-sigma-negative", "sites-bool"])
-def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, value):
+        "gaussian-sigma-negative", "sites-bool", "h-int", "h-ragged"])
+def test_malformed_config_exits_2_with_one_line(request, theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
     for key in keys[:-1]:
@@ -204,6 +215,8 @@ def test_malformed_config_exits_2_with_one_line(theta_config, capsys, keys, valu
     assert main(["converge", "--config", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+    message = _REFUSAL_LINES.get(request.node.callspec.id)
+    assert message is None or err == [message]
 
 
 def _superposition_doc(kind, phis, coeffs=(1, 1), ms=None):
@@ -589,6 +602,36 @@ def test_huge_contact_strength_is_refused_before_integrating(theta_config):
     assert len(err) == 1 and err[0].startswith("capacity error: t_list: t=0.5 at n=4")
 
 
+@pytest.mark.parametrize("mode_system, phi", [
+    (dict(_LATTICE, sites=3, hopping=1.0, potential={"kind": "contact", "g": 1e308}),
+     [0.6, 0.8, 0.0]),
+    ({"geometry": "dense", "h": [[0, -1], [-1, 0]], "v": [[1e308, 0], [0, 1e308]]},
+     [0.6, 0.8]),
+], ids=["contact", "dense-v"])
+def test_a_kernel_at_the_float_limit_meets_the_time_guard(theta_config, mode_system, phi):
+    # finite kernel values of 1e308 are kept as given, so a config with them
+    # is refused for its work, not for its input
+    path, doc, tmp = theta_config
+    path.write_text(json.dumps(dict(doc, mode_system=mode_system, n_list=[2, 3, 4],
+                                    state={"family": "product", "phi": phi})))
+    proc = _cli("converge", "--config", path)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "capacity error: t_list: t=0.5 at n=2 asks for |t r| = 2.5e+307 above 10000"]
+
+
+def test_a_gaussian_width_whose_square_underflows_sweeps_as_contact(theta_config):
+    # 2 sigma^2 = 0 made the kernel 0/0 at distance 0; it is g I
+    path, doc, tmp = theta_config
+    lattice = dict(_LATTICE, sites=3, potential={"kind": "gaussian", "g": 1.0, "sigma": 1e-170})
+    for name, ms in (("gaussian", lattice), ("contact", dict(_LATTICE, sites=3))):
+        path.write_text(json.dumps(dict(doc, mode_system=ms, n_list=[2, 3, 4], t_list=[0.5],
+                                        state={"family": "product", "phi": [0.6, 0.8, 0.0]})))
+        assert main(["converge", "--config", str(path), "--out", str(tmp / name)]) == 0
+    assert ((tmp / "gaussian" / "convergence.csv").read_bytes()
+            == (tmp / "contact" / "convergence.csv").read_bytes())
+
+
 @pytest.mark.parametrize("mode_system, state, n_list, t_list", [
     (dict(_LATTICE, sites=2, potential={"kind": "contact", "g": 5e307}),
      {"family": "product", "phi": [0.6, 0.8]}, [2, 3], [0.0]),
@@ -598,13 +641,20 @@ def test_huge_contact_strength_is_refused_before_integrating(theta_config):
      {"family": "coherent", "phi": [0.6, 0.8, 0.0]}, [3], [0.0, 0.0]),
     (dict(_LATTICE, sites=2, hopping=4e307, potential={"kind": "contact", "g": 0.0}),
      {"family": "product", "phi": [0.6, 0.8]}, [2], [0.0]),
-], ids=["contact", "dense-h", "hopping-3-sites", "hopping-gershgorin"])
+    (dict(_LATTICE, sites=3, hopping=1.0, potential={"kind": "contact", "g": 1e308}),
+     {"family": "product", "phi": [0.6, 0.8, 0.0]}, [2, 3, 4], [0.0]),
+    ({"geometry": "dense", "h": [[0, -1], [-1, 0]], "v": [[1e308, 0], [0, 1e308]]},
+     {"family": "product", "phi": [0.6, 0.8]}, [2, 3], [0.0]),
+], ids=["contact", "dense-h", "hopping-3-sites", "hopping-gershgorin", "contact-1e308",
+        "dense-v-1e308"])
 def test_a_hamiltonian_that_overflows_is_refused_before_any_cell(
         theta_config, mode_system, state, n_list, t_list):
     # at t = 0 both radius checks pass whatever the radius; the first three
     # used to exit 1 with a traceback from an inf - inf entry of H ("not
     # Hermitian"), the last, whose H is finite but its Gershgorin interval not,
-    # from the Bessel series of 0 * inf
+    # from the Bessel series of 0 * inf; the last two, kernels at the float
+    # limit, were refused as "h and v must have finite entries" when
+    # (v + v.T) / 2 overflowed
     path, doc, tmp = theta_config
     path.write_text(json.dumps(dict(doc, mode_system=mode_system, state=state,
                                     n_list=n_list, t_list=t_list)))

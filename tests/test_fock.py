@@ -152,6 +152,16 @@ def test_ladder_mode_out_of_range():
         fl.ladder_apply("create", 2, fl.basis_state(b, (1, 0)))
 
 
+@pytest.mark.parametrize("p", [1.5, 1.0, "0"])
+def test_ladder_mode_must_be_an_integer(p):
+    # a float index used to escape as numpy's IndexError
+    b = fl.enumerate_basis(2, fl.fixed(1))
+    for call in (lambda: fl.ladder_apply("annihilate", p, fl.basis_state(b, (1, 0))),
+                 lambda: fl.ladder_matrix("create", p, b)):
+        with pytest.raises(ValueError, match=rf"^mode index must be an integer, got {p!r}$"):
+            call()
+
+
 def test_annihilate_below_vacuum_sector_raises():
     b = fl.enumerate_basis(2, fl.fixed(0))
     with pytest.raises(fl.SectorError):

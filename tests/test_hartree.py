@@ -168,6 +168,31 @@ def test_a_time_that_is_not_finite_is_refused(rng, grid):
         fl.evolve_hartree(fl.ModeSystem.lattice(2), random_unit(2, rng), grid)
 
 
+@pytest.mark.parametrize("grid", [[], [[0.0, 1.0]], np.zeros((2, 2))])
+def test_a_grid_that_is_empty_or_not_1d_is_refused(rng, grid):
+    # an empty grid raised IndexError; a 2-D one gave a trajectory with 2-D times
+    with pytest.raises(ValueError, match="t_grid must be a non-empty 1-D list of times"):
+        fl.evolve_hartree(fl.ModeSystem.lattice(2), random_unit(2, rng), grid)
+
+
+@pytest.mark.parametrize("t_max, dt", [(1.0, 0.0), (1.0, -0.1), (1.0, np.nan), (np.nan, 0.1),
+                                       (np.inf, 0.1), (1e308, 1e-10)])
+def test_interpolation_needs_a_positive_step_and_a_finite_sample_count(rng, t_max, dt):
+    # dt = 0 raised ZeroDivisionError, a nan "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=r"^need dt > 0 and a finite t_max / dt"):
+        fl.trajectory_for_interpolation(fl.ModeSystem.lattice(2), random_unit(2, rng),
+                                        t_max, dt=dt)
+
+
+def test_interpolation_grid_is_capped_before_it_is_built(rng):
+    # t_max = 1000 at dt = 1e-7 asked for 1e10 samples (80 GB) at |t s| = 5000,
+    # inside the time radius
+    with pytest.raises(fl.CapacityError, match=r"^trajectory_for_interpolation: t_grid "
+                                               r"has 10000001 entries, cap is 5000000$"):
+        fl.trajectory_for_interpolation(fl.ModeSystem.lattice(2), random_unit(2, rng),
+                                        1.0, dt=1e-7)
+
+
 def _python(code):
     """``python -c code`` in a fresh process that imports this focklab."""
     src = str(Path(fl.__file__).parents[1])

@@ -37,9 +37,43 @@ def test_lattice_gaussian_potential_periodic_distance():
     assert np.array_equal(ms.v, ms.v.T)
 
 
+@pytest.mark.parametrize("sites", [2, 3, 5, 8])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 3.7, 1e-3, 1e10, 0.1, 7.0])
+def test_gaussian_kernel_is_the_closed_form_bit_for_bit(sites, sigma):
+    dist = np.abs(np.arange(sites)[:, None] - np.arange(sites)[None, :])
+    dist = np.minimum(dist, sites - dist).astype(float)
+    expected = 2.5 * np.exp(-(dist ** 2) / (2.0 * sigma * sigma))
+    v = fl.ModeSystem.lattice(sites, potential=("gaussian", 2.5, sigma)).v
+    assert np.array_equal(v, expected) and np.array_equal(v, v.T)
+
+
+@pytest.mark.parametrize("sigma", [1e-170, 1e-160, 5e-324])
+def test_gaussian_width_whose_square_underflows_is_the_contact_kernel(sigma):
+    # 2 sigma^2 underflows to 0 (or to a subnormal): the kernel used to be
+    # 0/0 = nan at distance 0
+    assert np.array_equal(fl.ModeSystem.lattice(3, potential=("gaussian", 1.0, sigma)).v,
+                          np.eye(3))
+
+
+@pytest.mark.parametrize("kind", ["contact", "neighbor", "gaussian"])
+def test_lattice_kernels_at_the_float_limit_are_kept_as_given(kind):
+    v = fl.ModeSystem.lattice(4, potential=(kind, 1.7e308)).v
+    assert np.all(np.isfinite(v)) and v.max() == 1.7e308
+
+
 def test_dense_symmetrizes_kernel():
     ms = fl.ModeSystem.dense(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert ms.v[0, 1] == ms.v[1, 0] == 0.5
+
+
+def test_dense_symmetrizes_without_overflow(rng):
+    # halved first: the same bits as (v + v.T) / 2 for normal entries, and
+    # entries at or above 9e307 no longer overflow
+    v = rng.standard_normal((4, 4))
+    assert np.array_equal(fl.ModeSystem.dense(np.eye(4), v).v, (v + v.T) / 2.0)
+    a = 2.0 ** 1023  # about 9e307
+    big = fl.ModeSystem.dense(np.eye(2), np.array([[1e308, a], [1.5 * a, 0.0]])).v
+    assert np.array_equal(big, [[1e308, 1.25 * a], [1.25 * a, 0.0]])
 
 
 def test_near_hermitian_h_is_stored_as_its_hermitian_part(rng):

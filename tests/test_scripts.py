@@ -62,13 +62,18 @@ def test_snapshot_writes_one_file_per_run_without_wall_clock_fields(tmp_path):
              "theta-superposition", "coherent-superposition"]
     runs = {f"{name}-{threads}t-{fmt}.txt"
             for name in names for fmt in ("csv", "json") for threads in (1, 2)}
-    assert {p.name for p in tmp_path.iterdir()} == runs | {"check-quick.txt"}
+    others = {"hartree-two-times.txt", "hartree-one-time.txt", "fit-csv.txt", "fit-json.txt",
+              "refusal-unknown-key.txt", "refusal-above-cap.txt", "check-quick.txt"}
+    assert {p.name for p in tmp_path.iterdir()} == runs | others
     for path in tmp_path.iterdir():
         text = path.read_text(encoding="utf-8")
         assert "total_runtime_s" not in text and '"seconds"' not in text
         if "-2t-json" in path.name:
             assert '"runtime_s"' not in text
-        elif path.name.endswith("-csv.txt"):  # the runtime_s cell ends each row blank
+        elif path.name in runs and path.name.endswith("-csv.txt"):  # runtime_s cells blank
             rows = text.split("n,m,t,trace_dist", 1)[1].splitlines()[1:]
             assert rows and all(r.endswith(",") for r in rows)
     assert "suite: PASS (quick)" in (tmp_path / "check-quick.txt").read_text()
+    assert "(101 samples" in (tmp_path / "hartree-one-time.txt").read_text()
+    assert (tmp_path / "refusal-unknown-key.txt").read_text().startswith("exit 2\nconfig error:")
+    assert (tmp_path / "refusal-above-cap.txt").read_text().startswith("exit 3\ncapacity error:")

@@ -207,22 +207,6 @@ _TWO_SITES = {"mode_system": {"geometry": "lattice", "sites": 2,
               "n_list": [2], "t_list": [0.5]}
 
 
-def test_config_and_plan_bound_krylov_tol_by_one_constant():
-    above = float(np.nextafter(DEFAULT_KRYLOV_TOL, 1.0))
-    doc = dict(_TWO_SITES)
-    H = fl.build_hamiltonian(_ms(2), 2, fl.enumerate_basis(2, fl.fixed(2)))
-    for tol, accepted in ((DEFAULT_KRYLOV_TOL, True), (above, False)):
-        doc["tolerances"] = {"krylov_tol": tol}
-        if accepted:
-            assert fl.ExperimentConfig.from_dict(doc).krylov_tol == tol
-            assert fl.make_plan(H, tol=tol).tol == tol
-        else:
-            with pytest.raises(fl.ConfigError):
-                fl.ExperimentConfig.from_dict(doc)
-            with pytest.raises(ValueError):
-                fl.make_plan(H, tol=tol)
-
-
 def test_config_bounds_hartree_tol_by_its_default():
     # a looser mean-field tolerance passed the parser and then drifted the
     # norm past NORM_DRIFT_TOL (tests/test_config_fuzz.py keeps the input);
@@ -258,6 +242,8 @@ def _capacity_site(entry):
             fl.states._poisson_cutoff.cache_clear()  # a cached cutoff skips the check
             fl.states._poisson_cutoff(40)
         return call, 40
+    if entry == "interpolation_grid":  # ceil(1 / 0.01) + 1 samples at the default dt
+        return (lambda: fl.trajectory_for_interpolation(_ms(2), np.array([0.6, 0.8j]), 1.0)), 101
     return (lambda: fl.ExperimentConfig.from_dict({  # 3 sites: h holds 9 entries
         "mode_system": {"geometry": "lattice", "sites": 3,
                         "potential": {"kind": "contact", "g": 1.0}},
@@ -266,7 +252,7 @@ def _capacity_site(entry):
 
 
 @pytest.mark.parametrize("entry", ["enumerate_basis", "weyl_grid", "lattice",
-                                   "coherent_cutoff", "config"])
+                                   "coherent_cutoff", "interpolation_grid", "config"])
 def test_every_capacity_check_has_the_same_threshold(monkeypatch, entry):
     # every site asks tolerances.check_capacity, so the one cap moves them
     # all: a count at the cap passes, one above it is refused in one format
@@ -357,11 +343,27 @@ def test_nan_fails_the_tolerance_checks(case):
                               hermitian=True)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_plan_accepts_only_the_config_interval_of_krylov_tol(tol):
-    H = fl.build_hamiltonian(_ms(2), 2, fl.enumerate_basis(2, fl.fixed(2)))
-    with pytest.raises(ValueError):
-        fl.make_plan(H, tol=tol)
+_NAN_GUARDS = {  # case -> (call with a nan argument, the guard's own message)
+    "build_hamiltonian": (lambda nan: fl.build_hamiltonian(
+        _ms(2), nan, fl.enumerate_basis(2, fl.fixed(2))), "n_scale must be >= 1"),
+    "laguerre": (lambda nan: fl.combinatorics.laguerre(3, nan, 1.0), "parameter must be > -1"),
+    "krasikov_bound": (lambda nan: fl.combinatorics.krasikov_bound(3, nan, 1.0),
+                       "parameter must be > -1"),
+    "zeta": (lambda nan: fl.combinatorics.zeta(nan), "zeta needs s > 1"),
+    "harmonic_number": (lambda nan: fl.combinatorics.harmonic_number(1.5, nan),
+                        "N must be >= 1"),
+    "weighted_number_moment": (lambda nan: fl.combinatorics.weighted_number_moment(20, 1, nan),
+                               "delta must be 1/4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_GUARDS))
+def test_nan_fails_the_argument_guards(case):
+    # each guard reads ``not value >= bound``; as ``value < bound`` a nan
+    # passed it and came back as nan, as valid=False or as a numpy error
+    call, message = _NAN_GUARDS[case]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call(float("nan"))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
