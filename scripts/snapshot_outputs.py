@@ -17,9 +17,15 @@ Every subcommand runs at least once:
   (``hartree-one-time.txt``): stdout, then the trajectory CSV;
 * ``fit --t 0.5`` on the theta run's CSV, ``--format csv`` and ``json``
   (``fit-FORMAT.txt``): stdout;
-* two refusals, a config with an unknown key and one whose cell exceeds
-  the state cap (``refusal-unknown-key.txt``, ``refusal-above-cap.txt``):
-  the exit code, then stderr;
+* six refusals, each written as ``refusal-NAME.txt``: the exit code, then
+  stderr, with the scratch directory read ``TMP``.  ``converge`` on a
+  config with an unknown key (``unknown-key``), one whose cell exceeds the
+  state cap (``above-cap``), one with a ``{"schedule": "constant"}`` m
+  (``constant-schedule``), one nested 100,000 arrays deep (``nested``), and
+  the theta config with a directory on its report's path
+  (``unwritable-report``); ``superpose`` on a product pair whose
+  coefficients, both 3e-162, give a subnormal square norm
+  (``subnormal-norm``);
 * ``check --level quick --seed 2024`` writes ``check-quick.txt``: its
   stdout, then its verdict.
 
@@ -136,14 +142,28 @@ def snapshot(out_dir):
             stdout, _ = _run(["fit", os.path.join(tmp, "theta-1-csv", "convergence.csv"),
                               "--t", "0.5", "--format", fmt])
             Path(out_dir, f"fit-{fmt}.txt").write_text(stdout, encoding="utf-8")
-        for name, code, config in (
-                ("unknown-key", 2, _config(os.path.join(tmp, "unknown-key.json"), theta,
-                                           n_list, [0.5], bogus=1)),
-                ("above-cap", 3, _config(os.path.join(tmp, "above-cap.json"),
-                                         CONFIGS["product"][1], [4000], [0.5]))):
-            _, stderr = _run(["converge", "--config", config], os.path.join(tmp, name), code)
-            Path(out_dir, f"refusal-{name}.txt").write_text(f"exit {code}\n{stderr}",
-                                                            encoding="utf-8")
+        nested = Path(tmp, "deep.json")
+        nested.write_text("[" * 100_000, encoding="utf-8")
+        os.makedirs(os.path.join(tmp, "unwritable-report", "convergence.csv"))
+        tiny = _superposition("product", [PHI_A, PHI_B])
+        for comp in tiny["components"]:
+            comp["coeff"] = 3e-162
+        for name, command, code, config in (
+                ("unknown-key", "converge", 2, _config(os.path.join(tmp, "unknown-key.json"),
+                                                       theta, n_list, [0.5], bogus=1)),
+                ("above-cap", "converge", 3, _config(os.path.join(tmp, "above-cap.json"),
+                                                     CONFIGS["product"][1], [4000], [0.5])),
+                ("constant-schedule", "converge", 2,
+                 _config(os.path.join(tmp, "constant-schedule.json"),
+                         dict(theta, m={"schedule": "constant", "m": 1}), n_list, [0.5])),
+                ("nested", "converge", 2, str(nested)),
+                ("unwritable-report", "converge", 2,
+                 _config(os.path.join(tmp, "unwritable.json"), theta, n_list, [0.5])),
+                ("subnormal-norm", "superpose", 2,
+                 _config(os.path.join(tmp, "subnormal-norm.json"), tiny, [2, 3], [0.5]))):
+            _, stderr = _run([command, "--config", config], os.path.join(tmp, name), code)
+            Path(out_dir, f"refusal-{name}.txt").write_text(
+                f"exit {code}\n{stderr.replace(tmp, 'TMP')}", encoding="utf-8")
         out = os.path.join(tmp, "check")
         stdout, _ = _run(["check", "--level", "quick", "--seed", "2024"], out)
         doc = json.loads(Path(out, "invariants.json").read_text(encoding="utf-8"))

@@ -3,7 +3,9 @@
 Subcommands: check (invariant suites), converge (single-family sweeps),
 superpose (mixture sweeps), hartree (trajectory export), fit (rate fitting
 on an existing CSV).  Exit codes: 0 success, 1 invariant failure, 2 config
-error (including an unreadable config or CSV file), 3 capacity error.
+error (including a config or CSV file that cannot be read, a config nested
+too deeply, and an output directory or report file that cannot be made or
+written), 3 capacity error.
 """
 
 import argparse
@@ -77,10 +79,7 @@ def build_parser():
 
 def _out_dir(args, config=None):
     path = args.out or (config.out_dir if config is not None else ".")
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as e:  # for example a path that names an existing file
-        raise ConfigError(f"cannot use {path!r} as output directory: {e.strerror}") from e
+    os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -166,6 +165,11 @@ def main(argv=None):
         return args.handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:  # a file or directory that cannot be made or written
+        if e.filename is None:
+            raise
+        print(f"config error: {e.filename!r}: {e.strerror}", file=sys.stderr)
         return EXIT_CONFIG
     except CapacityError as e:
         print(f"capacity error: {e}", file=sys.stderr)

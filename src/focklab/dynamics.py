@@ -100,33 +100,32 @@ def _bessel_series(x):
     SERIES_STOP_TOL; past |x| the |J_k(x)| decrease in k.
 
     Miller's backward recurrence J_{k-1} = (2k / |x|) J_k - J_{k+1}, started
-    at 1 and 0 another 12 |x|^(1/3) + 20 indices past the length it keeps,
-    where J has fallen some 30 orders of magnitude below the stop, and
-    normalized by J_0 + 2 sum_k J_2k = 1; a run that outgrows 1e250 is
-    scaled down, so it cannot overflow however small |x| is.  J_k(-x) =
-    (-1)^k J_k(x).  For |x| < 2 SERIES_STOP_TOL, J_1(x) = x / 2 is already
-    below the stop, and the series is J_0 = 1.
+    at 1 and 0 another 12 |x|^(1/3) + 20 indices past the window of
+    |x| + 12 |x|^(1/3) + 20 entries it keeps, where J has fallen some 30
+    orders of magnitude below the stop, and normalized by J_0 + 2 sum_k J_2k
+    = 1; a run that outgrows 1e250 is scaled down, so it cannot overflow
+    however small |x| is.  For |x| <= MAX_TIME_RADIUS, the bound that
+    ``evolve_fock`` checks first, the one window holds the stop (at
+    |x| = 1e4 it is index 10248 of 10278).  J_k(-x) = (-1)^k J_k(x).  For
+    |x| < 2 SERIES_STOP_TOL, J_1(x) = x / 2 is already below the stop, and
+    the series is J_0 = 1.
     """
     a = abs(x)
     if a / 2 < SERIES_STOP_TOL:
         return np.array([1.0])
-    size = int(a + 12 * a ** (1 / 3)) + 20  # enough for |x| <= MAX_TIME_RADIUS
-    while True:
-        top = size + int(12 * a ** (1 / 3)) + 20
-        f = [0.0] * top + [1.0, 0.0]  # J_0 .. J_{top + 1}, up to a factor
-        for k in range(top, 0, -1):
-            f[k - 1] = 2 * k / a * f[k] - f[k + 1]
-            if abs(f[k - 1]) > 1e250:
-                scale = abs(f[k - 1])
-                f[k - 1:] = [v / scale for v in f[k - 1:]]
-        j = np.array(f[:size]) / fsum([f[0], *(2 * v for v in f[2::2])])
-        stop = np.flatnonzero((np.arange(size) > a) & (np.abs(j) < SERIES_STOP_TOL))
-        if stop.size:
-            j = j[:stop[0]]
-            if x < 0:
-                j[1::2] *= -1
-            return j
-        size *= 2
+    size = int(a + 12 * a ** (1 / 3)) + 20
+    top = size + int(12 * a ** (1 / 3)) + 20
+    f = [0.0] * top + [1.0, 0.0]  # J_0 .. J_{top + 1}, up to a factor
+    for k in range(top, 0, -1):
+        f[k - 1] = 2 * k / a * f[k] - f[k + 1]
+        if abs(f[k - 1]) > 1e250:
+            scale = abs(f[k - 1])
+            f[k - 1:] = [v / scale for v in f[k - 1:]]
+    j = np.array(f[:size]) / fsum([f[0], *(2 * v for v in f[2::2])])
+    j = j[:np.flatnonzero((np.arange(size) > a) & (np.abs(j) < SERIES_STOP_TOL))[0]]
+    if x < 0:
+        j[1::2] *= -1
+    return j
 
 
 def evolve_fock(plan: PropagatorPlan, v: FockVector, t):

@@ -146,17 +146,15 @@ class MSchedule:
 
 
 def _parse_m(x, where, a_cap):
+    """An integer m >= 0, or ``{"schedule": "log", "a": a}`` with 0 <= a < a_cap."""
     if isinstance(x, dict):
-        _require_keys(x, ("schedule", "a", "m"), ("schedule",), where)
-        if x["schedule"] == "log":
-            _require_keys(x, ("schedule", "a"), ("schedule", "a"), where)
-            a = _parse_real(x["a"], f"{where}.a")
-            if not 0 <= a < a_cap:
-                raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
-            return MSchedule(kind="log", a=a)
-        if x["schedule"] == "constant":
-            _require_keys(x, ("schedule", "m"), ("schedule",), where)
-            x = x.get("m", 0)
+        if x.get("schedule") != "log":
+            raise ConfigError(f'{where}: a schedule object needs "schedule": "log"')
+        _require_keys(x, ("schedule", "a"), ("schedule", "a"), where)
+        a = _parse_real(x["a"], f"{where}.a")
+        if not 0 <= a < a_cap:
+            raise ConfigError(f"{where}: log schedule needs 0 <= a < {a_cap}")
+        return MSchedule(kind="log", a=a)
     if type(x) is int and x >= 0:
         return MSchedule(kind="constant", m=x)
     raise ConfigError(f"{where}: expected an integer m >= 0 or a schedule object")
@@ -340,7 +338,7 @@ class ExperimentConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
             raise ConfigError(f"invalid JSON in {path}: {e}") from e
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read {path}: {e}") from e

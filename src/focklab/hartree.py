@@ -15,11 +15,15 @@ ed., Springer 1993, section II.5, with its degree-7 dense output.  Its
 tableau, its first-step guess (section II.4), its error norm and its step
 control (safety 0.9, step factors within [0.2, 10], exponent -1/8, no step
 below 10 ulp of t) are those of SciPy's DOP853 solver, operation for
-operation, so phi_t is bit for bit what SciPy's initial-value solver
-returns with method "DOP853" (``tests/test_hartree.py`` holds it as the
-oracle).  The relative tolerance is the caller's ``tol`` raised to
-HARTREE_RTOL_FLOOR = 100 eps (about 2.2e-14) where it is smaller, as scipy
-does but without its warning; the absolute tolerance is ``tol * 1e-2``.
+operation, with one rule changed: the error norm is 0 whenever the
+order-5 estimate is, where SciPy's reads 0/0 = NaN once the order-3 one
+is subnormal (a generator of about 1e-153), and the step then fails.  So
+wherever SciPy's initial-value solver with method "DOP853" returns a
+solution, phi_t is that solution bit for bit (``tests/test_hartree.py``
+holds it as the oracle).  The relative tolerance is the caller's ``tol``
+raised to HARTREE_RTOL_FLOOR = 100 eps (about 2.2e-14) where it is
+smaller, as scipy does but without its warning; the absolute tolerance is
+``tol * 1e-2``.
 """
 
 from dataclasses import dataclass
@@ -249,7 +253,9 @@ def _integrate(ms, phi0, t_eval, tol):
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
                 err5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
                 err3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
-                error = (0.0 if err5 == 0 and err3 == 0 else
+                # scipy's norm is 0/0 = nan when err5 is 0 and 0.01 err3
+                # underflows; where it is a number at err5 = 0, it is 0
+                error = (0.0 if err5 == 0 else
                          np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)))
                 if error < 1:
                     factor = 10 if error == 0 else min(10, 0.9 * error ** (-1 / 8))

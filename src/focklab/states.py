@@ -493,7 +493,12 @@ def superposition(spec, n, basis):
 def _combine_components(coeffs, comps):
     """The normalized combination sum_i c_i comps[i] / sqrt(c^H G c) of the
     unit vectors ``comps`` on one basis, where G has a unit diagonal and
-    ``comps[i].inner(comps[j])`` off it; returns (state, coeffs_n, G)."""
+    ``comps[i].inner(comps[j])`` off it; returns (state, coeffs_n, G).
+
+    Raises DegeneracyError when G's smallest eigenvalue is below GRAM_FLOOR,
+    or when c^H G c is below the smallest normal float: a subnormal square
+    norm keeps only a few bits, so the normalized coefficients would be
+    wrong."""
     k = len(comps)
     G = np.eye(k, dtype=complex)
     for i, j in itertools.combinations(range(k), 2):
@@ -502,7 +507,7 @@ def _combine_components(coeffs, comps):
     if not np.min(np.linalg.eigvalsh(G)) >= GRAM_FLOOR:
         raise DegeneracyError("component Gram matrix is numerically singular")
     quad = float(np.real(np.conj(coeffs) @ G @ coeffs))
-    if not quad > 0:
+    if not quad >= np.finfo(float).tiny:
         raise DegeneracyError("superposition has numerically vanishing norm")
     coeffs_n = coeffs / sqrt(quad)
     total = np.zeros(comps[0].basis.dim, dtype=complex)

@@ -137,6 +137,10 @@ _REFUSAL_LINES = {
     "krylov-tol-string": "config error: tolerances: unknown keys ['krylov_tol']",
     "h-int": "config error: mode_system.h: expected a square list of lists",
     "h-ragged": "config error: mode_system.h: expected a square list of lists",
+    "m-constant": 'config error: state.m: a schedule object needs "schedule": "log"',
+    "m-constant-without-m": 'config error: state.m: a schedule object needs "schedule": "log"',
+    "m-constant-float": 'config error: state.m: a schedule object needs "schedule": "log"',
+    "constant-stray-a": 'config error: state.m: a schedule object needs "schedule": "log"',
 }
 
 
@@ -194,6 +198,8 @@ _REFUSAL_LINES = {
     (["mode_system"], dict(_LATTICE, sites=True)),
     (["mode_system", "h"], 5),
     (["mode_system", "h"], [[1, 0], [0]]),
+    (["state", "m"], {"schedule": "constant", "m": 1}),
+    (["state", "m"], {"schedule": "constant"}),
 ], ids=["t-string", "t-nan", "krylov-tol", "hartree-tol", "zero-sites", "inf-sites",
         "negative-m", "phi-length", "phi-nan", "non-hermitian-h", "nan-hopping",
         "inf-hopping", "t-numeric-string", "t-bool", "seed-float",
@@ -204,7 +210,8 @@ _REFUSAL_LINES = {
         "hartree-tol-string", "hartree-tol-bool", "krylov-tol-string",
         "log-a-string", "log-a-bool", "constant-stray-a", "dir-null", "dir-int",
         "dir-list", "contact-sigma", "neighbor-sigma", "gaussian-sigma-zero",
-        "gaussian-sigma-negative", "sites-bool", "h-int", "h-ragged"])
+        "gaussian-sigma-negative", "sites-bool", "h-int", "h-ragged", "m-constant",
+        "m-constant-without-m"])
 def test_malformed_config_exits_2_with_one_line(request, theta_config, capsys, keys, value):
     path, doc, tmp = theta_config
     target = doc
@@ -232,6 +239,7 @@ def _superposition_doc(kind, phis, coeffs=(1, 1), ms=None):
 
 
 _E0, _E1 = [[1, 0], [0, 0]], [[0, 0], [1, 0]]
+_PHI_A, _PHI_B = [[0.8, 0], [0.36, 0.48]], [[0.6, 0], [0.8, 0]]
 
 
 def _with_component_key(doc, key, value):
@@ -265,12 +273,16 @@ def _with_component_key(doc, key, value):
     _superposition_doc("coherent", [_E0, [[1, 0], [1e-8, 0]]]),
     dict(_superposition_doc("product", [_E0, _E1, [[sqrt(0.5), 0], [sqrt(0.5), 0]]],
                             coeffs=(1, 1, 1)), n_list=[1, 2, 3]),
+    # a subnormal c^H G c, refused when the first cell is built
+    _superposition_doc("product", [_PHI_A, _PHI_B], coeffs=[3e-162, 3e-162]),
+    _superposition_doc("product", [_PHI_A, _PHI_B], coeffs=[1e-160, 1e-160]),
 ], ids=["theta-m-decreasing", "theta-m-decreasing-at-last-n", "product-non-unit",
         "theta-non-unit", "coherent-non-unit", "product-parallel", "theta-parallel",
         "coherent-equal", "zero-coeffs", "negative-seed", "n-bool", "product-m", "coherent-m",
         "product-excitation-seed", "coherent-excitation-seed",
         "component-seed-float", "component-seed-string", "coeff-bool",
-        "coherent-close", "product-dependent-span"])
+        "coherent-close", "product-dependent-span", "subnormal-square-norm",
+        "subnormal-square-norm-1e-160"])
 def test_malformed_superposition_config_exits_2_with_one_line(tmp_path, capsys, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -322,6 +334,57 @@ def test_output_path_naming_a_file_exits_2_with_one_line(tmp_path, capsys, comma
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("check", "invariants.json"), ("converge", "convergence.csv"),
+    ("superpose", "superposition.csv"), ("hartree", "hartree_trajectory.csv"),
+])
+def test_a_report_path_taken_by_a_directory_exits_2_with_one_line(
+        tmp_path, capsys, monkeypatch, command, name):
+    import focklab.cli as cli
+    from focklab.invariants import SuiteReport
+
+    # an empty verdict: the write fails the same way after the suite's run
+    monkeypatch.setattr(cli, "run_invariant_suite", lambda level, rng_seed: SuiteReport(level))
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command, "--out", str(out)]
+    if command != "check":
+        argv += ["--config", str(_sweep_config(tmp_path, command))]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: '{out / name}': Is a directory"]
+
+
+def test_an_os_error_that_names_no_file_is_not_a_config_error(theta_config, monkeypatch):
+    import focklab.cli as cli
+
+    def broken_pipe(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "print", broken_pipe, raising=False)
+    path, doc, tmp = theta_config
+    with pytest.raises(BrokenPipeError):
+        main(["converge", "--config", str(path)])
+
+
+def _coeff_weights(tmp_path, coeff):
+    """The coeff_weights of a two-product sweep on the README's dense system
+    whose coefficients are both ``coeff``."""
+    path = tmp_path / f"{coeff}.json"
+    path.write_text(json.dumps(dict(
+        _superposition_doc("product", [_PHI_A, _PHI_B], coeffs=[coeff, coeff]), n_list=[4, 6])))
+    out = tmp_path / f"out-{coeff}"
+    assert main(["superpose", "--config", str(path), "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads((out / "superposition.json").read_text())["rows"]
+    return [r["extras"]["coeff_weights"] for r in rows]
+
+
+def test_a_combination_whose_square_norm_is_normal_keeps_the_weights_of_unit_ones(tmp_path):
+    # (1e-150)^2 sums to a normal c^H G c; (3e-162)^2 to a subnormal one,
+    # refused with the malformed superpositions above
+    assert _coeff_weights(tmp_path, 1e-150) == _coeff_weights(tmp_path, 1)
 
 
 @pytest.mark.parametrize("case", ["negative-seed", "one-mode-excitation"])
@@ -396,13 +459,16 @@ def test_invalid_json_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["converge", "superpose", "hartree"])
-@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize("case", ["missing", "directory", "non-utf8", "nested-arrays",
+                                  "nested-objects"])
 def test_unreadable_config_exits_2_with_one_line(tmp_path, capsys, command, case):
     path = tmp_path / "config.json"
     if case == "directory":
         path.mkdir()
     elif case == "non-utf8":
         path.write_bytes(b'{"seed": "\xff"}')
+    elif case.startswith("nested"):  # too deep for the JSON reader, well under 1 MB
+        path.write_text(("[" if case == "nested-arrays" else '{"a": ') * 100_000)
     assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error:")

@@ -12,6 +12,7 @@ from scipy.special import jv
 
 import focklab as fl
 from focklab.dynamics import _bessel_series, _radius_bound
+from focklab.tolerances import MAX_TIME_RADIUS, SERIES_STOP_TOL
 
 from conftest import random_fock, random_hermitian, random_unit
 
@@ -208,6 +209,20 @@ def test_bessel_series_has_the_length_and_values_of_jv():
             assert j.size == np.flatnonzero((k > abs(x)) & (np.abs(ref) < 1e-18))[0]
             if abs(x) <= 32:
                 assert np.max(np.abs(j - ref[:j.size])) <= 1e-15
+
+
+def test_one_window_holds_the_stop_up_to_the_time_radius():
+    # the series keeps int(|x| + 12 |x|^(1/3)) + 20 entries and cuts them at
+    # the first stop, with no retry: a window that missed it would raise
+    # IndexError; evolve_fock refuses |x| above MAX_TIME_RADIUS first
+    xs = np.concatenate([np.geomspace(3e-18, MAX_TIME_RADIUS, 300), np.arange(1.0, 60.0),
+                         np.arange(1.0, 60.0) + 0.5, -np.geomspace(1e-3, MAX_TIME_RADIUS, 20),
+                         [np.nextafter(MAX_TIME_RADIUS, 0)]])
+    for x in xs:
+        j = _bessel_series(x)
+        a = abs(x)
+        assert j.size == 1 if a / 2 < SERIES_STOP_TOL else a < j.size < a + 12 * a ** (1 / 3) + 20
+    assert _bessel_series(MAX_TIME_RADIUS).size == 10248  # of a 10278-entry window
 
 
 def _mp_bessel(x, size, mpmath):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import focklab as fl
+from focklab import combinatorics as comb
 from focklab import harness, states
 from focklab.harness import (
     CSV_HEADER,
@@ -15,7 +16,7 @@ from focklab.harness import (
     merge_reports,
     report_from_csv,
 )
-from focklab.invariants import run_invariant_suite
+from focklab.invariants import check_weighted_moment, run_invariant_suite
 from focklab.states import POISSON_TAIL_FLOOR, _poisson_cutoff, _poisson_tail
 from focklab.tolerances import EXACT_REGIME_TOL
 
@@ -611,6 +612,23 @@ def test_full_suite_passes_within_budget():
     elapsed = time.perf_counter() - start
     assert report.passed, report.summary()
     assert elapsed < 900
+
+
+def test_weighted_moment_check_names_a_failed_bound_and_claims_all_only_without_one(
+        monkeypatch):
+    real = comb.weighted_number_moment
+    ok, detail = check_weighted_moment()
+    assert ok and detail.startswith("all lhs<=rhs; scaled rhs ratio over n-sweep ")
+    rhs = real(50, 1, 0.5).rhs
+
+    def moment(n, m, delta):
+        wm = real(n, m, delta)
+        return fl.WeightedMoment(lhs=2 * wm.rhs, rhs=wm.rhs) if (n, m) == (50, 1) else wm
+
+    monkeypatch.setattr(comb, "weighted_number_moment", moment)
+    ok, failed = check_weighted_moment()
+    assert not ok
+    assert failed == f"lhs>{rhs:.3e} at (n=50, m=1); " + detail.split("; ", 1)[1]
 
 
 def test_suite_json_verdict(tmp_path):

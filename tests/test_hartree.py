@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853, solve_ivp  # the oracle of the stepper, and only here
 
@@ -364,6 +364,8 @@ def _within_the_ledger(ms, phi0, phi_t):
        hopping=st.floats(-2.0, 2.0), tol=st.floats(1e-15, 1e-6),
        t0=st.sampled_from([0.0, 0.25, -1.0]), span=st.floats(-2.5, 2.5),
        points=st.integers(1, 7), frac=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(d=1, lattice=True, pot="contact", g=5.313786071460777e-153, hopping=0.0, tol=6.78e-7,
+         t0=0.0, span=1.0, points=2, frac=0.5, seed=0)  # scipy fails here: no oracle
 def test_states_and_at_are_scipys_bit_for_bit(d, lattice, pot, g, hopping, tol, t0, span,
                                               points, frac, seed):
     # forward, backward and one-point grids, tolerances on both sides of the
@@ -391,18 +393,37 @@ def test_states_and_at_are_scipys_bit_for_bit(d, lattice, pot, g, hopping, tol, 
         assert np.array_equal(traj.states, [phi])
     else:
         sol = _scipy_dop853(ms, phi, grid[0], grid[-1], tol, t_eval=grid)
-        assert np.array_equal(sol.t, grid) and np.array_equal(traj.states, sol.y.T)
+        if sol.success:
+            assert np.array_equal(sol.t, grid) and np.array_equal(traj.states, sol.y.T)
+        else:  # scipy's error norm read 0/0 on a tiny generator: no oracle
+            assert all(_within_the_ledger(ms, phi, state) for state in traj.states)
     # at(t) is evolve_hartree over [t0, t]: scipy's state at t on that grid,
     # refused only where that state leaves the norm/energy contract
     for t in (traj.times[-1], traj.times[0] + frac * (traj.times[-1] - traj.times[0])):
-        want = (phi if t == grid[0] else
-                _scipy_dop853(ms, phi, grid[0], t, tol, t_eval=[grid[0], t]).y[:, -1])
+        sol = None if t == grid[0] else _scipy_dop853(ms, phi, grid[0], t, tol,
+                                                      t_eval=[grid[0], t])
+        want = phi if sol is None else sol.y[:, -1] if sol.success else None
         try:
             got = traj.at(t)
         except fl.IntegrationError as e:
-            assert "drift" in str(e) and not _within_the_ledger(ms, phi, want)
+            assert "drift" in str(e) and want is not None and not _within_the_ledger(ms, phi, want)
         else:
-            assert np.array_equal(got, want)
+            if want is None:
+                assert _within_the_ledger(ms, phi, got)
+            else:
+                assert np.array_equal(got, want)
+
+
+def test_a_generator_whose_error_estimates_underflow_integrates():
+    # on a 1-site contact kernel of g ~ 5e-153 both error estimates of a step
+    # are 0 or subnormal; scipy's error norm reads 0/0 there and fails most
+    # of these phases with "Required step size is less than spacing between
+    # numbers", where each step is exact: phi_1 = e^{-i g} phi_0 = phi_0
+    ms = fl.ModeSystem.lattice(1, hopping=0.0, potential=("contact", 5.313786071460777e-153))
+    for phase in np.random.default_rng(0).uniform(0, 2 * np.pi, 200):
+        phi = np.array([np.exp(1j * phase)])
+        traj = fl.evolve_hartree(ms, phi, [0.0, 1.0], tol=6.78e-7)
+        assert np.array_equal(traj.states, [phi, phi])
 
 
 def test_a_tolerance_below_the_floor_is_raised_without_a_warning(rng):

@@ -4,6 +4,7 @@ code-line counter counts code only."""
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -63,7 +64,9 @@ def test_snapshot_writes_one_file_per_run_without_wall_clock_fields(tmp_path):
     runs = {f"{name}-{threads}t-{fmt}.txt"
             for name in names for fmt in ("csv", "json") for threads in (1, 2)}
     others = {"hartree-two-times.txt", "hartree-one-time.txt", "fit-csv.txt", "fit-json.txt",
-              "refusal-unknown-key.txt", "refusal-above-cap.txt", "check-quick.txt"}
+              "refusal-unknown-key.txt", "refusal-above-cap.txt", "check-quick.txt",
+              "refusal-constant-schedule.txt", "refusal-nested.txt",
+              "refusal-unwritable-report.txt", "refusal-subnormal-norm.txt"}
     assert {p.name for p in tmp_path.iterdir()} == runs | others
     for path in tmp_path.iterdir():
         text = path.read_text(encoding="utf-8")
@@ -77,3 +80,7 @@ def test_snapshot_writes_one_file_per_run_without_wall_clock_fields(tmp_path):
     assert "(101 samples" in (tmp_path / "hartree-one-time.txt").read_text()
     assert (tmp_path / "refusal-unknown-key.txt").read_text().startswith("exit 2\nconfig error:")
     assert (tmp_path / "refusal-above-cap.txt").read_text().startswith("exit 3\ncapacity error:")
+    for name in ("constant-schedule", "nested", "unwritable-report", "subnormal-norm"):
+        text = (tmp_path / f"refusal-{name}.txt").read_text()
+        assert text.startswith("exit 2\nconfig error:") and text.count("\n") == 2
+        assert tempfile.gettempdir() not in text  # the scratch directory reads TMP or OUT

@@ -643,6 +643,15 @@ def test_superposition_degenerate_components_rejected():
         fl.superposition(spec, 2, fl.enumerate_basis(2, fl.truncated(28)))
 
 
+def test_a_subnormal_square_norm_is_refused():
+    # (3e-162)^2 sums to a subnormal c^H G c of a few bits: the normalized
+    # coefficients would be wrong
+    phis = [np.array([0.8, 0.36 + 0.48j]), np.array([0.6, 0.8])]
+    spec = fl.SuperpositionSpec(kind="product", coeffs=[3e-162, 3e-162], phis=phis)
+    with pytest.raises(fl.DegeneracyError, match="^superposition has numerically vanishing norm$"):
+        fl.superposition(spec, 4, _fixed(2, 4))
+
+
 def test_theta_schedule_must_be_nondecreasing(rng):
     phi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     phi2 = np.array([0.0, 1.0, 0.0], dtype=complex)
