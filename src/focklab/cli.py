@@ -77,29 +77,28 @@ def build_parser():
     return ap
 
 
-def _out_dir(args, config=None):
-    path = args.out or (config.out_dir if config is not None else ".")
-    os.makedirs(path, exist_ok=True)
+def _report_path(args, name, config=None):
+    """The path of the report ``name`` in the output directory, made if
+    missing.  The report is opened for appending once, so that one which
+    cannot be written is refused before the work that fills it; a file that
+    opening made is removed again, and an existing one keeps its bytes."""
+    out = args.out or (config.out_dir if config is not None else ".")
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
     return path
-
-
-def _write_report(report, fmt, out, stem):
-    path = os.path.join(out, f"{stem}.{fmt}")
-    if fmt == "csv":
-        report.to_csv(path)
-    else:
-        report.to_json(path)
-    print(f"wrote {path} ({len(report.rows)} rows)")
 
 
 def _cmd_check(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    out = _out_dir(args) if args.out else None
+    path = _report_path(args, "invariants.json") if args.out else None
     report = run_invariant_suite(level=args.level, rng_seed=args.seed)
     print(report.summary())
-    if out:
-        path = os.path.join(out, "invariants.json")
+    if path:
         report.to_json(path)
         print(f"wrote {path}")
     return EXIT_OK if report.passed else EXIT_INVARIANT
@@ -111,9 +110,14 @@ def _cmd_sweep(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     config = ExperimentConfig.from_json(args.config, seed_override=args.seed)
-    out = _out_dir(args, config)
+    fmt = args.format or config.out_format
+    path = _report_path(args, f"{args.stem}.{fmt}", config)
     report = args.run(config, threads=args.threads)
-    _write_report(report, args.format or config.out_format, out, args.stem)
+    if fmt == "csv":
+        report.to_csv(path)
+    else:
+        report.to_json(path)
+    print(f"wrote {path} ({len(report.rows)} rows)")
     for t, fit in report.fits.items():  # superposition reports carry no fits
         if fit == "exact":
             print(f"t={t}: exact regime (distances at rounding level), no rate to fit")
@@ -128,13 +132,12 @@ def _cmd_hartree(args):
     config = ExperimentConfig.from_json(args.config)  # the trajectory draws nothing
     if config.family == "superposition":
         raise ConfigError("hartree export needs a single-state family with a phi")
-    out = _out_dir(args, config)
+    path = _report_path(args, "hartree_trajectory.csv", config)
     t_max = max(config.t_list)
     grid = (np.array(sorted(set([0.0] + config.t_list)))
             if len(config.t_list) > 1 else np.linspace(0.0, t_max, 101))
     traj = evolve_hartree(config.ms, config.components[0].phi, grid,
                           tol=config.hartree_tol)
-    path = os.path.join(out, "hartree_trajectory.csv")
     traj.to_csv(path)
     print(f"wrote {path} ({len(traj.times)} samples, "
           f"norm drift {np.max(np.abs(traj.norm_log - 1.0)):.2e})")

@@ -478,29 +478,43 @@ def second_quantize(A, basis):
 
 def _dgamma(A, basis, diagonal=0.0):
     """The CSR matrix of ``second_quantize`` for a complex d x d ``A``, plus
-    the real ``diagonal`` (one entry per state), in one COO-to-CSR assembly."""
-    d = basis.d
+    the real ``diagonal`` (one entry per state), in one COO-to-CSR assembly
+    of the entries ``_dgamma_entries`` lists.  Its temporaries are freed
+    when it returns, so the conversion holds only the COO arrays (24 bytes
+    an entry) and the CSR result (20): the build peaks at about 2.2 times
+    the CSR's bytes."""
+    vals, rows, cols = _dgamma_entries(A, basis, diagonal)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim), dtype=complex)
+
+
+def _dgamma_entries(A, basis, diagonal):
+    """(values, rows, columns) of ``_dgamma``'s matrix, one pass: the
+    entries are counted first (the nonzero diagonal, then for each hop pair
+    p != q with A_pq != 0 the states with o_q > 0) and written pair by pair
+    into one complex and two int32 arrays; the state cap keeps every index
+    below 2^31."""
     occs = basis.occs
     # mode by mode: a BLAS occs @ diag(A) may reorder the sum and move last bits
-    diag = sum(A[q, q] * occs[:, q] for q in range(d)) + diagonal
+    diag = sum(A[q, q] * occs[:, q] for q in range(basis.d)) + diagonal
     nz = np.flatnonzero(diag)
-    rows, cols, vals = [nz], [nz], [diag[nz]]
-    for p, q in zip(*np.nonzero(A)):
-        if p == q:
-            continue
+    hops = [(p, q) for p, q in zip(*np.nonzero(A)) if p != q]
+    filled = np.count_nonzero(occs, axis=0)  # states with o_q > 0, per mode q
+    total = nz.size + sum(int(filled[q]) for _, q in hops)
+    vals = np.empty(total, complex)
+    rows, cols = np.empty(total, np.int32), np.empty(total, np.int32)
+    vals[:nz.size], rows[:nz.size], cols[:nz.size] = diag[nz], nz, nz
+    k = nz.size
+    for p, q in hops:
         src = np.flatnonzero(occs[:, q] > 0)
         hop = occs[src]
         amps = np.sqrt(hop[:, q] * (hop[:, p] + 1.0))
         hop[:, q] -= 1
         hop[:, p] += 1
-        rows.append(rank(basis, hop))
-        cols.append(src)
-        vals.append(A[p, q] * amps)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(basis.dim, basis.dim),
-        dtype=complex,
-    )
+        vals[k:k + src.size] = A[p, q] * amps
+        rows[k:k + src.size] = rank(basis, hop)
+        cols[k:k + src.size] = src
+        k += src.size
+    return vals, rows, cols
 
 
 def number_operator(basis):
@@ -523,6 +537,7 @@ def build_hamiltonian(ms, n_scale, basis):
         raise ValueError("n_scale must be >= 1")
     occ = basis.occs.astype(float)
     quad = np.einsum("ip,pq,iq->i", occ, ms.v, occ) - occ @ np.diag(ms.v)
+    del occ  # not held through the assembly, whose peak it would raise
     # the Hermiticity pledge is checked once, on H itself
     return SparseOperator(basis=basis, matrix=_dgamma(ms.h, basis, quad / (2.0 * n_scale)),
                           hermitian=True)

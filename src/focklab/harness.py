@@ -38,7 +38,7 @@ from .fock import (_is_truncated, _written, _written_csv, build_hamiltonian, enu
                    sector_dimension)
 from .hartree import _generator_bound, evolve_hartree
 from .modes import ModeSystem
-from .rdm import distance, mixed_target, reduced_dm
+from .rdm import _distances, mixed_target, reduced_dm
 from .states import (
     KINDS,
     SuperpositionSpec,
@@ -526,16 +526,23 @@ def _hartree_targets(config, weights):
     return targets
 
 
-def _superposition_spec(config, n):
+def _superposition_spec(config, n, draws):
     """The state's components at particle number n.  A theta component's
     excitation of size m = ``m_schedule.value(n)`` is the random excitation
     orthogonal to its phi drawn from ``(seed, *seed_key, m)``, that is
     ``(seed, excitation_seed, m)`` in a superposition and ``(seed, m)`` for a
-    single family; it is None for m = 0."""
+    single family; it is None for m = 0.  The draw depends on the component
+    and m alone, so ``draws``, a dict that one sweep keeps, holds it under
+    (component index, m) and every n with that m reuses it."""
     comps = config.components
+
+    def excitation(i, c, m):
+        if (i, m) not in draws:
+            draws[i, m] = random_excitation(c.phi, m, seed=(config.seed, *c.seed_key, m))
+        return draws[i, m]
+
     ms = [c.m_schedule.value(n) for c in comps]
-    excs = [None if m == 0 else random_excitation(c.phi, m, seed=(config.seed, *c.seed_key, m))
-            for c, m in zip(comps, ms)]
+    excs = [None if m == 0 else excitation(i, c, m) for i, (c, m) in enumerate(zip(comps, ms))]
     return SuperpositionSpec(kind=config.kind, coeffs=[c.coeff for c in comps],
                              phis=[c.phi for c in comps], excitations=excs)
 
@@ -556,11 +563,13 @@ def _sweep(config, threads):
     First the targets of ``_hartree_targets``, once per time.  Then one cell
     per n: the basis on ``_cell_sector(kind, n)`` (``enumerate_basis``
     refuses one above the state cap), the propagator plan, the spec of
-    ``_superposition_spec`` and the normalized combination of its components
-    with their Gram matrix and coefficients; m is the largest excitation size
-    of the spec.  At each t, in increasing order, the state evolves on from
-    the previous time, and the row holds the three distances from its reduced
-    density matrix rho to the target at t and its family's columns:
+    ``_superposition_spec`` (its excitations drawn once per component and m
+    in the sweep) and the normalized combination of its components with
+    their Gram matrix and coefficients; m is the largest excitation size of
+    the spec.  At each t, in increasing order, the state evolves on from the
+    previous time, and the row holds the three distances from its reduced
+    density matrix rho to the target at t, from one eigenvalue solve, and
+    its family's columns:
     ``bound_envelope`` for a single family; for a superposition the largest
     off-diagonal Gram entry as ``cross_term`` (the numerically measured
     overlap, so the closed forms |<phi_i,phi_j>|^n and e^{-n ||dphi||^2/2}
@@ -578,11 +587,14 @@ def _sweep(config, threads):
     single = config.family in KINDS
     weights = [float(w) for w in _target_weights(config.components)]
     targets = _hartree_targets(config, weights)
+    # the excitations of _superposition_spec, one per (component, m); two
+    # pool threads may both draw a missing one, and their draws are equal
+    draws = {}
 
     def cell(n):
         basis = enumerate_basis(config.ms.d, _cell_sector(config.kind, n))
         plan = make_plan(build_hamiltonian(config.ms, n, basis))
-        spec = _superposition_spec(config, n)
+        spec = _superposition_spec(config, n, draws)
         try:  # the pairwise parse checks cannot see a degenerate span
             state, coeffs_n, gram = _combine_components(
                 spec.coeffs, component_states(spec, n, basis))
@@ -599,8 +611,7 @@ def _sweep(config, threads):
             t_prev = t
             rho = reduced_dm(state)
             phi_ts, target = targets[t]
-            td, hd, od = (distance(rho, target, kind)
-                          for kind in ("trace", "hilbert_schmidt", "operator"))
+            td, hd, od = _distances(rho, target)
             rows.append(SweepRow(
                 n=n, m=m, t=t, trace_dist=td, hs_dist=hd, op_dist=od,
                 runtime_s=time.perf_counter() - row_start,

@@ -87,18 +87,22 @@ def distance(rho1, rho2, norm="trace"):
     satisfy operator <= hilbert_schmidt <= trace, and trace <= 2 *
     hilbert_schmidt whenever one argument is a rank-one projection.
     """
+    norms = dict(zip(("trace", "hilbert_schmidt", "operator"), _distances(rho1, rho2)))
+    if norm not in norms:
+        raise ValueError(f"unknown norm {norm!r}")
+    return norms[norm]
+
+
+def _distances(rho1, rho2):
+    """The trace, Hilbert-Schmidt and operator distances of ``distance``,
+    from one eigenvalue solve of the difference."""
     a, b = (r.rho if isinstance(r, OneParticleDM) else check_hermitian(np.asarray(r), "matrix")
             for r in (rho1, rho2))
     if a.shape != b.shape:
         raise ValueError("density matrices have different dimensions")
     evals = np.linalg.eigvalsh(a - b)
-    if norm == "trace":
-        return float(np.sum(np.abs(evals)))
-    if norm == "hilbert_schmidt":
-        return float(np.sqrt(np.sum(evals**2)))
-    if norm == "operator":
-        return float(np.max(np.abs(evals)))
-    raise ValueError(f"unknown norm {norm!r}")
+    return (float(np.sum(np.abs(evals))), float(np.sqrt(np.sum(evals**2))),
+            float(np.max(np.abs(evals))))
 
 
 def mixed_target(weights, phis):

@@ -40,6 +40,7 @@ pins:
 """
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CapacityError
 
@@ -88,8 +89,30 @@ def check_unit(phi, what="phi"):
 
 def check_hermitian(a, what):
     """``a``, a dense or scipy-sparse square matrix, unchanged; ValueError
-    unless its largest |A - A^H| entry is at most HERMITICITY_TOL."""
-    if not abs(a - a.conj().T).max() <= HERMITICITY_TOL:
+    unless its largest |A - A^H| entry is at most HERMITICITY_TOL.
+
+    A sparse ``a`` is compared with its conjugate transpose, formed once as
+    a complex CSR copy.  Where ``a`` is canonical CSR (sorted indices, no
+    duplicates) and the copy stores the same pattern, as every Hamiltonian
+    does, the two are compared entry by entry inside the copy, which is all
+    the check allocates; otherwise A - A^H is formed, which also sees an
+    entry stored on one side only.  A NaN fails either way.
+    """
+    if not sparse.issparse(a):
+        err = abs(a - a.conj().T).max()
+    else:
+        adj = a.T.tocsr(copy=True).astype(complex, copy=False)
+        np.conjugate(adj.data, out=adj.data)
+        if (a.format == "csr" and a.has_canonical_format
+                and np.array_equal(a.indptr, adj.indptr)
+                and np.array_equal(a.indices, adj.indices)):
+            diff = adj.data
+            diff -= a.data
+            # |diff| into the copy's real parts: np.abs would allocate 8 bytes an entry
+            err = np.hypot(diff.real, diff.imag, out=diff.real).max(initial=0.0)
+        else:
+            err = abs(a - adj).max()
+    if not err <= HERMITICITY_TOL:
         raise ValueError(f"{what} is not Hermitian to {HERMITICITY_TOL}")
     return a
 

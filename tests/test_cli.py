@@ -13,6 +13,7 @@ import pytest
 
 from focklab import fock
 from focklab.cli import main
+from focklab.errors import CapacityError
 
 
 @pytest.fixture
@@ -343,10 +344,12 @@ def test_output_path_naming_a_file_exits_2_with_one_line(tmp_path, capsys, comma
 def test_a_report_path_taken_by_a_directory_exits_2_with_one_line(
         tmp_path, capsys, monkeypatch, command, name):
     import focklab.cli as cli
-    from focklab.invariants import SuiteReport
 
-    # an empty verdict: the write fails the same way after the suite's run
-    monkeypatch.setattr(cli, "run_invariant_suite", lambda level, rng_seed: SuiteReport(level))
+    # the report path is tried before the work that fills it: none of it runs
+    ran = []
+    for work in ("run_invariant_suite", "run_convergence_sweep", "run_superposition_sweep",
+                 "evolve_hartree"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work, **kwargs: ran.append(work))
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     argv = [command, "--out", str(out)]
@@ -355,6 +358,24 @@ def test_a_report_path_taken_by_a_directory_exits_2_with_one_line(
     assert main(argv) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"config error: '{out / name}': Is a directory"]
+    assert ran == []
+
+
+def test_a_report_path_is_tried_without_a_trace(tmp_path, monkeypatch):
+    # trying a report path leaves no file behind when the run then fails,
+    # and an existing report keeps its bytes until it is written again
+    import focklab.cli as cli
+
+    def broken(*args, **kwargs):
+        raise CapacityError("the work failed")
+
+    monkeypatch.setattr(cli, "run_invariant_suite", broken)
+    out = tmp_path / "out"
+    assert main(["check", "--out", str(out)]) == 3
+    assert list(out.iterdir()) == []
+    (out / "invariants.json").write_text("kept")
+    assert main(["check", "--out", str(out)]) == 3
+    assert (out / "invariants.json").read_text() == "kept"
 
 
 def test_an_os_error_that_names_no_file_is_not_a_config_error(theta_config, monkeypatch):

@@ -118,7 +118,7 @@ def test_mutated_config_is_rejected_or_buildable(doc):
         cfg = fl.ExperimentConfig.from_dict(doc)
     except (fl.ConfigError, fl.CapacityError):
         return
-    _superposition_spec(cfg, cfg.n_list[0])
+    _superposition_spec(cfg, cfg.n_list[0], {})
 
 
 def _end_to_end(test):

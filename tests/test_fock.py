@@ -1,5 +1,6 @@
 """Basis enumeration, ladder algebra, second quantization, Weyl displacement."""
 
+import tracemalloc
 from math import comb, factorial, sqrt
 
 import numpy as np
@@ -12,7 +13,7 @@ from scipy.special import pdtrc
 
 import focklab as fl
 from focklab import fock
-from focklab.states import _tensor_from_fixed
+from focklab.states import _poisson_cutoff, _tensor_from_fixed
 from focklab.tolerances import DEFAULT_STATE_CAP
 
 from conftest import random_fock, random_hermitian, random_unit
@@ -378,6 +379,10 @@ def _hamiltonian_case(name):
         "dense3-truncated8": (fl.ModeSystem.dense(random_hermitian(3, rng),
                                                   rng.standard_normal((3, 3))),
                               fl.truncated(8), 8),
+        # 13 of its 28 states store no diagonal entry in H
+        "offdiag2-truncated6": (fl.ModeSystem.dense(np.array([[0, 1.0], [1.0, 0]]),
+                                                    np.array([[0, 1.0], [1.0, 0]])),
+                                fl.truncated(6), 6),
     }[name]
 
 
@@ -396,6 +401,58 @@ def test_hamiltonian_is_the_two_pass_assembly_bit_for_bit(name):
     assert got.data.dtype == want.data.dtype
     for part in ("indptr", "indices", "data"):
         assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+
+def _reference_plan(H):
+    """(phase, interval, B) of ``make_plan`` from scipy's sparse algebra:
+    the radii from abs(A).sum(axis=1), B from A - diags(shift)."""
+    A, totals = H.matrix, H.basis.totals
+    diag = A.diagonal().real
+    means = np.bincount(totals, weights=diag) / np.maximum(np.bincount(totals), 1)
+    phase = means[totals]
+    radii = np.ravel(abs(A).sum(axis=1)) - np.abs(diag)
+    lo, hi = float(np.min(diag - phase - radii)), float(np.max(diag - phase + radii))
+    scaled = (A - sp.diags(phase + (lo + hi) / 2)).tocsr()
+    if (hi - lo) / 2 >= np.finfo(float).tiny:
+        scaled.data /= (hi - lo) / 2
+    return phase, (lo, hi), scaled
+
+
+@pytest.mark.parametrize("name", ["contact3-truncated29", "contact4-fixed18",
+                                  "gaussian4-truncated9", "neighbor2-truncated20",
+                                  "dense3-truncated8", "offdiag2-truncated6"])
+def test_plan_is_the_sparse_algebra_bit_for_bit(name):
+    # B gains the diagonal entries H does not store (the truncated vacuum's,
+    # or 13 in offdiag2) and drops those that come out 0 (3 to 6 in the
+    # contact and gaussian cases); H keeps every byte
+    ms, sector, n = _hamiltonian_case(name)
+    H = fl.build_hamiltonian(ms, n, fl.enumerate_basis(ms.d, sector))
+    before = [getattr(H.matrix, part).tobytes() for part in ("indptr", "indices", "data")]
+    phase, interval, want = _reference_plan(H)
+    plan = fl.make_plan(H)
+    assert plan.phase.tobytes() == phase.tobytes() and plan.interval == interval
+    for part in ("indptr", "indices", "data"):
+        got = getattr(plan.scaled, part)
+        assert got.dtype == getattr(want, part).dtype
+        assert got.tobytes() == getattr(want, part).tobytes()
+    assert [getattr(H.matrix, part).tobytes() for part in ("indptr", "indices", "data")] == before
+
+
+def test_cell_setup_peaks_below_three_times_its_hamiltonian():
+    # a coherent n = 24 cell on 3 sites, on the basis a sweep has already
+    # enumerated: building H and its plan holds at most 3 times H's CSR
+    # bytes (5.2 times when the assembly concatenated int64 triplets and the
+    # Hermiticity check formed M - M^H)
+    basis = fl.enumerate_basis(3, fl.truncated(_poisson_cutoff(24)))
+    tracemalloc.start()
+    try:
+        H = fl.build_hamiltonian(fl.ModeSystem.lattice(3), 24, basis)
+        fl.make_plan(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = H.matrix.data.nbytes + H.matrix.indices.nbytes + H.matrix.indptr.nbytes
+    assert H.matrix.nnz == 494949 and peak <= 3 * csr
 
 
 def test_hermiticity_pledge_rejects_a_non_hermitian_matrix():

@@ -298,6 +298,24 @@ def test_targets_are_built_once_per_time(monkeypatch):
     assert calls == [1, 1]
 
 
+@pytest.mark.parametrize("m, draws", [(1, [1]), ({"schedule": "log", "a": 0.9}, [1, 2])])
+def test_excitations_are_drawn_once_per_m_in_a_sweep(monkeypatch, m, draws):
+    # the draw key (seed, *seed_key, m) does not depend on n: one draw per m
+    calls = []
+
+    def counting(phi, m, seed):
+        calls.append(m)
+        return fl.random_excitation(phi, m, seed)
+
+    doc = _theta_doc(n_list=(4, 6, 8, 10), m=m)
+    want = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(doc))
+    monkeypatch.setattr(harness, "random_excitation", counting)
+    got = fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(doc))
+    assert sorted(calls) == draws
+    assert [(r.m, r.trace_dist, r.hs_dist, r.op_dist) for r in got.rows] == [
+        (r.m, r.trace_dist, r.hs_dist, r.op_dist) for r in want.rows]
+
+
 def test_json_rows_carry_the_csv_columns_in_order():
     for rep in (fl.run_convergence_sweep(fl.ExperimentConfig.from_dict(_theta_doc())),
                 fl.run_superposition_sweep(fl.ExperimentConfig.from_dict(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import focklab as fl
 from focklab.fock import rank
+from focklab.rdm import _distances
 from focklab.states import _tensor_from_fixed
 
 from conftest import random_fock, random_hermitian, random_unit
@@ -241,6 +242,28 @@ def test_norm_ordering_random(rng):
         td = fl.distance(rho1, rho2, "trace")
         assert od <= hd * (1 + 1e-12) <= td * (1 + 1e-12)
         assert td <= 2 * hd * (1 + 1e-12)  # rank-one comparison
+
+
+def test_three_distances_come_from_one_eigenvalue_solve(rng, monkeypatch):
+    # each norm keeps the bits of its own solve: sum |lam|, sqrt(sum lam^2), max |lam|
+    pairs = []
+    for _ in range(10):
+        d = int(rng.integers(2, 6))
+        w = rng.random(d)
+        pairs.append((fl.mixed_target(w / w.sum(), [random_unit(d, rng) for _ in range(d)]),
+                      fl.projector(random_unit(d, rng))))
+    want = []
+    for a, b in pairs:
+        evals = np.linalg.eigvalsh(a.rho - b.rho)
+        want.append((float(np.sum(np.abs(evals))), float(np.sqrt(np.sum(evals**2))),
+                     float(np.max(np.abs(evals)))))
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solves.append(1) or eigvalsh(m))
+    assert [_distances(a, b) for a, b in pairs] == want
+    assert len(solves) == len(pairs)
+    assert [tuple(fl.distance(a, b, k) for k in ("trace", "hilbert_schmidt", "operator"))
+            for a, b in pairs] == want
 
 
 def test_distance_dimension_mismatch():

@@ -84,3 +84,15 @@ def test_snapshot_writes_one_file_per_run_without_wall_clock_fields(tmp_path):
         text = (tmp_path / f"refusal-{name}.txt").read_text()
         assert text.startswith("exit 2\nconfig error:") and text.count("\n") == 2
         assert tempfile.gettempdir() not in text  # the scratch directory reads TMP or OUT
+
+
+def test_build_peak_prints_the_set_up_memory_of_a_coherent_cell():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "build_peak.py"), "4"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    head, row = proc.stdout.splitlines()
+    assert head == "n dim nnz csr_mb build_mb plan_mb build_ratio plan_ratio"
+    n, dim, nnz, csr_mb, build_mb, plan_mb, build_ratio, plan_ratio = row.split()
+    assert (n, dim, nnz) == ("4", "4960", "31929")  # truncated(_poisson_cutoff(4)) = 29
+    assert 0 < float(csr_mb) < float(build_mb) and float(csr_mb) < float(plan_mb)
+    assert 1 < float(build_ratio) < 3 and 1 < float(plan_ratio) < 3

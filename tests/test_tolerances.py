@@ -28,6 +28,7 @@ from focklab.tolerances import (
     TRACE_TOL,
     UNIT_NORM_TOL,
     WEIGHT_SUM_TOL,
+    check_hermitian,
 )
 
 from conftest import random_unit
@@ -168,6 +169,49 @@ def test_every_hermiticity_check_has_the_same_threshold(entry):
         call(1.01 * HERMITICITY_TOL)
     with pytest.raises(ValueError):
         call(np.nan)
+
+
+def _csr(data, indices, indptr):
+    return sp.csr_matrix((np.array(data, dtype=complex), indices, indptr), shape=(2, 2))
+
+
+_T = HERMITICITY_TOL
+_HERMITICITY_VERDICTS = {  # name -> (matrix, Hermitian to HERMITICITY_TOL?)
+    "nan-diagonal": (sp.csr_matrix(np.array([[np.nan, 0], [0, 1.0]])), False),
+    "nan-pair": (sp.csr_matrix(np.array([[0, np.nan], [np.nan, 0]])), False),
+    "one-side": (sp.csr_matrix(np.array([[0, 1.0], [0, 0]])), False),
+    "one-side-half-tol": (sp.csr_matrix(np.array([[0, 0.5 * _T], [0, 0]])), True),
+    "one-side-twice-tol": (sp.csr_matrix(np.array([[0, 2 * _T], [0, 0]])), False),
+    "skew-half-tol": (sp.csr_matrix(np.array([[1, 1j], [-1j + 0.5 * _T, 2]])), True),
+    "skew-twice-tol": (sp.csr_matrix(np.array([[1, 1j], [-1j + 2 * _T, 2]])), False),
+    "all-zero": (sp.csr_matrix((3, 3), dtype=complex), True),
+    "stored-zero-one-side": (_csr([0.0], [1], [0, 1, 1]), True),
+    "unsorted-hermitian": (_csr([2j, 1, -2j, 3], [1, 0, 0, 1], [0, 2, 4]), True),
+    "unsorted-twice-tol": (_csr([2j, 1, -2j + 2 * _T, 3], [1, 0, 0, 1], [0, 2, 4]), False),
+    # duplicates compare by their sums: 0.3 + 0.7 against 0.7 + 0.3
+    "duplicates-hermitian": (_csr([0.3, 0.7, 0.7, 0.3], [1, 1, 0, 0], [0, 2, 4]), True),
+    "duplicates-twice-tol": (_csr([0.3, 0.7, 0.7, 0.3 + 2 * _T], [1, 1, 0, 0], [0, 2, 4]),
+                             False),
+    "dense-hermitian": (np.array([[1, 2 - 1j, 0], [2 + 1j, 0, 3j], [0, -3j, 5]]), True),
+    "dense-twice-tol": (np.array([[1, 2 - 1j, 0], [2 + 1j, 0, 3j], [0, -3j + 2 * _T, 5]]),
+                        False),
+    "dense-nan": (np.array([[1, np.nan], [np.nan, 1]]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HERMITICITY_VERDICTS))
+def test_hermiticity_verdicts_are_pinned(name):
+    # each verdict and message is the one of the check that forms A - A^H;
+    # the input comes back unchanged, its arrays untouched
+    a, hermitian = _HERMITICITY_VERDICTS[name]
+    parts = (("data", "indices", "indptr") if sp.issparse(a) else ("data",))
+    before = [np.array(getattr(a, p)).tobytes() for p in parts]
+    if hermitian:
+        assert check_hermitian(a, "m") is a
+    else:
+        with pytest.raises(ValueError, match=f"^m is not Hermitian to {HERMITICITY_TOL}$"):
+            check_hermitian(a, "m")
+    assert [np.array(getattr(a, p)).tobytes() for p in parts] == before
 
 
 def test_gram_floor_lies_within_the_independence_check():
