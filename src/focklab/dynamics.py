@@ -60,16 +60,16 @@ def make_plan(H: SparseOperator):
 
     H's matrix is brought to canonical CSR in place (sorted indices, no
     duplicates), as ``build_hamiltonian`` returns it.  The row radii are
-    read from |data| on H's own index arrays, and B is one copy of H with
-    the shift on its diagonal (``_minus_diagonal``): the plan peaks at about
-    2.4 times H's CSR bytes, H included, and keeps B and D.
+    read from |data| on H's own index arrays, and B is scipy's sparse
+    difference of H and the diagonal shift: the plan peaks at about 2.5
+    times H's CSR bytes, H included, and keeps B and D.
     """
     if not H.hermitian:
         raise ValueError("propagation needs a Hermitian Hamiltonian")
     A = H.matrix
     A.sum_duplicates()
     phase, lo, hi = _sector_split(A, H.basis.totals)
-    scaled = _minus_diagonal(A, phase + (lo + hi) / 2)
+    scaled = (A - sp.diags(phase + (lo + hi) / 2)).tocsr()
     if (hi - lo) / 2 >= np.finfo(float).tiny:  # a subnormal width overflows the division
         scaled.data /= (hi - lo) / 2
     return PropagatorPlan(method="krylov", basis=H.basis, phase=phase, interval=(lo, hi),
@@ -87,32 +87,6 @@ def _sector_split(A, totals):
     radii = np.ravel(sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
                      .sum(axis=1)) - np.abs(diag)  # off-diagonal row sums
     return phase, float(np.min(diag - phase - radii)), float(np.max(diag - phase + radii))
-
-
-def _minus_diagonal(A, shift):
-    """A - diags(shift) for a canonical CSR ``A`` and a real ``shift``, with
-    the bytes of scipy's sparse subtraction, built as one copy of A.
-
-    A row that stores no diagonal entry gains one, where its column sorts,
-    holding 0 - shift as scipy computes it (imaginary part +0.0); an entry
-    that comes out exactly 0 is dropped, as scipy drops it."""
-    dim = A.shape[0]
-    rows = np.arange(dim, dtype=np.int64)
-    key = np.repeat(rows * dim, np.diff(A.indptr))  # (row, column) as one sorted key
-    key += A.indices
-    pos = np.searchsorted(key, rows * (dim + 1))  # each row's diagonal entry, or where it sorts
-    del key  # 8 bytes an entry, freed before the copy
-    missing = pos >= A.indptr[1:]
-    missing[~missing] = A.indices[pos[~missing]] != rows[~missing]
-    indptr = A.indptr.copy()
-    indptr[1:] += np.cumsum(missing, dtype=indptr.dtype)
-    out = sp.csr_matrix((np.insert(A.data, pos[missing], 0),
-                         np.insert(A.indices, pos[missing], rows[missing]), indptr),
-                        shape=A.shape)
-    pos += indptr[:-1] - A.indptr[:-1]  # each row's diagonal entry in the copy
-    out.data[pos] -= shift
-    out.eliminate_zeros()
-    return out
 
 
 def _radius_bound(ms, n_scale, top):
@@ -212,11 +186,12 @@ def evolve_fock(plan: PropagatorPlan, v: FockVector, t):
 
 
 def number_moment(v: FockVector, delta):
-    """||(N+1)^delta v|| computed sector-wise."""
+    """||(N+1)^delta v|| summed over the states v holds; inf when its square
+    overflows a float."""
     if not 0.0 <= delta < np.inf:
         raise ValueError(f"delta must be finite and >= 0, got {delta!r}")
-    weights = (v.basis.totals + 1.0) ** (2.0 * delta)
-    return float(np.sqrt(np.sum(weights * np.abs(v.coeffs) ** 2)))
+    mass = np.abs(v.coeffs) ** 2  # (N+1)^(2 delta) may overflow where mass is 0, and inf * 0 = nan
+    return sqrt(np.sum((v.basis.totals[mass > 0] + 1.0) ** (2.0 * delta) * mass[mass > 0]))
 
 
 def fluctuation_apply(n, trajectory, v: FockVector, t):
@@ -225,8 +200,9 @@ def fluctuation_apply(n, trajectory, v: FockVector, t):
     Returns (vector, combined_truncation_loss).  The basis must be truncated
     with headroom for displacement size sqrt(n).  The Hamiltonian is the
     trajectory's mode system's, built on v's basis.  Any trajectory covering
-    [0, t] serves, however sampled: phi_0 and phi_t come from its ``at``.
-    What the truncation dropped is missing at amplitude level, so the result
+    0 and t serves, however sampled: phi_0 and phi_t come from its ``at``;
+    one that misses either raises SectorError before H is built.  What the
+    truncation dropped is missing at amplitude level, so the result
     errs by about the square root of the loss reported.  The undoing
     displacement takes a wide vector, so ``weyl_apply`` raises
     ``CapacityError`` past 4 sites at n = 16 and 5 sites at n = 3 on a
@@ -239,8 +215,9 @@ def fluctuation_apply(n, trajectory, v: FockVector, t):
         raise SectorError(
             f"truncation n_max={basis.n_max} below headroom {need} for n={n}"
         )
-    if not trajectory.t_min - TIME_TOL <= t <= trajectory.t_max + TIME_TOL:
-        raise SectorError(f"trajectory does not cover t={t}")
+    for s in (0.0, t):
+        if not trajectory.t_min - TIME_TOL <= s <= trajectory.t_max + TIME_TOL:
+            raise SectorError(f"trajectory does not cover t={s}")
     plan = make_plan(build_hamiltonian(trajectory.ms, n, basis))
     w1, loss1 = weyl_apply(sqrt(n) * trajectory.at(0.0), v)
     w2 = evolve_fock(plan, w1, t)

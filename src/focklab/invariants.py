@@ -28,7 +28,7 @@ from .fock import (
 )
 from .hartree import evolve_hartree
 from .modes import ModeSystem
-from .rdm import distance, mixed_target, projector
+from .rdm import _distances, mixed_target, projector
 from .states import (
     coherent_state,
     gram_overlap,
@@ -342,9 +342,7 @@ def check_norm_ordering(n_pairs, rng):
         w = rng.random(d)
         rho1 = mixed_target(w / w.sum(), [_random_unit(d, rng) for _ in range(d)])
         rho2 = projector(_random_unit(d, rng))
-        td = distance(rho1, rho2, "trace")
-        hd = distance(rho1, rho2, "hilbert_schmidt")
-        od = distance(rho1, rho2, "operator")
+        td, hd, od = _distances(rho1, rho2)
         ok = ok and od <= hd * (1 + 1e-12) and hd <= td * (1 + 1e-12)
         ok = ok and td <= 2 * hd * (1 + 1e-12)
     return ok, f"ordering held for {n_pairs} random pairs"

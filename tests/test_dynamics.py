@@ -387,6 +387,12 @@ def test_moment_of_coherent_state_poisson_oracle():
     assert fl.number_moment(v, delta) == pytest.approx(sqrt(total), abs=1e-8)
 
 
+def test_moment_skips_the_sectors_a_vector_leaves_empty():
+    # 31^300 overflows in the empty sector N = 30, and inf * 0 is nan
+    b = fl.enumerate_basis(2, fl.truncated(30))
+    assert fl.number_moment(fl.basis_state(b, (1, 0)), 150) == 2.0**150
+
+
 @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
 def test_moment_rejects_invalid_delta(bad):
     b = fl.enumerate_basis(2, fl.truncated(3))
@@ -468,3 +474,15 @@ def test_fluctuation_requires_coverage(fluctuation_setup):
     ms, n, traj, basis = fluctuation_setup
     with pytest.raises(fl.SectorError):
         fl.fluctuation_apply(n, traj, fl.vacuum(basis), 5.0)
+
+
+def test_fluctuation_requires_coverage_of_time_zero(monkeypatch):
+    # a trajectory over [1, 2] covers t = 1.5 but not 0: refused before H is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("fluctuation_apply built H")
+
+    monkeypatch.setattr(fl.dynamics, "build_hamiltonian", refuse)
+    traj = fl.evolve_hartree(fl.ModeSystem.lattice(2), np.array([0.6, 0.8]), [1.0, 2.0])
+    basis = fl.enumerate_basis(2, fl.truncated(fl.weyl_headroom(2.0)))
+    with pytest.raises(fl.SectorError, match="does not cover t=0.0"):
+        fl.fluctuation_apply(4, traj, fl.vacuum(basis), 1.5)
